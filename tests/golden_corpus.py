@@ -1,0 +1,188 @@
+"""Golden corpus: fixed games whose CLI output bytes are pinned by sha256.
+
+Each game runs ``solve`` (report and trace) under one or two seeds and
+schedules, then ``check`` and ``report`` (DOT and JSON) on every solve
+report, and ``enumerate`` once. The exit code of every command and the
+digest of every file it writes are stored in ``golden/digests.json``.
+Traces are written under relative names, so a report's ``trace`` field
+does not depend on the directory the corpus runs in.
+
+The games are the two shipped instances plus the files in ``golden/``:
+a document game with four devices sharing components, 20 seeded random
+DAG games across every delta and both schedules, and a chain of equal-cost
+diamonds whose best responses are all ties. To rebuild the instances and
+the digests after a deliberate change of output, run
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+DIGESTS = GOLDEN / "digests.json"
+SHIPPED = TESTS.parent / "instances"
+
+RANDOM_GAMES = 20
+DEFAULT_SOLVES = ((7, "round-robin"), (3, "random"))
+
+
+def games() -> dict[str, Path]:
+    """Corpus name -> instance file, in a fixed order."""
+    found = {"d1": SHIPPED / "d1.json", "webpage": SHIPPED / "webpage.json"}
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path != DIGESTS:
+            found[path.stem] = path
+    return found
+
+
+def solves(name: str) -> tuple[tuple[int, str], ...]:
+    """The (seed, schedule) pairs ``solve`` runs with for one game."""
+    if name.startswith("gen-"):
+        index = int(name[4:])
+        return ((index, ("round-robin", "random")[index % 2]),)
+    return DEFAULT_SOLVES
+
+
+def commands(name: str, instance: Path) -> list[tuple[str, list[str], list[str]]]:
+    """``(step, argv, files written)`` for every command run on one game."""
+    steps = []
+    for seed, schedule in solves(name):
+        tag = f"{schedule}-{seed}"
+        report = f"{tag}.report.json"
+        common = ["--instance", str(instance)]
+        steps += [
+            (f"solve-{tag}",
+             ["solve", *common, "--seed", str(seed), "--schedule", schedule,
+              "--trace", f"{tag}.trace", "--output", report],
+             [report, f"{tag}.trace"]),
+            (f"check-{tag}",
+             ["check", *common, "--report", report, "--output", f"{tag}.check"],
+             [f"{tag}.check"]),
+            (f"dot-{tag}",
+             ["report", *common, "--report", report, "--output", f"{tag}.dot"],
+             [f"{tag}.dot"]),
+            (f"summary-{tag}",
+             ["report", *common, "--report", report, "--format", "json",
+              "--output", f"{tag}.summary.json"],
+             [f"{tag}.summary.json"]),
+        ]
+    steps.append(
+        ("enumerate", ["enumerate", "--instance", str(instance), "--output", "catalog.json"],
+         ["catalog.json"])
+    )
+    return steps
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@contextmanager
+def working_dir(path: Path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def run_in_process(name: str, instance: Path, workdir: Path) -> dict[str, object]:
+    """Exit codes and output digests of one game, via ``cli.main``."""
+    from pagegame.cli import main
+
+    results: dict[str, object] = {}
+    with working_dir(workdir):
+        for step, argv, written in commands(name, instance):
+            results[f"{step}:exit"] = main(argv)
+            for filename in written:
+                results[filename] = sha256(workdir / filename)
+    return results
+
+
+# ---------------------------------------------------------------- generation
+
+DOC3_DOCUMENT = (
+    '<header><nav><a href="home">Home</a></nav></header>'
+    "<main><h1>Deals</h1><section><p>Lead</p><p>Offer</p></section></main>"
+    "<footer><p>Contact</p></footer>"
+)
+
+
+def doc3_instance() -> dict:
+    """Four devices over one page, most components wanted by several."""
+    return {
+        "format_version": 1,
+        "delta": 0.5,
+        "document": DOC3_DOCUMENT,
+        "devices": [
+            {"id": "desk", "class": "pc",
+             "required_components": ["4:@href", "8:#text", "11:#text", "16:#text"]},
+            {"id": "tab", "class": "tablet", "orientation": "portrait",
+             "required_components": ["8:#text", "13:#text"]},
+            {"id": "phone", "class": "mobile", "orientation": "portrait",
+             "required_components": ["5:#text", "8:#text", "11:#text"]},
+            {"id": "tv", "class": "pc", "cost_factor": 0.8,
+             "required_components": ["13:#text", "16:#text"]},
+        ],
+        "cost_model": {"base_costs": {"element": 1.5, "text": 0.5, "attribute": 0.25}},
+    }
+
+
+def ties_instance(diamonds: int = 5) -> dict:
+    """Equal-cost parallel pairs in a chain: every path ties for cheapest."""
+    nodes = [{"id": f"v{i}", "kind": "abstract"} for i in range(diamonds + 1)]
+    edges = [
+        {"id": f"e{i}{side}", "src": f"v{i}", "dst": f"v{i + 1}", "cost": 1.0}
+        for i in range(diamonds)
+        for side in "ab"
+    ]
+    players = [
+        {"id": 1, "root": "v0", "leaf": f"v{diamonds}", "label": "first"},
+        {"id": 2, "root": "v0", "leaf": f"v{diamonds}", "label": "second"},
+        {"id": 3, "root": "v1", "leaf": f"v{diamonds - 1}", "label": "inner"},
+    ]
+    return {"format_version": 1, "delta": 0.5, "nodes": nodes, "edges": edges,
+            "players": players}
+
+
+def write_instances() -> None:
+    from gamegen import DELTAS, instance_to_json, random_instance
+
+    GOLDEN.mkdir(exist_ok=True)
+    generated = {"doc3": doc3_instance(), "ties": ties_instance()}
+    for i in range(RANDOM_GAMES):
+        generated[f"gen-{i:02d}"] = instance_to_json(
+            random_instance(30_000 + i, delta=DELTAS[i % len(DELTAS)])
+        )
+    for name, obj in generated.items():
+        (GOLDEN / f"{name}.json").write_text(
+            json.dumps(obj, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+
+def regenerate(root: Path) -> None:
+    write_instances()
+    digests = {}
+    for name, instance in games().items():
+        workdir = root / name
+        workdir.mkdir(parents=True)
+        digests[name] = run_in_process(name, instance, workdir)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(TESTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(Path(tmp))

@@ -1,0 +1,45 @@
+"""Byte-level regression gate: every corpus output matches its stored digest."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from golden_corpus import DIGESTS, TESTS, commands, games, run_in_process, sha256
+
+GOLDEN = json.loads(DIGESTS.read_text(encoding="utf-8"))
+GAMES = games()
+
+# Games rerun in fresh interpreters under different hash seeds.
+HASH_SEED_GAMES = ("d1", "webpage", "doc3", "ties", "gen-01", "gen-06")
+
+
+def test_corpus_lists_every_game():
+    assert sorted(GOLDEN) == sorted(GAMES)
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_outputs_match_golden_digests(name, tmp_path):
+    assert run_in_process(name, GAMES[name], tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_solve_and_enumerate_ignore_hash_seed(hash_seed, tmp_path):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(TESTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in HASH_SEED_GAMES:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for step, argv, written in commands(name, GAMES[name]):
+            if argv[0] not in ("solve", "enumerate"):
+                continue
+            done = subprocess.run(
+                [sys.executable, "-m", "pagegame.cli", *argv],
+                cwd=workdir, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == GOLDEN[name][f"{step}:exit"], done.stderr
+            for filename in written:
+                assert sha256(workdir / filename) == GOLDEN[name][filename], (name, filename)
