@@ -14,11 +14,8 @@ from .dom import (
     DeviceProfile,
     DomForest,
     DomNode,
-    attach_devices,
     build_game,
-    classify_levels,
     default_cost_model,
-    forest_to_graph,
     parse_document,
     serialize_document,
 )
@@ -28,7 +25,6 @@ from .dynamics import (
     Step,
     best_response,
     is_nash,
-    replay_trace,
     reweight,
     run_dynamics,
 )
@@ -41,11 +37,9 @@ from .game import (
     Node,
     Player,
     StrategyProfile,
-    boundary_vertices,
     build_graph,
     cost_report,
     load_map,
-    node_depths,
     page_cost,
     player_cost,
     potential,
@@ -85,26 +79,20 @@ __all__ = [
     "StrategyProfile",
     "TOLERANCE",
     "analyze",
-    "attach_devices",
     "best_response",
-    "boundary_vertices",
     "brute_force_equilibria",
     "build_game",
     "build_graph",
-    "classify_levels",
     "cost_report",
     "default_cost_model",
     "efficiency_metrics",
     "enumerate_paths",
-    "forest_to_graph",
     "is_nash",
     "load_map",
-    "node_depths",
     "page_cost",
     "parse_document",
     "player_cost",
     "potential",
-    "replay_trace",
     "reweight",
     "run_dynamics",
     "serialize_document",

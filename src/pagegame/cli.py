@@ -3,30 +3,27 @@
 Exit codes:
 
 * 0: success (``solve`` additionally requires convergence)
-* 1: usage error, malformed instance/report file, or malformed embedded
-  document
+* 1: usage error, malformed instance/report file, malformed embedded
+  document, or an output file that cannot be written
 * 2: semantic validation failure (negative cost, cycle, missing path,
-  negative delta, invalid profile, unreachable component)
+  negative or non-finite delta, invalid profile, unreachable component)
 * 3: dynamics did not converge within the iteration budget
 * 4: enumeration space exceeds the cap
 * 5: a ``check`` assertion failed
+
+Engine errors carry their exit code as ``EngineError.exit_code``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import oracle
 from .dynamics import Schedule, best_response, is_nash, run_dynamics
-from .errors import (
-    EngineError,
-    MalformedInstance,
-    MalformedMarkup,
-    SearchSpaceTooLarge,
-    UnsupportedConstruct,
-)
+from .errors import EngineError, MalformedInstance
 from .game import (
     TOLERANCE,
     GameInstance,
@@ -48,10 +45,12 @@ from .reporting import (
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
-EXIT_TOO_LARGE = 4
 EXIT_CHECK_FAILED = 5
+
+
+class _UsageError(EngineError):
+    exit_code = EXIT_USAGE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +78,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--max-iters", type=int, default=10000,
                        help="maximum full passes over the players")
     solve.add_argument("--trace", default=None, help="write per-step records here")
-    solve.add_argument("--format", choices=["json"], default="json")
 
     enum = sub.add_parser("enumerate", help="brute-force the full equilibrium catalog")
     common(enum)
@@ -98,12 +96,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output file: {exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(output, text)
 
 
 def _load(args) -> GameInstance:
@@ -128,8 +133,7 @@ def _cmd_solve(args) -> int:
         max_iters=args.max_iters,
     )
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_lines(trace))
+        _write(args.trace, trace_to_lines(trace))
     report = run_report(
         command="solve",
         delta=instance.delta,
@@ -171,13 +175,14 @@ def _report_profile(args):
         delta = args.delta
     if not isinstance(delta, (int, float)) or isinstance(delta, bool):
         raise MalformedInstance("report delta must be a number")
+    if not (0.0 <= delta < math.inf):
+        raise EngineError(f"delta must be finite and >= 0, got {delta}")
     return profile, float(delta)
 
 
 def _cmd_check(args) -> int:
     instance = _load(args)
     profile, delta = _report_profile(args)
-    instance = dataclasses.replace(instance, delta=delta)
     graph = instance.graph
     validate_profile(graph, instance.players, profile)
 
@@ -259,10 +264,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-class _UsageError(Exception):
-    pass
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "enumerate": _cmd_enumerate,
@@ -279,18 +280,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"pagegame: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MalformedInstance, MalformedMarkup, UnsupportedConstruct) as exc:
-        print(f"pagegame: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchSpaceTooLarge as exc:
-        print(f"pagegame: error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except EngineError as exc:
         print(f"pagegame: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ A parsed document therefore has exactly nodes-minus-one edges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     UnreachableComponent,
     UnsupportedConstruct,
 )
-from .game import Edge, GameGraph, GameInstance, Node, Player, build_graph
+from .game import Edge, GameInstance, Node, Player, build_graph
 
 _TAG_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*")
 _ATTRIBUTE = re.compile(r'([a-zA-Z][a-zA-Z0-9-]*)\s*=\s*"([^"]*)"')
@@ -56,11 +56,10 @@ class DomNode:
 
 @dataclass(frozen=True)
 class DomForest:
-    """A parsed document plus, once devices are attached, their tree roots."""
+    """A parsed document: its root and every node by id, in document order."""
 
     document_root: DomNode
     nodes: dict[str, DomNode]
-    device_roots: dict[str, str] = field(default_factory=dict)
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Parent-child pairs in document order."""
@@ -107,14 +106,16 @@ class CostModel:
 
     base_costs: dict[str, float]
 
+    def __post_init__(self):
+        for kind, value in self.base_costs.items():
+            if not (value >= 0.0):
+                raise EngineError(f"base cost for kind {kind!r} is negative")
+
     def base(self, kind: str) -> float:
         try:
-            value = self.base_costs[kind]
+            return self.base_costs[kind]
         except KeyError:
             raise EngineError(f"cost model has no base cost for kind {kind!r}") from None
-        if not (value >= 0.0):
-            raise EngineError(f"base cost for kind {kind!r} is negative")
-        return value
 
 
 def default_cost_model() -> CostModel:
@@ -243,36 +244,8 @@ def serialize_document(forest: DomForest) -> str:
     return "".join(render(c) for c in forest.document_root.children)
 
 
-def classify_levels(forest: DomForest) -> dict[str, int]:
-    """Depth of every node below the document root (root itself is 0)."""
-    depths: dict[str, int] = {}
-
-    def walk(node: DomNode, depth: int) -> None:
-        depths[node.node_id] = depth
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(forest.document_root, 0)
-    return depths
-
-
-def forest_to_graph(forest: DomForest) -> GameGraph:
-    """Structure-only graph of the forest (zero edge costs)."""
-    nodes = [Node(n.node_id, n.kind) for n in forest.nodes.values()]
-    edges = [Edge(f"{src}>{dst}", src, dst, 0.0) for src, dst in forest.edges()]
-    return build_graph(nodes, edges)
-
-
 def device_root_id(device_id: str) -> str:
     return f"dev:{device_id}"
-
-
-def attach_devices(forest: DomForest, devices: Sequence[DeviceProfile]) -> DomForest:
-    """Record each device's tree root on the forest."""
-    return replace(
-        forest,
-        device_roots={d.device_id: device_root_id(d.device_id) for d in devices},
-    )
 
 
 def build_game(
@@ -283,12 +256,12 @@ def build_game(
 ) -> GameInstance:
     """Merge the forest and the devices into one game.
 
-    Each device gets an abstract tree root hanging off the document root and
-    wired to every top-level document node; component edges below that are
-    shared by all devices that can reach them and are priced with the
-    minimum owning cost factor, while a device's private entry edges use its
-    own factor. Players are (device, required component) pairs routing from
-    the device root to the component.
+    Each device gets an abstract tree root wired to every top-level document
+    node, so every device reaches every node below the document root. A
+    device's private entry edges use its own cost factor; every edge below
+    the top level is shared by all devices and priced with the minimum
+    factor. Players are (device, required component) pairs routing from the
+    device root to the component.
     """
     model = cost_model or default_cost_model()
     devices = tuple(devices)
@@ -307,58 +280,30 @@ def build_game(
     nodes = [Node(n.node_id, n.kind) for n in forest.nodes.values()]
     nodes.extend(Node(device_root_id(d.device_id), "abstract") for d in devices)
 
-    top_level = [c.node_id for c in forest.document_root.children]
-    structure: list[tuple[str, str]] = []
-    for device in devices:
-        dev = device_root_id(device.device_id)
-        structure.append((doc_id, dev))
-        structure.extend((dev, top) for top in top_level)
-    inner_edges = [(src, dst) for src, dst in forest.edges() if src != doc_id]
-    structure.extend(inner_edges)
-
-    adjacency: dict[str, list[str]] = {}
-    for src, dst in structure:
-        adjacency.setdefault(src, []).append(dst)
-
-    def reach(start: str) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    reachable = {d.device_id: reach(device_root_id(d.device_id)) for d in devices}
-
-    def child_kind(node_id: str) -> str:
-        return forest.nodes[node_id].kind
+    def base(node_id: str) -> float:
+        return model.base(forest.nodes[node_id].kind)
 
     edges: list[Edge] = []
     for device in devices:
         dev = device_root_id(device.device_id)
-        edges.append(Edge(f"{doc_id}>{dev}", doc_id, dev, model.base("abstract") * device.cost_factor))
-        for top in top_level:
+        for top in forest.document_root.children:
             edges.append(
-                Edge(f"{dev}>{top}", dev, top, model.base(child_kind(top)) * device.cost_factor)
+                Edge(f"{dev}>{top.node_id}", dev, top.node_id,
+                     base(top.node_id) * device.cost_factor)
             )
-    for src, dst in inner_edges:
-        owners = [d.cost_factor for d in devices if src in reachable[d.device_id]]
-        factor = min(owners) if owners else 1.0
-        edges.append(Edge(f"{src}>{dst}", src, dst, model.base(child_kind(dst)) * factor))
+    factor = min((d.cost_factor for d in devices), default=1.0)
+    for src, dst in forest.edges():
+        if src != doc_id:
+            edges.append(Edge(f"{src}>{dst}", src, dst, base(dst) * factor))
 
     players: list[Player] = []
-    next_id = 1
     for device in devices:
         dev = device_root_id(device.device_id)
         for component in device.required_components:
-            if component not in reachable[device.device_id]:
-                raise UnreachableComponent(device.device_id, component)
             players.append(
-                Player(next_id, dev, component, label=f"{device.device_id}:{component}")
+                Player(len(players) + 1, dev, component,
+                       label=f"{device.device_id}:{component}")
             )
-            next_id += 1
 
     graph = build_graph(nodes, edges)
     return GameInstance(graph=graph, players=tuple(players), delta=delta)

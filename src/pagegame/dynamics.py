@@ -30,6 +30,8 @@ from .game import (
     GameGraph,
     Player,
     StrategyProfile,
+    load_map,
+    page_cost,
     player_cost,
     potential,
     validate_profile,
@@ -71,17 +73,6 @@ class DynamicsTrace:
     passes: int
 
 
-def _other_loads(profile: StrategyProfile, player_id: int) -> dict[str, int]:
-    """Edge loads counting every player except ``player_id``."""
-    loads: dict[str, int] = {}
-    for pid, path in profile.items():
-        if pid == player_id:
-            continue
-        for edge_id in path:
-            loads[edge_id] = loads.get(edge_id, 0) + 1
-    return loads
-
-
 def _weights_from_loads(
     graph: GameGraph, other_loads: dict[str, int], delta: float
 ) -> dict[str, float]:
@@ -101,7 +92,7 @@ def reweight(
     """Per-edge weights seen by one player given everyone else's paths."""
     if player_id not in profile.paths:
         raise UnknownPlayer(player_id)
-    return _weights_from_loads(graph, _other_loads(profile, player_id), delta)
+    return _weights_from_loads(graph, load_map(profile.without(player_id)), delta)
 
 
 def _distance_to(
@@ -179,14 +170,6 @@ def _endpoints(graph: GameGraph, path: Sequence[str]) -> tuple[str, str]:
     return graph.edge(path[0]).src, graph.edge(path[-1]).dst
 
 
-def _others_page_cost(graph: GameGraph, profile: StrategyProfile, player_id: int) -> float:
-    used: set[str] = set()
-    for pid, path in profile.items():
-        if pid != player_id:
-            used.update(path)
-    return sum(edge.cost for edge in graph.edges if edge.edge_id in used)
-
-
 def best_response(
     graph: GameGraph,
     profile: StrategyProfile,
@@ -204,7 +187,7 @@ def best_response(
     rng = SplitMix64(seed)
     try:
         path, _, _ = _best_response(
-            graph, _other_loads(profile, player_id), root, leaf, delta, rng
+            graph, load_map(profile.without(player_id)), root, leaf, delta, rng
         )
     except NoPath:
         raise NoPath(player_id, root, leaf) from None
@@ -215,12 +198,12 @@ def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> b
     """True iff no player can cut its cost by more than ``TOLERANCE``."""
     for pid, path in profile.items():
         root, leaf = _endpoints(graph, path)
-        other_loads = _other_loads(profile, pid)
-        weights = _weights_from_loads(graph, other_loads, delta)
+        others = profile.without(pid)
+        weights = _weights_from_loads(graph, load_map(others), delta)
         best = _distance_to(graph, weights, leaf)[root]
         attainable = best
         if delta:
-            attainable = best + delta * _others_page_cost(graph, profile, pid)
+            attainable = best + delta * page_cost(graph, others)
         if attainable < player_cost(graph, profile, pid, delta) - TOLERANCE:
             return False
     return True
@@ -273,7 +256,6 @@ def run_dynamics(
         profile = initial
     initial_profile = profile
 
-    by_id = {p.player_id: p for p in players}
     steps: list[Step] = []
     converged = False
     passes = 0
@@ -286,11 +268,11 @@ def run_dynamics(
         for player in order:
             pid = player.player_id
             previous = player_cost(graph, profile, pid, delta)
-            other_loads = _other_loads(profile, pid)
+            others = profile.without(pid)
             path, weight, best = _best_response(
-                graph, other_loads, player.root, player.leaf, delta, rng
+                graph, load_map(others), player.root, player.leaf, delta, rng
             )
-            others_cost = _others_page_cost(graph, profile, pid) if delta else 0.0
+            others_cost = page_cost(graph, others) if delta else 0.0
             attainable = best + delta * others_cost
             if attainable < previous - TOLERANCE:
                 profile = profile.replace(pid, path)
@@ -316,14 +298,3 @@ def run_dynamics(
         initial_profile=initial_profile,
         passes=passes,
     )
-
-
-def replay_trace(
-    graph: GameGraph, trace: DynamicsTrace
-) -> StrategyProfile:
-    """Re-apply the recorded moves to the initial profile."""
-    profile = trace.initial_profile
-    for step in trace.steps:
-        if step.path_changed:
-            profile = profile.replace(step.player_id, step.path)
-    return profile

@@ -1,12 +1,14 @@
 """Exception hierarchy shared by every engine module.
 
-The CLI maps these onto exit codes, so raising the precise class matters
-more than the message text.
+Each class carries the CLI exit code it maps onto, so raising the precise
+class matters more than the message text.
 """
 
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class GraphError(EngineError):
@@ -37,11 +39,6 @@ class CycleDetected(GraphError):
     def __init__(self, nodes: list[str]):
         super().__init__("directed cycle through nodes: " + " -> ".join(nodes))
         self.nodes = list(nodes)
-
-
-class EmptyGraph(GraphError):
-    def __init__(self):
-        super().__init__("operation requires a non-empty graph")
 
 
 class ZeroLoad(EngineError):
@@ -80,6 +77,8 @@ class NegativeDelta(EngineError):
 
 
 class SearchSpaceTooLarge(EngineError):
+    exit_code = 4
+
     def __init__(self, size: int, cap: int):
         super().__init__(f"profile space has {size} entries, exceeding cap {cap}")
         self.size = size
@@ -92,6 +91,8 @@ class NoEquilibria(EngineError):
 
 
 class MalformedMarkup(EngineError):
+    exit_code = 1
+
     def __init__(self, position: int, detail: str):
         super().__init__(f"malformed markup at offset {position}: {detail}")
         self.position = position
@@ -99,6 +100,8 @@ class MalformedMarkup(EngineError):
 
 
 class UnsupportedConstruct(EngineError):
+    exit_code = 1
+
     def __init__(self, token: str):
         super().__init__(f"unsupported markup construct: {token!r}")
         self.token = token
@@ -115,3 +118,5 @@ class UnreachableComponent(EngineError):
 
 class MalformedInstance(EngineError):
     """The instance or report file does not follow the documented schema."""
+
+    exit_code = 1

@@ -14,14 +14,13 @@ order, player id order) so results are reproducible across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
     DanglingEndpoint,
     DuplicateEdgeId,
-    EmptyGraph,
     GraphError,
     InvalidProfile,
     NegativeCost,
@@ -95,6 +94,7 @@ class GameGraph:
 
         self._nodes = node_map
         self._edges = edge_map
+        self._edge_order = tuple(edge_map.values())
         # Outgoing edges sorted by id fix the traversal order everywhere.
         self._out = {nid: tuple(sorted(es, key=lambda e: e.edge_id)) for nid, es in out.items()}
         self._topo = self._toposort(indegree)
@@ -136,7 +136,7 @@ class GameGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self._edges.values())
+        return self._edge_order
 
     @property
     def topo_order(self) -> tuple[str, ...]:
@@ -196,6 +196,12 @@ class StrategyProfile:
         updated[player_id] = tuple(path)
         return StrategyProfile(updated)
 
+    def without(self, player_id: int) -> StrategyProfile:
+        """The paths of every player except ``player_id``."""
+        return StrategyProfile(
+            {pid: path for pid, path in self.paths.items() if pid != player_id}
+        )
+
     def used_edges(self) -> set[str]:
         used: set[str] = set()
         for _, path in self.items():
@@ -227,12 +233,6 @@ class GameInstance:
         if not (self.delta >= 0.0):
             raise NegativeDelta(self.delta)
         validate_players(self.graph, self.players)
-
-    def player(self, player_id: int) -> Player:
-        for p in self.players:
-            if p.player_id == player_id:
-                return p
-        raise UnknownPlayer(player_id)
 
 
 def load_map(profile: StrategyProfile) -> dict[str, int]:
@@ -307,24 +307,6 @@ def cost_report(
         potential=potential(graph, profile, delta),
         delta=delta,
     )
-
-
-def node_depths(graph: GameGraph) -> dict[str, int]:
-    """Longest-path depth of each node measured from the in-degree-0 nodes."""
-    if not graph.nodes:
-        raise EmptyGraph()
-    depths = {nid: 0 for nid in graph.topo_order}
-    for nid in graph.topo_order:
-        for edge in graph.out_edges(nid):
-            depths[edge.dst] = max(depths[edge.dst], depths[nid] + 1)
-    return depths
-
-
-def boundary_vertices(graph: GameGraph) -> set[str]:
-    """Nodes at maximum depth: the boundary level of the build tree."""
-    depths = node_depths(graph)
-    deepest = max(depths.values())
-    return {nid for nid, d in depths.items() if d == deepest}
 
 
 def reachable_from(graph: GameGraph, node_id: str) -> set[str]:

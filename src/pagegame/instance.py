@@ -17,7 +17,6 @@ from .dom import (
     CostModel,
     DEVICE_CLASS_FACTORS,
     DeviceProfile,
-    attach_devices,
     build_game,
     default_cost_model,
     parse_document,
@@ -160,8 +159,7 @@ def _parse_document_form(obj: dict, delta: float) -> GameInstance:
             base[str(kind)] = float(value)
         model = CostModel(base_costs=base)
 
-    forest = attach_devices(parse_document(text), devices)
-    return build_game(forest, devices, cost_model=model, delta=delta)
+    return build_game(parse_document(text), devices, cost_model=model, delta=delta)
 
 
 def instance_from_text(text: str) -> GameInstance:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,7 @@ def test_solve_zero_max_iters_is_usage_error(d1_file, capsys):
 
 def test_unknown_flag_is_usage_error(d1_file):
     assert main(["solve", "--instance", str(d1_file), "--frobnicate"]) == 1
+    assert main(["solve", "--instance", str(d1_file), "--format", "json"]) == 1
 
 
 def test_missing_instance_file_is_usage_error(tmp_path):
@@ -365,3 +367,51 @@ def test_solve_then_check_round_trip_on_random_instances(tmp_path):
 def test_report_missing_report_file(d1_file, tmp_path):
     absent = tmp_path / "absent.json"
     assert main(["report", "--instance", str(d1_file), "--report", str(absent)]) == 1
+
+
+# ---------------------------------------------------------------- errors
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("pagegame: error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("kind", ["abstract", "document-root"])
+def test_negative_base_cost_fails_validation(tmp_path, capsys, kind):
+    obj = {
+        "format_version": 1,
+        "document": "<html><p>x</p></html>",
+        "devices": [{"id": "d", "class": "pc", "required_components": ["3:#text"]}],
+        "cost_model": {"base_costs": {kind: -1.0}},
+    }
+    path = _write(tmp_path, "doc.json", obj)
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert kind in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]
+)
+def test_bad_report_delta_fails_validation(d1_file, tmp_path, capsys, command, delta):
+    report = {
+        "format_version": 1,
+        "kind": "run-report",
+        "delta": delta,
+        "final_profile": {"1": ["a"], "2": ["a"]},
+    }
+    path = _write(tmp_path, "delta.json", report)
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 2
+    assert "delta" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("solve", "--output"), ("solve", "--trace"), ("enumerate", "--output")],
+)
+def test_unwritable_output_is_usage_error(d1_file, tmp_path, capsys, command, flag):
+    target = tmp_path / "absent-dir" / "out.json"
+    assert main([command, "--instance", str(d1_file), flag, str(target)]) == 1
+    assert "cannot write" in _single_error_line(capsys)

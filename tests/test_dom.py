@@ -4,13 +4,9 @@ from pagegame import (
     CostModel,
     DeviceProfile,
     StrategyProfile,
-    attach_devices,
-    boundary_vertices,
     build_game,
-    classify_levels,
     default_cost_model,
     enumerate_paths,
-    forest_to_graph,
     page_cost,
     parse_document,
     serialize_document,
@@ -123,26 +119,19 @@ def test_round_trip_is_isomorphic():
 
 # ---------------------------------------------------------------- levels
 
-def test_document_root_is_level_zero():
-    forest = parse_document(SAMPLE_DOCUMENT)
-    levels = classify_levels(forest)
-    assert levels[forest.document_root.node_id] == 0
-
-
 def test_text_nodes_sit_on_the_boundary_level():
     forest = parse_document(SAMPLE_DOCUMENT)
-    levels = classify_levels(forest)
-    deepest = max(levels.values())
+    others = [nid for nid in forest.nodes if nid != forest.document_root.node_id]
+    device = DeviceProfile("d", "pc", 1.0, tuple(others))
+    instance = build_game(forest, [device])
+    depth = {
+        p.leaf: len(enumerate_paths(instance.graph, p.root, p.leaf)[0])
+        for p in instance.players
+    }
+    deepest = max(depth.values())
     texts = {nid for nid, n in forest.nodes.items() if n.kind == "text"}
-    assert texts <= {nid for nid, lvl in levels.items() if lvl == deepest}
-
-
-def test_levels_agree_with_graph_boundary():
-    forest = parse_document(SAMPLE_DOCUMENT)
-    levels = classify_levels(forest)
-    deepest = max(levels.values())
-    by_levels = {nid for nid, lvl in levels.items() if lvl == deepest}
-    assert by_levels == boundary_vertices(forest_to_graph(forest))
+    # Attributes sit one level under their element, alongside its text.
+    assert {nid for nid, d in depth.items() if d == deepest} == texts | {"9:@href"}
 
 
 # ---------------------------------------------------------------- devices
@@ -207,9 +196,7 @@ def test_document_game_round_trips_through_instance_file():
         DeviceProfile("desk", "pc", 1.0, ("4:#text", "7:#text")),
         DeviceProfile("phone", "mobile", 1.5, ("4:#text",)),
     ]
-    forest = attach_devices(parse_document(SAMPLE_DOCUMENT), devices)
-    assert forest.device_roots == {"desk": "dev:desk", "phone": "dev:phone"}
-    direct = build_game(forest, devices, delta=0.5)
+    direct = build_game(parse_document(SAMPLE_DOCUMENT), devices, delta=0.5)
 
     obj = {
         "format_version": 1,

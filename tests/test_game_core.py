@@ -3,16 +3,15 @@ import math
 import pytest
 
 from pagegame import (
+    DeviceProfile,
     GameInstance,
     Player,
     StrategyProfile,
-    boundary_vertices,
+    build_game,
     build_graph,
     cost_report,
     enumerate_paths,
-    forest_to_graph,
     load_map,
-    node_depths,
     page_cost,
     parse_document,
     player_cost,
@@ -24,7 +23,6 @@ from pagegame.errors import (
     CycleDetected,
     DanglingEndpoint,
     DuplicateEdgeId,
-    EmptyGraph,
     GraphError,
     InvalidProfile,
     NegativeCost,
@@ -42,8 +40,11 @@ TOL = 1e-9
 # ---------------------------------------------------------------- graphs
 
 def test_document_graph_counts():
-    graph = forest_to_graph(parse_document(SAMPLE_DOCUMENT))
-    assert len(graph.nodes) == 11
+    # The 11 document nodes plus one device root; the device's entry edge
+    # replaces the document root's single edge, which no player can use.
+    device = DeviceProfile("d", "pc", 1.0, ("4:#text",))
+    graph = build_game(parse_document(SAMPLE_DOCUMENT), [device]).graph
+    assert len(graph.nodes) == 12
     assert len(graph.edges) == 10
 
 
@@ -285,52 +286,6 @@ def test_cost_report_is_consistent(d1):
     assert report.delta == 0.5
     total = sum(report.player_costs.values())
     assert abs(total - report.page_cost * (1 + 0.5 * 2)) <= TOL
-
-
-# ---------------------------------------------------------------- boundary
-
-def test_boundary_of_document_tree():
-    forest = parse_document(SAMPLE_DOCUMENT)
-    graph = forest_to_graph(forest)
-    boundary = boundary_vertices(graph)
-    texts = {nid for nid, n in forest.nodes.items() if n.kind == "text"}
-    assert texts <= boundary
-    # Attributes sit one level under their element, alongside its text.
-    assert boundary == texts | {"9:@href"}
-
-
-def test_boundary_single_node():
-    graph = build_graph([("only", "abstract")], [])
-    assert boundary_vertices(graph) == {"only"}
-
-
-def test_boundary_empty_graph():
-    with pytest.raises(EmptyGraph):
-        boundary_vertices(build_graph([], []))
-
-
-def _longest_path_by_dfs(graph, node_id):
-    # Oracle: explicit DFS over all incoming chains, no memoization.
-    best = 0
-    incoming = [
-        e for e in graph.edges if e.dst == node_id
-    ]
-    for edge in incoming:
-        best = max(best, 1 + _longest_path_by_dfs(graph, edge.src))
-    return best
-
-
-def test_boundary_matches_longest_path_oracle():
-    for seed in range(10):
-        inst = random_instance(1100 + seed)
-        graph = inst.graph
-        depths = node_depths(graph)
-        oracle_depths = {nid: _longest_path_by_dfs(graph, nid) for nid in graph.nodes}
-        assert depths == oracle_depths
-        deepest = max(oracle_depths.values())
-        assert boundary_vertices(graph) == {
-            nid for nid, d in oracle_depths.items() if d == deepest
-        }
 
 
 # ---------------------------------------------------------------- validation

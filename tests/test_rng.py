@@ -43,9 +43,3 @@ def test_shuffle_is_seed_deterministic():
     SplitMix64(99).shuffle(items2)
     assert items1 == items2
     assert sorted(items1) == list(range(10))
-
-
-def test_choice_picks_member():
-    rng = SplitMix64(3)
-    seq = ["x", "y", "z"]
-    assert all(rng.choice(seq) in seq for _ in range(20))
