@@ -130,8 +130,7 @@ def test_text_nodes_sit_on_the_boundary_level():
     }
     deepest = max(depth.values())
     texts = {nid for nid, n in forest.nodes.items() if n.kind == "text"}
-    # Attributes sit one level under their element, alongside its text.
-    assert {nid for nid, d in depth.items() if d == deepest} == texts | {"9:@href"}
+    assert texts <= {nid for nid, d in depth.items() if d == deepest}
 
 
 # ---------------------------------------------------------------- devices

@@ -288,6 +288,26 @@ def test_cost_report_is_consistent(d1):
     assert abs(total - report.page_cost * (1 + 0.5 * 2)) <= TOL
 
 
+# ---------------------------------------------------------------- boundary
+
+def _depth(graph, node_id):
+    # Longest chain of edges that ends at node_id.
+    return max((1 + _depth(graph, e.src) for e in graph.edges if e.dst == node_id), default=0)
+
+
+def test_boundary_of_document_tree():
+    forest = parse_document(SAMPLE_DOCUMENT)
+    others = [nid for nid in forest.nodes if nid != forest.document_root.node_id]
+    graph = build_game(forest, [DeviceProfile("d", "pc", 1.0, tuple(others))]).graph
+    depths = {nid: _depth(graph, nid) for nid in graph.nodes}
+    deepest = max(depths.values())
+    boundary = {nid for nid, d in depths.items() if d == deepest}
+    texts = {nid for nid, n in forest.nodes.items() if n.kind == "text"}
+    assert texts <= boundary
+    # Attributes sit one level under their element, alongside its text.
+    assert boundary == texts | {"9:@href"}
+
+
 # ---------------------------------------------------------------- validation
 
 def test_validate_profile_accepts_valid(d1):
