@@ -5,8 +5,9 @@ Exit codes:
 * 0: success (``solve`` additionally requires convergence)
 * 1: usage error, malformed instance/report file, malformed embedded
   document, or an output file that cannot be written
-* 2: semantic validation failure (negative cost, cycle, missing path,
-  negative or non-finite delta, invalid profile, unreachable component)
+* 2: semantic validation failure (negative or non-finite cost, cost
+  factor or delta, cycle, missing path, invalid profile, unreachable
+  component)
 * 3: dynamics did not converge within the iteration budget
 * 4: enumeration space exceeds the cap
 * 5: a ``check`` assertion failed
@@ -23,13 +24,12 @@ import sys
 
 from . import oracle
 from .dynamics import Schedule, best_response, is_nash, run_dynamics
-from .errors import EngineError, MalformedInstance
+from .errors import EngineError, MalformedInstance, NegativeDelta
 from .game import (
     TOLERANCE,
     GameInstance,
     cost_report,
     player_cost,
-    potential,
     validate_profile,
 )
 from .instance import load_instance
@@ -176,7 +176,7 @@ def _report_profile(args):
     if not isinstance(delta, (int, float)) or isinstance(delta, bool):
         raise MalformedInstance("report delta must be a number")
     if not (0.0 <= delta < math.inf):
-        raise EngineError(f"delta must be finite and >= 0, got {delta}")
+        raise NegativeDelta(delta)
     return profile, float(delta)
 
 
@@ -187,6 +187,7 @@ def _cmd_check(args) -> int:
     validate_profile(graph, instance.players, profile)
 
     results: list[tuple[str, bool, str]] = []
+    report = cost_report(graph, profile, delta)
 
     stable = is_nash(graph, profile, delta)
     detail = ""
@@ -194,12 +195,11 @@ def _cmd_check(args) -> int:
         for pid, _ in profile.items():
             candidate = best_response(graph, profile, pid, delta, seed=0)
             improved = player_cost(graph, profile.replace(pid, candidate), pid, delta)
-            if improved < player_cost(graph, profile, pid, delta) - TOLERANCE:
+            if improved < report.player_costs[pid] - TOLERANCE:
                 detail = f"player {pid} can switch to [{', '.join(candidate)}]"
                 break
     results.append(("nash-stability", stable, detail))
 
-    report = cost_report(graph, profile, delta)
     total_shares = sum(
         report.shares[edge_id] for _, path in profile.items() for edge_id in path
     )
@@ -220,16 +220,14 @@ def _cmd_check(args) -> int:
 
     identity_ok = True
     identity_detail = ""
-    base_potential = potential(graph, profile, delta)
     for player in instance.players:
         pid = player.player_id
-        base_cost = player_cost(graph, profile, pid, delta)
         for alt in oracle.enumerate_paths(graph, player.root, player.leaf):
             if alt == profile.path(pid):
                 continue
-            deviated = profile.replace(pid, alt)
-            d_phi = base_potential - potential(graph, deviated, delta)
-            d_cost = base_cost - player_cost(graph, deviated, pid, delta)
+            deviated = cost_report(graph, profile.replace(pid, alt), delta)
+            d_phi = report.potential - deviated.potential
+            d_cost = report.player_costs[pid] - deviated.player_costs[pid]
             if abs(d_phi - d_cost) > TOLERANCE:
                 identity_ok = False
                 identity_detail = (

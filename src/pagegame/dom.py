@@ -13,6 +13,7 @@ A parsed document therefore has exactly nodes-minus-one edges.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -63,13 +64,12 @@ class DomForest:
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Parent-child pairs in document order."""
-
-        def walk(node: DomNode) -> Iterator[tuple[str, str]]:
-            for child in node.children:
-                yield node.node_id, child.node_id
-                yield from walk(child)
-
-        return walk(self.document_root)
+        root = self.document_root
+        stack = [(root.node_id, child) for child in reversed(root.children)]
+        while stack:
+            parent_id, node = stack.pop()
+            yield parent_id, node.node_id
+            stack.extend((node.node_id, child) for child in reversed(node.children))
 
     @property
     def node_count(self) -> int:
@@ -96,8 +96,11 @@ class DeviceProfile:
             raise EngineError(f"unknown device class {self.device_class!r}")
         if self.orientation not in ORIENTATIONS:
             raise EngineError(f"unknown orientation {self.orientation!r}")
-        if not (self.cost_factor > 0.0):
-            raise EngineError(f"cost_factor must be > 0, got {self.cost_factor}")
+        if not (0.0 < self.cost_factor < math.inf):
+            raise EngineError(
+                f"device {self.device_id!r}: cost_factor must be finite and > 0,"
+                f" got {self.cost_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,10 @@ class CostModel:
 
     def __post_init__(self):
         for kind, value in self.base_costs.items():
-            if not (value >= 0.0):
-                raise EngineError(f"base cost for kind {kind!r} is negative")
+            if not (0.0 <= value < math.inf):
+                raise EngineError(
+                    f"base cost for kind {kind!r} must be finite and >= 0, got {value}"
+                )
 
     def base(self, kind: str) -> float:
         try:
@@ -120,38 +125,6 @@ class CostModel:
 
 def default_cost_model() -> CostModel:
     return CostModel(base_costs=dict(DEFAULT_BASE_COSTS))
-
-
-class _Builder:
-    """Mutable tree node used only while parsing."""
-
-    __slots__ = ("kind", "label", "value", "children")
-
-    def __init__(self, kind: str, label: str, value: str = ""):
-        self.kind = kind
-        self.label = label
-        self.value = value
-        self.children: list[_Builder] = []
-
-
-def _freeze(builder: _Builder) -> tuple[DomNode, dict[str, DomNode]]:
-    """Assign document-order ids and freeze the tree bottom-up."""
-    nodes: dict[str, DomNode] = {}
-    counter = 0
-
-    def visit(b: _Builder) -> DomNode:
-        nonlocal counter
-        prefix = {"attribute": "@", "text": "", "element": "", "document-root": ""}[b.kind]
-        node_id = f"{counter}:{prefix}{b.label}"
-        counter += 1
-        children = tuple(visit(c) for c in b.children)
-        node = DomNode(node_id, b.kind, b.label, b.value, children)
-        nodes[node_id] = node
-        return node
-
-    root = visit(builder)
-    ordered = {nid: nodes[nid] for nid in sorted(nodes, key=lambda n: int(n.split(":")[0]))}
-    return root, ordered
 
 
 def _parse_open_tag(token: str, position: int) -> tuple[str, tuple[str, str] | None]:
@@ -173,9 +146,25 @@ def _parse_open_tag(token: str, position: int) -> tuple[str, tuple[str, str] | N
 
 
 def parse_document(text: str) -> DomForest:
-    """Parse markup into a document tree rooted at a document-root node."""
-    root = _Builder("document-root", "#document")
-    stack: list[_Builder] = []
+    """Parse markup into a document tree rooted at a document-root node.
+
+    Ids follow document order: each is assigned, and its slot in ``nodes``
+    reserved, when its node is created; an element is frozen into its
+    ``DomNode`` when it closes.
+    """
+    nodes: dict[str, DomNode | None] = {}
+
+    def reserve(label: str) -> str:
+        node_id = f"{len(nodes)}:{label}"
+        nodes[node_id] = None
+        return node_id
+
+    def freeze(node: DomNode) -> DomNode:
+        nodes[node.node_id] = node
+        return node
+
+    # Open elements as (id, tag, children); the bottom entry is the document root.
+    stack: list[tuple[str, str, list[DomNode]]] = [(reserve("#document"), "#document", [])]
     i = 0
     length = len(text)
     while i < length:
@@ -190,22 +179,25 @@ def parse_document(text: str) -> DomForest:
                 raise UnsupportedConstruct(f"<{token}>")
             if token.startswith("/"):
                 name = token[1:].strip()
-                if not stack:
+                if len(stack) == 1:
                     raise MalformedMarkup(i, f"closing </{name}> with nothing open")
-                if stack[-1].label != name:
+                if stack[-1][1] != name:
                     raise MalformedMarkup(
-                        i, f"closing </{name}> but <{stack[-1].label}> is open"
+                        i, f"closing </{name}> but <{stack[-1][1]}> is open"
                     )
-                finished = stack.pop()
-                (stack[-1] if stack else root).children.append(finished)
+                node_id, tag, children = stack.pop()
+                stack[-1][2].append(
+                    freeze(DomNode(node_id, "element", tag, "", tuple(children)))
+                )
             else:
                 tag, attribute = _parse_open_tag(token, i)
-                element = _Builder("element", tag)
+                children = []
+                stack.append((reserve(tag), tag, children))
                 if attribute is not None:
-                    element.children.append(
-                        _Builder("attribute", attribute[0], attribute[1])
+                    name, value = attribute
+                    children.append(
+                        freeze(DomNode(reserve("@" + name), "attribute", name, value))
                     )
-                stack.append(element)
             i = end + 1
         else:
             nxt = text.find("<", i)
@@ -217,14 +209,15 @@ def parse_document(text: str) -> DomForest:
                 raise UnsupportedConstruct(entity.group(0))
             content = run.strip()
             if content:
-                (stack[-1] if stack else root).children.append(
-                    _Builder("text", "#text", content)
+                stack[-1][2].append(
+                    freeze(DomNode(reserve("#text"), "text", "#text", content))
                 )
             i = nxt
-    if stack:
-        raise MalformedMarkup(length, f"<{stack[-1].label}> never closed")
-    document_root, nodes = _freeze(root)
-    return DomForest(document_root=document_root, nodes=nodes)
+    if len(stack) > 1:
+        raise MalformedMarkup(length, f"<{stack[-1][1]}> never closed")
+    node_id, label, children = stack.pop()
+    root = freeze(DomNode(node_id, "document-root", label, "", tuple(children)))
+    return DomForest(document_root=root, nodes=nodes)
 
 
 def serialize_document(forest: DomForest) -> str:

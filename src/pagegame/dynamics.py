@@ -30,10 +30,9 @@ from .game import (
     GameGraph,
     Player,
     StrategyProfile,
+    cost_report,
     load_map,
     page_cost,
-    player_cost,
-    potential,
     validate_profile,
 )
 from .rng import SplitMix64
@@ -143,31 +142,26 @@ def _cheapest_paths(
     return best, ties
 
 
-def _best_response(
+def _respond(
     graph: GameGraph,
-    other_loads: dict[str, int],
-    root: str,
-    leaf: str,
+    profile: StrategyProfile,
+    player: Player,
     delta: float,
     rng: SplitMix64,
 ) -> tuple[tuple[str, ...], float, float]:
-    """Chosen path, its exact weight, and the minimum weight.
+    """Chosen path, its cost, and the least attainable cost for ``player``.
 
-    The RNG is consulted only when two or more paths tie for cheapest.
+    Costs are taken against every other player's path in ``profile``. The
+    RNG is consulted only when two or more paths tie for cheapest.
     """
-    weights = _weights_from_loads(graph, other_loads, delta)
-    best, ties = _cheapest_paths(graph, weights, root, leaf)
+    others = profile.without(player.player_id)
+    weights = _weights_from_loads(graph, load_map(others), delta)
+    best, ties = _cheapest_paths(graph, weights, player.root, player.leaf)
     if not ties:
-        raise NoPath("?", root, leaf)
-    if len(ties) == 1:
-        path, weight = ties[0]
-    else:
-        path, weight = ties[rng.randrange(len(ties))]
-    return path, weight, best
-
-
-def _endpoints(graph: GameGraph, path: Sequence[str]) -> tuple[str, str]:
-    return graph.edge(path[0]).src, graph.edge(path[-1]).dst
+        raise NoPath(player.player_id, player.root, player.leaf)
+    path, weight = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    others_cost = page_cost(graph, others) if delta else 0.0
+    return path, weight + delta * others_cost, best + delta * others_cost
 
 
 def best_response(
@@ -183,47 +177,24 @@ def best_response(
     ``TOLERANCE`` are drawn uniformly from the seeded generator.
     """
     current = profile.path(player_id)
-    root, leaf = _endpoints(graph, current)
-    rng = SplitMix64(seed)
-    try:
-        path, _, _ = _best_response(
-            graph, load_map(profile.without(player_id)), root, leaf, delta, rng
-        )
-    except NoPath:
-        raise NoPath(player_id, root, leaf) from None
+    player = Player(player_id, graph.edge(current[0]).src, graph.edge(current[-1]).dst)
+    path, _, _ = _respond(graph, profile, player, delta, SplitMix64(seed))
     return path
 
 
 def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
     """True iff no player can cut its cost by more than ``TOLERANCE``."""
+    costs = cost_report(graph, profile, delta).player_costs
     for pid, path in profile.items():
-        root, leaf = _endpoints(graph, path)
         others = profile.without(pid)
         weights = _weights_from_loads(graph, load_map(others), delta)
+        root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
         best = _distance_to(graph, weights, leaf)[root]
-        attainable = best
         if delta:
-            attainable = best + delta * page_cost(graph, others)
-        if attainable < player_cost(graph, profile, pid, delta) - TOLERANCE:
+            best += delta * page_cost(graph, others)
+        if best < costs[pid] - TOLERANCE:
             return False
     return True
-
-
-def _greedy_initial(
-    graph: GameGraph, players: Sequence[Player], delta: float, rng: SplitMix64
-) -> StrategyProfile:
-    """Each player best-responds to the players placed before it."""
-    placed: dict[str, int] = {}
-    paths: dict[int, tuple[str, ...]] = {}
-    for player in players:
-        try:
-            path, _, _ = _best_response(graph, placed, player.root, player.leaf, delta, rng)
-        except NoPath:
-            raise NoPath(player.player_id, player.root, player.leaf) from None
-        paths[player.player_id] = path
-        for edge_id in path:
-            placed[edge_id] = placed.get(edge_id, 0) + 1
-    return StrategyProfile(paths)
 
 
 def run_dynamics(
@@ -250,13 +221,18 @@ def run_dynamics(
     rng = SplitMix64(schedule.seed)
 
     if initial is None:
-        profile = _greedy_initial(graph, players, delta, rng)
+        # Greedy start: each player best-responds to those placed before it.
+        profile = StrategyProfile({})
+        for player in players:
+            path, _, _ = _respond(graph, profile, player, delta, rng)
+            profile = profile.replace(player.player_id, path)
     else:
         validate_profile(graph, players, initial)
         profile = initial
     initial_profile = profile
 
     steps: list[Step] = []
+    report = cost_report(graph, profile, delta)
     converged = False
     passes = 0
     for pass_no in range(1, max_iters + 1):
@@ -267,25 +243,18 @@ def run_dynamics(
         moved = False
         for player in order:
             pid = player.player_id
-            previous = player_cost(graph, profile, pid, delta)
-            others = profile.without(pid)
-            path, weight, best = _best_response(
-                graph, load_map(others), player.root, player.leaf, delta, rng
-            )
-            others_cost = page_cost(graph, others) if delta else 0.0
-            attainable = best + delta * others_cost
+            previous = report.player_costs[pid]
+            path, new_cost, attainable = _respond(graph, profile, player, delta, rng)
             if attainable < previous - TOLERANCE:
                 profile = profile.replace(pid, path)
-                new_cost = weight + delta * others_cost
+                report = cost_report(graph, profile, delta)
                 steps.append(
-                    Step(pass_no, pid, previous, new_cost,
-                         potential(graph, profile, delta), True, path)
+                    Step(pass_no, pid, previous, new_cost, report.potential, True, path)
                 )
                 moved = True
             else:
                 steps.append(
-                    Step(pass_no, pid, previous, previous,
-                         potential(graph, profile, delta), False, None)
+                    Step(pass_no, pid, previous, previous, report.potential, False, None)
                 )
         if not moved:
             converged = True

@@ -16,8 +16,11 @@ class GraphError(EngineError):
 
 
 class NegativeCost(GraphError):
+    """An edge cost outside ``[0, inf)``: negative, infinite or NaN."""
+
     def __init__(self, edge_id: str, cost: float):
-        super().__init__(f"edge {edge_id!r} has negative cost {cost}")
+        kind = "negative" if cost < 0.0 else "non-finite"
+        super().__init__(f"edge {edge_id!r} has {kind} cost {cost}")
         self.edge_id = edge_id
         self.cost = cost
 
@@ -72,7 +75,7 @@ class NoPath(EngineError):
 
 class NegativeDelta(EngineError):
     def __init__(self, delta: float):
-        super().__init__(f"delta must be >= 0, got {delta}")
+        super().__init__(f"delta must be finite and >= 0, got {delta}")
         self.delta = delta
 
 

@@ -1,11 +1,11 @@
 """Directed multigraph model of a page build and its cost-sharing rules.
 
 A page build is a DAG whose nodes are document objects and whose edges are
-construction steps with non-negative costs. Each player (a browser/device
-routing a component into its page) picks one simple root-to-leaf path; the
-cost of every edge is split equally among the players using it, and a
-player may additionally carry a ``delta``-weighted copy of the whole page
-cost as a cooperative term.
+construction steps with finite non-negative costs. Each player (a
+browser/device routing a component into its page) picks one simple
+root-to-leaf path; the cost of every edge is split equally among the
+players using it, and a player may additionally carry a ``delta``-weighted
+copy of the whole page cost as a cooperative term.
 
 All types are immutable after construction and every function here is pure.
 Floating-point sums always run in a canonical order (edge declaration
@@ -14,6 +14,7 @@ order, player id order) so results are reproducible across processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -61,7 +62,7 @@ class Player:
 
 
 class GameGraph:
-    """Validated directed acyclic multigraph with non-negative edge costs.
+    """Validated directed acyclic multigraph with finite non-negative edge costs.
 
     Parallel edges between the same node pair are allowed and are told apart
     by their edge ids. Instances are immutable once constructed.
@@ -86,7 +87,7 @@ class GameGraph:
                 raise DanglingEndpoint(edge.edge_id, edge.src)
             if edge.dst not in node_map:
                 raise DanglingEndpoint(edge.edge_id, edge.dst)
-            if not (edge.cost >= 0.0):
+            if not (0.0 <= edge.cost < math.inf):
                 raise NegativeCost(edge.edge_id, edge.cost)
             edge_map[edge.edge_id] = edge
             out[edge.src].append(edge)
@@ -230,7 +231,7 @@ class GameInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
-        if not (self.delta >= 0.0):
+        if not (0.0 <= self.delta < math.inf):
             raise NegativeDelta(self.delta)
         validate_players(self.graph, self.players)
 
@@ -260,17 +261,9 @@ def shapley_share(cost: float, load: int) -> float:
 def player_cost(
     graph: GameGraph, profile: StrategyProfile, player_id: int, delta: float = 0.0
 ) -> float:
-    """Shapley path cost plus ``delta`` times the page cost.
-
-    With ``delta == 0`` the second term is skipped entirely, so the result
-    equals the pure shared-path cost bit for bit.
-    """
-    path = profile.path(player_id)
-    loads = load_map(profile)
-    own = sum(graph.edge(edge_id).cost / loads[edge_id] for edge_id in path)
-    if delta:
-        return own + delta * page_cost(graph, profile)
-    return own
+    """Shapley path cost plus ``delta`` times the page cost."""
+    profile.path(player_id)
+    return cost_report(graph, profile, delta).player_costs[player_id]
 
 
 def potential(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> float:
@@ -279,33 +272,40 @@ def potential(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) ->
     For every unilateral path change the potential moves by exactly the
     deviating player's cost change.
     """
-    loads = load_map(profile)
-    total = 0.0
-    for edge in graph.edges:
-        count = loads.get(edge.edge_id, 0)
-        for x in range(1, count + 1):
-            total += edge.cost / x
-    if delta:
-        total += delta * page_cost(graph, profile)
-    return total
+    return cost_report(graph, profile, delta).potential
 
 
 def cost_report(
     graph: GameGraph, profile: StrategyProfile, delta: float = 0.0
 ) -> CostReport:
+    """Page cost, edge shares, player costs and potential of one profile.
+
+    One pass over the edges in declaration order accumulates the page cost,
+    the shares and the harmonic potential terms. With ``delta == 0`` the
+    social terms are skipped entirely, so player costs equal the pure
+    shared-path costs bit for bit.
+    """
     loads = load_map(profile)
-    shares = {
-        edge.edge_id: edge.cost / loads[edge.edge_id]
-        for edge in graph.edges
-        if edge.edge_id in loads
-    }
-    players = {pid: player_cost(graph, profile, pid, delta) for pid, _ in profile.items()}
+    used_costs: list[float] = []
+    shares: dict[str, float] = {}
+    total = 0.0
+    for edge in graph.edges:
+        count = loads.get(edge.edge_id, 0)
+        if count:
+            used_costs.append(edge.cost)
+            shares[edge.edge_id] = edge.cost / count
+            for x in range(1, count + 1):
+                total += edge.cost / x
+    for edge_id in loads.keys() - shares.keys():
+        graph.edge(edge_id)  # raises GraphError for an edge the graph lacks
+    # sum(), like page_cost: from Python 3.12 it compensates, unlike a running +=.
+    page = sum(used_costs)
+    players = {pid: sum(shares[e] for e in path) for pid, path in profile.items()}
+    if delta:
+        players = {pid: own + delta * page for pid, own in players.items()}
+        total += delta * page
     return CostReport(
-        page_cost=page_cost(graph, profile),
-        player_costs=players,
-        shares=shares,
-        potential=potential(graph, profile, delta),
-        delta=delta,
+        page_cost=page, player_costs=players, shares=shares, potential=total, delta=delta
     )
 
 
@@ -324,6 +324,7 @@ def reachable_from(graph: GameGraph, node_id: str) -> set[str]:
 def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
     """Check player invariants: distinct ids, real endpoints, a path exists."""
     seen_ids: set[int] = set()
+    reach: dict[str, set[str]] = {}
     for player in players:
         if player.player_id in seen_ids:
             raise InvalidProfile(player.player_id, "duplicate player id")
@@ -334,7 +335,9 @@ def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
             raise InvalidProfile(player.player_id, f"unknown leaf node {player.leaf!r}")
         if player.root == player.leaf:
             raise InvalidProfile(player.player_id, "root and leaf must differ")
-        if player.leaf not in reachable_from(graph, player.root):
+        if player.root not in reach:
+            reach[player.root] = reachable_from(graph, player.root)
+        if player.leaf not in reach[player.root]:
             raise NoPath(player.player_id, player.root, player.leaf)
 
 

@@ -4,8 +4,9 @@ An instance file carries either an explicit graph (``nodes`` + ``edges`` +
 ``players``) or an embedded document with device profiles (``document`` +
 ``devices`` and an optional ``cost_model``), never both. ``delta`` is
 optional and defaults to 0. Schema violations raise
-:class:`MalformedInstance`; semantic problems (negative costs, cycles,
-missing paths, negative delta) surface as the engine's validation errors.
+:class:`MalformedInstance`; semantic problems (negative or non-finite
+costs and delta, cycles, missing paths) surface as the engine's validation
+errors.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ one-line recipe that any implementation can reproduce bit for bit:
 
 Derived draws are defined on top of the raw stream:
 
-* ``randrange(n)`` is ``next_u64() mod n`` (the modulo bias is below 2^-50
-  for the tiny candidate sets this engine draws from);
+* ``randrange(n)`` is ``next_u64() mod n``; by the modulo bias the most
+  likely outcome is more likely than the least likely one by a relative
+  ``1 / floor(2^64 / n)``, about ``n / 2^64`` (2^-45.6 for a 352,716-way
+  tie);
 * ``shuffle`` is a Fisher-Yates pass from the last index down, swapping
   position ``i`` with position ``randrange(i + 1)``.
 """

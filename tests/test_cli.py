@@ -391,6 +391,41 @@ def test_negative_base_cost_fails_validation(tmp_path, capsys, kind):
     assert kind in _single_error_line(capsys)
 
 
+def _edited(obj, edit):
+    copy = json.loads(json.dumps(obj))
+    edit(copy)
+    return copy
+
+
+_DOC_INSTANCE = {
+    "format_version": 1,
+    "document": "<html><p>x</p></html>",
+    "devices": [{"id": "d", "class": "pc", "required_components": ["3:#text"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "instance, flags, field",
+    [
+        (_edited(D1_INSTANCE, lambda o: o["edges"][0].update(cost=math.inf)), [], "edge 'a'"),
+        (_edited(D1_INSTANCE, lambda o: o["edges"][0].update(cost=math.nan)), [], "edge 'a'"),
+        (_edited(D1_INSTANCE, lambda o: o.update(delta=math.inf)), [], "delta"),
+        (D1_INSTANCE, ["--delta", "inf"], "delta"),
+        (_edited(_DOC_INSTANCE, lambda o: o["devices"][0].update(cost_factor=math.inf)),
+         [], "cost_factor"),
+        (_edited(_DOC_INSTANCE, lambda o: o.update(cost_model={"base_costs": {"text": math.inf}})),
+         [], "base cost for kind 'text'"),
+    ],
+    ids=["edge-cost-inf", "edge-cost-nan", "instance-delta-inf", "delta-flag-inf",
+         "cost-factor-inf", "base-cost-inf"],
+)
+def test_non_finite_number_fails_validation(tmp_path, capsys, instance, flags, field):
+    path = _write(tmp_path, "inst.json", instance)
+    assert main(["solve", "--instance", str(path), *flags]) == 2
+    line = _single_error_line(capsys)
+    assert field in line and "finite" in line
+
+
 @pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
 @pytest.mark.parametrize(
     "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]

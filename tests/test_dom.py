@@ -98,6 +98,17 @@ def test_bad_attribute_syntax_is_malformed():
         parse_document("<a href=uri></a>")
 
 
+def test_deeply_nested_document_loads():
+    depth = 5000
+    forest = parse_document("<div>" * depth + "x" + "</div>" * depth)
+    text_id = f"{depth + 1}:#text"
+    assert forest.node_count == depth + 2
+    assert list(forest.edges())[-1] == (f"{depth}:div", text_id)
+    instance = build_game(forest, [DeviceProfile("d", "pc", 1.0, (text_id,))])
+    assert len(instance.graph.edges) == depth + 1
+    assert [p.leaf for p in instance.players] == [text_id]
+
+
 # ---------------------------------------------------------------- round trip
 
 def _shape(node):

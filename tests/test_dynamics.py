@@ -15,7 +15,9 @@ from pagegame import (
     reweight,
     run_dynamics,
 )
+from pagegame import dynamics
 from pagegame.errors import UnknownPlayer
+from pagegame.game import cost_report
 
 from gamegen import DELTAS, build_d1, first_path_profile, random_instance
 
@@ -264,3 +266,40 @@ def test_greedy_start_full_pipeline(d1):
     assert trace.converged
     assert trace.final_profile.paths == {1: ("a",), 2: ("a",)}
     assert page_cost(d1.graph, trace.final_profile) == 1.0
+
+
+# ---------------------------------------------------------------- cost reports
+
+def _count_reports(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cost_report(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "cost_report", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "inst, start",
+    [
+        (build_d1(), StrategyProfile({1: ("b",), 2: ("b",)})),
+        (random_instance(2001), None),
+        (random_instance(2016, delta=1.0), None),
+    ],
+    ids=["d1", "gamegen-2001", "gamegen-2016-delta-1"],
+)
+def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
+    calls = _count_reports(monkeypatch)
+    for initial in (None, start or first_path_profile(inst)):
+        calls.clear()
+        trace = run_dynamics(inst.graph, inst.players, inst.delta, initial=initial)
+        moves = sum(step.path_changed for step in trace.steps)
+        assert len(calls) == 1 + moves
+        if initial is not None:
+            assert moves > 0
+
+    calls.clear()
+    is_nash(inst.graph, trace.final_profile, inst.delta)
+    assert len(calls) == 1

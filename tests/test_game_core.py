@@ -17,6 +17,7 @@ from pagegame import (
     player_cost,
     potential,
     shapley_share,
+    validate_players,
     validate_profile,
 )
 from pagegame.errors import (
@@ -31,6 +32,8 @@ from pagegame.errors import (
     UnknownPlayer,
     ZeroLoad,
 )
+
+from pagegame import game
 
 from gamegen import SAMPLE_DOCUMENT, DELTAS, all_profiles, build_d1, first_path_profile, random_instance
 
@@ -361,3 +364,30 @@ def test_instance_rejects_missing_path():
 def test_instance_rejects_equal_root_and_leaf(d1):
     with pytest.raises(InvalidProfile):
         GameInstance(graph=d1.graph, players=(Player(1, "r", "r"),))
+
+
+def test_validate_players_searches_once_per_root(monkeypatch):
+    graph = build_graph(
+        [("r", "abstract"), ("s", "abstract"), ("m", "abstract"),
+         ("l", "abstract"), ("island", "abstract")],
+        [("a", "r", "m", 1.0), ("b", "m", "l", 1.0), ("c", "s", "l", 1.0)],
+    )
+    roots = []
+    search = game.reachable_from
+
+    def counted(graph, node_id):
+        roots.append(node_id)
+        return search(graph, node_id)
+
+    monkeypatch.setattr(game, "reachable_from", counted)
+    validate_players(
+        graph,
+        (Player(1, "r", "l"), Player(2, "r", "m"), Player(3, "s", "l"), Player(4, "r", "l")),
+    )
+    assert sorted(roots) == ["r", "s"]
+
+    roots.clear()
+    with pytest.raises(NoPath) as err:
+        validate_players(graph, (Player(1, "r", "l"), Player(2, "r", "island")))
+    assert err.value.player_id == 2
+    assert roots == ["r"]
