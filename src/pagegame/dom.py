@@ -222,19 +222,23 @@ def parse_document(text: str) -> DomForest:
 
 def serialize_document(forest: DomForest) -> str:
     """Debug form of the forest; re-parsing it yields an isomorphic forest."""
-
-    def render(node: DomNode) -> str:
-        if node.kind == "text":
-            return node.value
-        if node.kind == "attribute":
-            return ""
-        attrs = "".join(
-            f' {c.label}="{c.value}"' for c in node.children if c.kind == "attribute"
-        )
-        inner = "".join(render(c) for c in node.children if c.kind != "attribute")
-        return f"<{node.label}{attrs}>{inner}</{node.label}>"
-
-    return "".join(render(c) for c in forest.document_root.children)
+    out: list[str] = []
+    # Nodes still to render and closing tags still to write, last one first.
+    stack: list[DomNode | str] = list(reversed(forest.document_root.children))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.kind == "text":
+            out.append(node.value)
+        elif node.kind != "attribute":
+            attrs = "".join(
+                f' {c.label}="{c.value}"' for c in node.children if c.kind == "attribute"
+            )
+            out.append(f"<{node.label}{attrs}>")
+            stack.append(f"</{node.label}>")
+            stack.extend(c for c in reversed(node.children) if c.kind != "attribute")
+    return "".join(out)
 
 
 def device_root_id(device_id: str) -> str:

@@ -12,6 +12,29 @@ under reweighted costs:
 The leftover term, ``delta`` times the other players' page cost, does not
 depend on the candidate path, hence cheapest-path minimization is exact.
 
+Each call of ``run_dynamics``, ``best_response`` or ``is_nash`` keeps one
+private state for all its best responses, and nothing outlives the call:
+
+* the edge loads of the current profile. A best response lifts the
+  player's own path off them and puts it back; a move swaps the old path
+  for the new one, so each costs O(path length);
+* one ``reachable_from`` set per distinct root, and per root-leaf pair a
+  plan: the nodes reachable from the root that reach the leaf, in reversed
+  topological order. A best response relaxes only its plan, weighing each
+  out-edge inline in edge-id order; distances stay infinite outside it;
+* the loaded edges in declaration order and ``sum()`` of their costs. That
+  is the others' page cost unless one of the player's own edges drops to
+  load 0, when the sum skips those edges.
+
+The relaxation does the same float operations and ``<`` comparisons as one
+over the whole graph with freshly tallied loads. The tie walk goes through
+the tied paths in lexicographic edge-id order with an explicit stack,
+accumulating each path's weight from the root; it counts them and keeps
+the first, and only when the draw picks another does a second walk stop at
+it, so a large tie set is never held in memory. Distances, tie sets,
+accumulated weights, RNG draws and traces are therefore bit-identical to
+rebuilding everything for each best response.
+
 Randomness is confined to tie-breaking among cheapest paths and to the
 optional random activation order; both draw from one ``SplitMix64`` stream
 seeded by the schedule, and the stream is consulted only when there are at
@@ -20,6 +43,7 @@ least two tied candidates, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +56,7 @@ from .game import (
     StrategyProfile,
     cost_report,
     load_map,
-    page_cost,
+    reachable_from,
     validate_profile,
 )
 from .rng import SplitMix64
@@ -72,96 +96,218 @@ class DynamicsTrace:
     passes: int
 
 
-def _weights_from_loads(
-    graph: GameGraph, other_loads: dict[str, int], delta: float
-) -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for edge in graph.edges:
-        k = other_loads.get(edge.edge_id, 0)
-        if k:
-            weights[edge.edge_id] = edge.cost / (k + 1)
-        else:
-            weights[edge.edge_id] = edge.cost * (delta + 1.0)
-    return weights
-
-
 def reweight(
     graph: GameGraph, profile: StrategyProfile, player_id: int, delta: float = 0.0
 ) -> dict[str, float]:
     """Per-edge weights seen by one player given everyone else's paths."""
     if player_id not in profile.paths:
         raise UnknownPlayer(player_id)
-    return _weights_from_loads(graph, load_map(profile.without(player_id)), delta)
+    loads = load_map(profile.without(player_id))
+    weights: dict[str, float] = {}
+    for edge in graph.edges:
+        k = loads.get(edge.edge_id, 0)
+        weights[edge.edge_id] = edge.cost / (k + 1) if k else edge.cost * (delta + 1.0)
+    return weights
 
 
-def _distance_to(
-    graph: GameGraph, weights: dict[str, float], target: str
-) -> dict[str, float]:
-    """Cheapest-path weight from every node to ``target`` (DAG relaxation)."""
-    dist = {nid: math.inf for nid in graph.topo_order}
-    dist[target] = 0.0
-    for nid in reversed(graph.topo_order):
-        for edge in graph.out_edges(nid):
-            through = weights[edge.edge_id] + dist[edge.dst]
-            if through < dist[nid]:
-                dist[nid] = through
-    return dist
+class _State:
+    """The per-call best-response state described in the module docstring.
+    Nodes are numbered by topological position, edges by declaration order."""
 
+    def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
+        self.graph = graph
+        self.delta = delta
+        self.pos = pos = {nid: i for i, nid in enumerate(graph.topo_order)}
+        self.index = index = {edge.edge_id: i for i, edge in enumerate(graph.edges)}
+        self.ids = [edge.edge_id for edge in graph.edges]
+        self.costs = [edge.cost for edge in graph.edges]
+        self.fresh = [edge.cost * (delta + 1.0) for edge in graph.edges]
+        self.heads = [pos[edge.dst] for edge in graph.edges]
+        self.outs = [
+            tuple([index[edge.edge_id] for edge in graph.out_edges(nid)])
+            for nid in graph.topo_order
+        ]
+        self.ins: list[list[int]] = [[] for _ in pos]
+        for edge in graph.edges:
+            self.ins[pos[edge.dst]].append(pos[edge.src])
+        self.loads = loads = [0] * len(self.ids)
+        self.paths = {pid: self._indices(path) for pid, path in profile.items()}
+        for path in self.paths.values():
+            for e in path:
+                loads[e] += 1
+        self.used = [e for e, load in enumerate(loads) if load]
+        self.page: float | None = None
+        self.weights = [0.0] * len(self.ids)
+        # All infinite between best responses: a relaxation writes only its
+        # plan, so every edge leaving the plan reads an infinite distance.
+        self.dist = [math.inf] * len(pos)
+        self.frames: list = [None] * len(pos)
+        self.prefix: list = [None] * len(pos)
+        self.accs = [0.0] * len(pos)
+        self.reach: dict[str, set[int]] = {}
+        self.plans: dict[tuple[str, str], tuple[int, ...]] = {}
 
-def _cheapest_paths(
-    graph: GameGraph,
-    weights: dict[str, float],
-    root: str,
-    leaf: str,
-    tol: float = TOLERANCE,
-) -> tuple[float, list[tuple[tuple[str, ...], float]]]:
-    """Minimum root-leaf weight and all paths within ``tol`` of it.
+    def _indices(self, path: Sequence[str]) -> tuple[int, ...]:
+        try:
+            return tuple([self.index[edge_id] for edge_id in path])
+        except KeyError as exc:
+            self.graph.edge(exc.args[0])  # raises GraphError
+            raise
 
-    Paths come out in lexicographic edge-id order together with their exact
-    accumulated weights. Returns ``(inf, [])`` when the leaf is unreachable.
-    """
-    to_leaf = _distance_to(graph, weights, leaf)
-    best = to_leaf[root]
-    if math.isinf(best):
-        return best, []
-    ties: list[tuple[tuple[str, ...], float]] = []
-    stack: list[str] = []
+    def place(self, player_id: int, path: Sequence[str]) -> None:
+        """Move a player from its current path (if any) onto ``path``."""
+        new = self._indices(path)
+        loads, used = self.loads, self.used
+        for e in self.paths.get(player_id, ()):
+            loads[e] -= 1
+            if not loads[e]:
+                del used[bisect.bisect_left(used, e)]
+                self.page = None
+        for e in new:
+            if not loads[e]:
+                bisect.insort(used, e)
+                self.page = None
+            loads[e] += 1
+        self.paths[player_id] = new
 
-    def walk(node: str, acc: float) -> None:
-        if node == leaf:
-            ties.append((tuple(stack), acc))
-            return
-        for edge in graph.out_edges(node):
-            through = acc + weights[edge.edge_id]
-            if through + to_leaf[edge.dst] <= best + tol:
-                stack.append(edge.edge_id)
-                walk(edge.dst, through)
-                stack.pop()
+    def _lift(self, own: Sequence[int], by: int) -> None:
+        loads = self.loads
+        for e in own:
+            loads[e] += by
 
-    walk(root, 0.0)
-    return best, ties
+    def _relax(self, root: str, leaf: str) -> tuple[tuple[int, ...], int]:
+        """Cheapest weight to ``leaf`` from every node between ``root`` and
+        it, into ``dist``, and the weights of their out-edges into
+        ``weights``. Returns the plan and the leaf's position."""
+        plan = self._plan(root, leaf)
+        loads, costs, fresh, heads, outs = (
+            self.loads, self.costs, self.fresh, self.heads, self.outs)
+        weights, dist = self.weights, self.dist
+        target = self.pos[leaf]
+        dist[target] = 0.0
+        for node in plan:
+            best = math.inf
+            for e in outs[node]:
+                k = loads[e]
+                weight = weights[e] = costs[e] / (k + 1) if k else fresh[e]
+                through = weight + dist[heads[e]]
+                if through < best:
+                    best = through
+            dist[node] = best
+        return plan, target
 
+    def _plan(self, root: str, leaf: str) -> tuple[int, ...]:
+        """Nodes reachable from ``root`` that reach ``leaf``, leaf excluded,
+        in reversed topological order."""
+        plan = self.plans.get((root, leaf))
+        if plan is not None:
+            return plan
+        if root not in self.reach:
+            self.reach[root] = {self.pos[n] for n in reachable_from(self.graph, root)}
+        reach, ins = self.reach[root], self.ins
+        target = self.pos[leaf]
+        live = {target}
+        stack = [target] if target in reach else []
+        while stack:
+            for node in ins[stack.pop()]:
+                if node in reach and node not in live:
+                    live.add(node)
+                    stack.append(node)
+        live.discard(target)
+        plan = self.plans[(root, leaf)] = tuple(sorted(live, reverse=True))
+        return plan
 
-def _respond(
-    graph: GameGraph,
-    profile: StrategyProfile,
-    player: Player,
-    delta: float,
-    rng: SplitMix64,
-) -> tuple[tuple[str, ...], float, float]:
-    """Chosen path, its cost, and the least attainable cost for ``player``.
+    def _clear(self, plan: tuple[int, ...], target: int) -> None:
+        dist = self.dist
+        dist[target] = math.inf
+        for node in plan:
+            dist[node] = math.inf
 
-    Costs are taken against every other player's path in ``profile``. The
-    RNG is consulted only when two or more paths tie for cheapest.
-    """
-    others = profile.without(player.player_id)
-    weights = _weights_from_loads(graph, load_map(others), delta)
-    best, ties = _cheapest_paths(graph, weights, player.root, player.leaf)
-    if not ties:
-        raise NoPath(player.player_id, player.root, player.leaf)
-    path, weight = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-    others_cost = page_cost(graph, others) if delta else 0.0
-    return path, weight + delta * others_cost, best + delta * others_cost
+    def _others_page(self, own: Sequence[int]) -> float:
+        """Page cost of the other players, with ``own`` lifted off."""
+        costs = self.costs
+        dropped = {e for e in own if not self.loads[e]}
+        if dropped:
+            return sum(costs[e] for e in self.used if e not in dropped)
+        if self.page is None:
+            self.page = sum(costs[e] for e in self.used)
+        return self.page
+
+    def attainable(self, player_id: int, root: str, leaf: str) -> float:
+        """Least cost the player can reach against the others' paths."""
+        own = self.paths.get(player_id, ())
+        self._lift(own, -1)
+        plan, target = self._relax(root, leaf)
+        best = self.dist[self.pos[root]]
+        self._clear(plan, target)
+        if self.delta:
+            best += self.delta * self._others_page(own)
+        self._lift(own, 1)
+        return best
+
+    def _ties(
+        self, root: int, target: int, bound: float, index: int, stop: bool
+    ) -> tuple[int, tuple[tuple[str, ...], float] | None]:
+        """Walk the root-target paths whose weight stays within ``bound``, in
+        lexicographic edge-id order: their count, and the ``index``-th with
+        its accumulated weight. With ``stop`` the walk ends at that path."""
+        heads, outs, ids, weights, dist = (
+            self.heads, self.outs, self.ids, self.weights, self.dist)
+        # frames[d] runs over the out-edges of the node that prefix[:d]
+        # reaches, and accs[d] is the weight accumulated on the way there.
+        frames, prefix, accs = self.frames, self.prefix, self.accs
+        frames[0] = iter(outs[root])
+        depth = count = 0
+        chosen = None
+        while depth >= 0:
+            acc = accs[depth]
+            for e in frames[depth]:
+                through = acc + weights[e]
+                head = heads[e]
+                if through + dist[head] <= bound:
+                    prefix[depth] = ids[e]
+                    if head != target:
+                        depth += 1
+                        accs[depth] = through
+                        frames[depth] = iter(outs[head])
+                        break
+                    if count == index:
+                        chosen = (tuple(prefix[: depth + 1]), through)
+                        if stop:
+                            return count + 1, chosen
+                    count += 1
+            else:
+                depth -= 1
+        return count, chosen
+
+    def respond(self, player: Player, rng: SplitMix64) -> tuple[tuple[str, ...], float, float]:
+        """Chosen path, its cost, and the least attainable cost for ``player``
+        against the others' paths.
+
+        Paths within ``TOLERANCE`` of the cheapest weight tie. The RNG is
+        consulted only when two or more tie, to draw one by its lexicographic
+        rank.
+        """
+        own = self.paths.get(player.player_id, ())
+        self._lift(own, -1)
+        plan, target = self._relax(player.root, player.leaf)
+        root = self.pos[player.root]
+        best = self.dist[root]
+        chosen = None
+        if not math.isinf(best):
+            bound = best + TOLERANCE
+            count, chosen = self._ties(root, target, bound, 0, False)
+            if count > 1:
+                index = rng.randrange(count)
+                if index:
+                    _, chosen = self._ties(root, target, bound, index, True)
+        self._clear(plan, target)
+        if chosen is None:
+            raise NoPath(player.player_id, player.root, player.leaf)
+        path, weight = chosen
+        others_cost = self._others_page(own) if self.delta else 0.0
+        self._lift(own, 1)
+        return path, weight + self.delta * others_cost, best + self.delta * others_cost
 
 
 def best_response(
@@ -178,21 +324,17 @@ def best_response(
     """
     current = profile.path(player_id)
     player = Player(player_id, graph.edge(current[0]).src, graph.edge(current[-1]).dst)
-    path, _, _ = _respond(graph, profile, player, delta, SplitMix64(seed))
+    path, _, _ = _State(graph, profile, delta).respond(player, SplitMix64(seed))
     return path
 
 
 def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
     """True iff no player can cut its cost by more than ``TOLERANCE``."""
     costs = cost_report(graph, profile, delta).player_costs
+    state = _State(graph, profile, delta)
     for pid, path in profile.items():
-        others = profile.without(pid)
-        weights = _weights_from_loads(graph, load_map(others), delta)
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
-        best = _distance_to(graph, weights, leaf)[root]
-        if delta:
-            best += delta * page_cost(graph, others)
-        if best < costs[pid] - TOLERANCE:
+        if state.attainable(pid, root, leaf) < costs[pid] - TOLERANCE:
             return False
     return True
 
@@ -222,13 +364,17 @@ def run_dynamics(
 
     if initial is None:
         # Greedy start: each player best-responds to those placed before it.
-        profile = StrategyProfile({})
+        state = _State(graph, StrategyProfile({}), delta)
+        paths: dict[int, tuple[str, ...]] = {}
         for player in players:
-            path, _, _ = _respond(graph, profile, player, delta, rng)
-            profile = profile.replace(player.player_id, path)
+            path, _, _ = state.respond(player, rng)
+            state.place(player.player_id, path)
+            paths[player.player_id] = path
+        profile = StrategyProfile(paths)
     else:
         validate_profile(graph, players, initial)
         profile = initial
+        state = _State(graph, profile, delta)
     initial_profile = profile
 
     steps: list[Step] = []
@@ -244,8 +390,9 @@ def run_dynamics(
         for player in order:
             pid = player.player_id
             previous = report.player_costs[pid]
-            path, new_cost, attainable = _respond(graph, profile, player, delta, rng)
+            path, new_cost, attainable = state.respond(player, rng)
             if attainable < previous - TOLERANCE:
+                state.place(pid, path)
                 profile = profile.replace(pid, path)
                 report = cost_report(graph, profile, delta)
                 steps.append(

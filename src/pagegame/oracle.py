@@ -56,20 +56,27 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
     The graph is acyclic so every directed path is simple; the list is empty
     when the leaf is unreachable.
     """
+    if root not in graph:
+        return []
+    if root == leaf:
+        return [()]
     paths: list[tuple[str, ...]] = []
-    stack: list[str] = []
-
-    def walk(node: str) -> None:
-        if node == leaf:
-            paths.append(tuple(stack))
-            return
-        for edge in graph.out_edges(node):
-            stack.append(edge.edge_id)
-            walk(edge.dst)
-            stack.pop()
-
-    if root in graph:
-        walk(root)
+    # frames[d] runs over the out-edges of the node that prefix[:d] reaches.
+    frames: list = [None] * len(graph.nodes)
+    prefix: list = [None] * len(graph.nodes)
+    frames[0] = iter(graph.out_edges(root))
+    depth = 0
+    while depth >= 0:
+        for edge in frames[depth]:
+            prefix[depth] = edge.edge_id
+            if edge.dst == leaf:
+                paths.append(tuple(prefix[: depth + 1]))
+            elif below := graph.out_edges(edge.dst):  # dead ends are skipped
+                depth += 1
+                frames[depth] = iter(below)
+                break
+        else:
+            depth -= 1
     return paths
 
 

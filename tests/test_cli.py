@@ -450,3 +450,22 @@ def test_unwritable_output_is_usage_error(d1_file, tmp_path, capsys, command, fl
     target = tmp_path / "absent-dir" / "out.json"
     assert main([command, "--instance", str(d1_file), flag, str(target)]) == 1
     assert "cannot write" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("depth", [1200, 5000])
+def test_deeply_nested_document_solves_enumerates_and_checks(tmp_path, capsys, depth):
+    leaf = f"{depth + 1}:#text"
+    instance = _write(tmp_path, "deep.json", {
+        "format_version": 1,
+        "delta": 0.5,
+        "document": "<div>" * depth + "x" + "</div>" * depth,
+        "devices": [{"id": "d", "class": "pc", "required_components": [leaf]}],
+    })
+    report = tmp_path / "report.json"
+    catalog = tmp_path / "catalog.json"
+    assert main(["solve", "--instance", str(instance), "--output", str(report)]) == 0
+    assert main(["enumerate", "--instance", str(instance), "--output", str(catalog)]) == 0
+    assert main(["check", "--instance", str(instance), "--report", str(report)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    (path,) = json.loads(report.read_text(encoding="utf-8"))["final_profile"].values()
+    assert len(path) == depth + 1

@@ -100,7 +100,9 @@ def test_bad_attribute_syntax_is_malformed():
 
 def test_deeply_nested_document_loads():
     depth = 5000
-    forest = parse_document("<div>" * depth + "x" + "</div>" * depth)
+    text = "<div>" * depth + "x" + "</div>" * depth
+    forest = parse_document(text)
+    assert serialize_document(forest) == text
     text_id = f"{depth + 1}:#text"
     assert forest.node_count == depth + 2
     assert list(forest.edges())[-1] == (f"{depth}:div", text_id)

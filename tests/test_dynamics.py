@@ -15,9 +15,8 @@ from pagegame import (
     reweight,
     run_dynamics,
 )
-from pagegame import dynamics
+from pagegame import dynamics, game
 from pagegame.errors import UnknownPlayer
-from pagegame.game import cost_report
 
 from gamegen import DELTAS, build_d1, first_path_profile, random_instance
 
@@ -270,18 +269,20 @@ def test_greedy_start_full_pipeline(d1):
 
 # ---------------------------------------------------------------- cost reports
 
-def _count_reports(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str, *modules) -> list:
     calls = []
+    original = getattr(game, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return cost_report(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "cost_report", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize(
+COUNTED_GAMES = pytest.mark.parametrize(
     "inst, start",
     [
         (build_d1(), StrategyProfile({1: ("b",), 2: ("b",)})),
@@ -290,8 +291,11 @@ def _count_reports(monkeypatch) -> list:
     ],
     ids=["d1", "gamegen-2001", "gamegen-2016-delta-1"],
 )
+
+
+@COUNTED_GAMES
 def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
-    calls = _count_reports(monkeypatch)
+    calls = _count_calls(monkeypatch, "cost_report", dynamics)
     for initial in (None, start or first_path_profile(inst)):
         calls.clear()
         trace = run_dynamics(inst.graph, inst.players, inst.delta, initial=initial)
@@ -303,3 +307,25 @@ def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
     calls.clear()
     is_nash(inst.graph, trace.final_profile, inst.delta)
     assert len(calls) == 1
+
+
+@COUNTED_GAMES
+def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, inst, start):
+    # Loads are tallied only by the cost reports (one per profile), and
+    # reachability is searched once per distinct root for the whole run.
+    loads = _count_calls(monkeypatch, "load_map", game, dynamics)
+    reach = _count_calls(monkeypatch, "reachable_from", game, dynamics)
+    roots = len({p.root for p in inst.players})
+    for initial in (None, start or first_path_profile(inst)):
+        loads.clear()
+        reach.clear()
+        trace = run_dynamics(inst.graph, inst.players, inst.delta, initial=initial)
+        moves = sum(step.path_changed for step in trace.steps)
+        assert len(loads) == 1 + moves
+        assert len(reach) == roots
+
+    loads.clear()
+    reach.clear()
+    is_nash(inst.graph, trace.final_profile, inst.delta)
+    assert len(loads) == 1
+    assert len(reach) == roots

@@ -1,0 +1,167 @@
+"""The incremental dynamics against the full-rebuild reference in
+``reference_dynamics``: same traces, same answers, floats bit for bit."""
+
+import itertools
+import random
+
+import pytest
+
+from pagegame import Player, Schedule, build_graph
+from pagegame import dynamics
+from pagegame.errors import NoPath
+from pagegame.game import reachable_from
+
+import reference_dynamics as reference
+from gamegen import DELTAS, all_profiles, first_path_profile, random_instance
+
+SCHEDULES = ("round-robin", "random")
+
+
+def _bits(value):
+    """Floats as hex strings, so equality means equal bits (and sign of zero)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _trace_bits(trace):
+    steps = tuple(
+        _bits((s.iteration, s.player_id, s.previous_cost, s.new_cost,
+               s.potential_after, s.path_changed, s.path))
+        for s in trace.steps
+    )
+    return (steps, trace.converged, trace.passes,
+            trace.initial_profile.paths, trace.final_profile.paths)
+
+
+def _assert_same_dynamics(graph, players, delta, initial=None):
+    for kind, seed in itertools.product(SCHEDULES, (0, 7)):
+        schedule = Schedule(kind, seed)
+        expected = reference.run_dynamics(graph, players, delta, schedule, initial=initial)
+        actual = dynamics.run_dynamics(graph, players, delta, schedule, initial=initial)
+        assert _trace_bits(actual) == _trace_bits(expected)
+
+
+def layered_game(seed: int, delta: float) -> tuple:
+    """A source over five layers of four nodes with small integer costs, so
+    best responses see exact ties, several roots and dead-end branches."""
+    rng = random.Random(seed)
+    layers = [[f"L{l}.{i}" for i in range(4)] for l in range(5)]
+    nodes = ["s"] + [n for layer in layers for n in layer]
+    edges = [(f"s{i}", "s", n, float(rng.randint(1, 3))) for i, n in enumerate(layers[0])]
+    for l in range(4):
+        for i, src in enumerate(layers[l]):
+            for j in rng.sample(range(4), rng.randint(1, 3)):
+                edges.append((f"e{l}{i}{j}", src, layers[l + 1][j], float(rng.randint(0, 3))))
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    players = []
+    while len(players) < 10:
+        root = rng.choice(["s"] + layers[0] + layers[1])
+        leaf = rng.choice(layers[3] + layers[4])
+        if leaf in reachable_from(graph, root):
+            players.append(Player(len(players) + 1, root, leaf))
+    return graph, tuple(players), delta
+
+
+# ---------------------------------------------------------------- run_dynamics
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_traces_match_reference_on_gamegen_games(delta):
+    for seed in range(40):
+        inst = random_instance(3000 + seed, delta=delta)
+        _assert_same_dynamics(inst.graph, inst.players, delta)
+        _assert_same_dynamics(inst.graph, inst.players, delta, first_path_profile(inst))
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_traces_match_reference_on_layered_games(delta):
+    for seed in range(6):
+        _assert_same_dynamics(*layered_game(3100 + seed, delta))
+
+
+def test_missing_path_raises_like_reference():
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("a", "r", "m", 1.0), ("b", "l", "m", 1.0)],
+    )
+    players = (Player(4, "r", "l"),)
+    with pytest.raises(NoPath) as expected:
+        reference.run_dynamics(graph, players)
+    with pytest.raises(NoPath) as actual:
+        dynamics.run_dynamics(graph, players)
+    assert str(actual.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------- is_nash, best_response
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_is_nash_and_best_response_match_reference(delta):
+    for seed in range(25):
+        inst = random_instance(3200 + seed, delta=delta)
+        for profile in itertools.islice(all_profiles(inst), 40):
+            graph = inst.graph
+            assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(
+                graph, profile, delta)
+            for player, tie_seed in itertools.product(inst.players, (0, 3)):
+                pid = player.player_id
+                assert dynamics.best_response(graph, profile, pid, delta, tie_seed) == (
+                    reference.best_response(graph, profile, pid, delta, tie_seed))
+
+
+def test_is_nash_and_best_response_match_reference_on_layered_games():
+    for seed, delta in zip(range(8), itertools.cycle(DELTAS)):
+        graph, players, delta = layered_game(3300 + seed, delta)
+        trace = reference.run_dynamics(graph, players, delta, max_iters=1)
+        for profile in (trace.initial_profile, trace.final_profile):
+            assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(
+                graph, profile, delta)
+            for player in players:
+                pid = player.player_id
+                assert dynamics.best_response(graph, profile, pid, delta, seed) == (
+                    reference.best_response(graph, profile, pid, delta, seed))
+
+
+# ---------------------------------------------------------------- property test
+
+def test_random_dags_match_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        n = draw(st.integers(3, 9))
+        costs = st.sampled_from((0.0, 1.0, 1.0, 2.0, 0.5, 1.5, 0.1, 0.2, 0.3, 3.7))
+        edges = []
+        for j in range(draw(st.integers(n - 1, 3 * n))):
+            src = draw(st.integers(0, n - 2))
+            dst = draw(st.integers(src + 1, n - 1))
+            edges.append((f"e{j:02d}", f"n{src}", f"n{dst}", draw(costs)))
+        graph = build_graph([(f"n{i}", "abstract") for i in range(n)], edges)
+        pairs = [
+            (u, v) for u, v in itertools.combinations(graph.topo_order, 2)
+            if v in reachable_from(graph, u)
+        ]
+        hypothesis.assume(pairs)
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
+        players = tuple(Player(i + 1, r, l) for i, (r, l) in enumerate(chosen))
+        return graph, players, draw(st.sampled_from(DELTAS))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(games(), st.sampled_from(SCHEDULES), st.integers(0, 2**32))
+    def check(game, kind, seed):
+        graph, players, delta = game
+        schedule = Schedule(kind, seed)
+        expected = reference.run_dynamics(graph, players, delta, schedule, max_iters=50)
+        actual = dynamics.run_dynamics(graph, players, delta, schedule, max_iters=50)
+        assert _trace_bits(actual) == _trace_bits(expected)
+        profile = expected.initial_profile
+        assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(graph, profile, delta)
+        for player in players:
+            pid = player.player_id
+            assert dynamics.best_response(graph, profile, pid, delta, seed) == (
+                reference.best_response(graph, profile, pid, delta, seed))
+
+    check()
