@@ -9,7 +9,8 @@ Exit codes:
   factor or delta, cycle, missing path, invalid profile, unreachable
   component)
 * 3: dynamics did not converge within the iteration budget
-* 4: enumeration space exceeds the cap
+* 4: ``enumerate``'s profile space or ``check``'s deviation sweep exceeds
+  the cap
 * 5: a ``check`` assertion failed
 
 Engine errors carry their exit code as ``EngineError.exit_code``.
@@ -24,7 +25,7 @@ import sys
 
 from . import oracle
 from .dynamics import Schedule, best_response, is_nash, run_dynamics
-from .errors import EngineError, MalformedInstance, NegativeDelta
+from .errors import EngineError, MalformedInstance, NegativeDelta, SearchSpaceTooLarge
 from .game import (
     TOLERANCE,
     GameInstance,
@@ -87,6 +88,8 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="re-verify a run report against its instance")
     common(check)
     check.add_argument("--report", required=True, help="run report to verify")
+    check.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+                       help="largest potential-identity sweep (deviations) to run")
 
     rep = sub.add_parser("report", help="render a run report (DOT or JSON summary)")
     common(rep)
@@ -149,9 +152,13 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
-def _cmd_enumerate(args) -> int:
+def _require_positive_cap(args) -> None:
     if args.cap < 1:
         raise _UsageError("--cap must be >= 1")
+
+
+def _cmd_enumerate(args) -> int:
+    _require_positive_cap(args)
     instance = _load(args)
     catalog = oracle.analyze(instance.graph, instance.players, instance.delta, args.cap)
     report = run_report(
@@ -181,10 +188,14 @@ def _report_profile(args):
 
 
 def _cmd_check(args) -> int:
+    _require_positive_cap(args)
     instance = _load(args)
     profile, delta = _report_profile(args)
     graph = instance.graph
     validate_profile(graph, instance.players, profile)
+    deviations = sum(n - 1 for n in oracle.path_counts(graph, instance.players))
+    if deviations > args.cap:
+        raise SearchSpaceTooLarge(deviations, args.cap, "potential-identity sweep")
 
     results: list[tuple[str, bool, str]] = []
     report = cost_report(graph, profile, delta)

@@ -82,8 +82,8 @@ class NegativeDelta(EngineError):
 class SearchSpaceTooLarge(EngineError):
     exit_code = 4
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"profile space has {size} entries, exceeding cap {cap}")
+    def __init__(self, size: int, cap: int, space: str = "profile space"):
+        super().__init__(f"{space} has {size} entries, exceeding cap {cap}")
         self.size = size
         self.cap = cap
 

@@ -7,8 +7,20 @@ listed alternative path that beats its current cost. None of it reuses the
 reweighting shortcut from :mod:`pagegame.dynamics`, so agreement between
 the two routes is a real check, not a tautology.
 
-The product enumeration is capped (default one million profiles) and
-refuses larger inputs with :class:`SearchSpaceTooLarge`.
+A player's deviation options depend only on the other players' paths, so
+the equilibrium search sweeps each player once per combination of the
+others' paths: it tallies their loads and page cost once, scores every
+candidate path of the player once, and clears the stability flag of each
+profile in that combination that some candidate beats. The flags are one
+byte per profile, indexed by the profile's rank in product order; only the
+profiles left standing get a cost report. Paths are held as tuples of edge
+declaration positions, so the extra memory is those index arrays plus one
+byte per profile.
+
+The product enumeration is capped (default one million profiles). Each
+player's paths are counted first (:func:`path_counts`), without listing
+them, so a larger space is refused with :class:`SearchSpaceTooLarge`
+before any path is listed.
 """
 
 from __future__ import annotations
@@ -80,75 +92,116 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
     return paths
 
 
+def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
+    """Each player's number of root-leaf paths, without listing them.
+
+    An exact integer count: the paths from a root into a node are the sum
+    of those into its predecessors, one term per in-edge. The count walks
+    back from each leaf, so it visits only the leaf's ancestors, and keeps
+    one table per distinct root. The counts equal
+    ``len(enumerate_paths(...))``, including 1 when root and leaf coincide
+    and 0 when the leaf is unreachable.
+    """
+    sources: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        sources.setdefault(edge.dst, []).append(edge.src)
+    into_from: dict[str, dict[str, int]] = {}
+    counts = []
+    for player in players:
+        if player.root not in graph:
+            counts.append(0)
+            continue
+        into = into_from.setdefault(player.root, {player.root: 1})
+        stack = [player.leaf]
+        while stack:
+            node = stack[-1]
+            if node in into:
+                stack.pop()
+            elif pending := [u for u in sources.get(node, ()) if u not in into]:
+                stack.extend(pending)
+            else:
+                into[node] = sum(into[u] for u in sources.get(node, ()))
+        counts.append(into[player.leaf])
+    return counts
+
+
 def _candidate_paths(
     graph: GameGraph, players: Sequence[Player], cap: int
 ) -> list[list[tuple[str, ...]]]:
-    path_sets = []
     size = 1
-    for player in players:
-        paths = enumerate_paths(graph, player.root, player.leaf)
-        if not paths:
+    for player, count in zip(players, path_counts(graph, players)):
+        if not count:
             raise NoPath(player.player_id, player.root, player.leaf)
-        path_sets.append(paths)
-        size *= len(paths)
+        size *= count
     if size > cap:
         raise SearchSpaceTooLarge(size, cap)
-    return path_sets
+    return [enumerate_paths(graph, p.root, p.leaf) for p in players]
 
 
-def _deviation_cost(
-    graph: GameGraph,
-    candidate: tuple[str, ...],
-    other_loads: dict[str, int],
+def _deviation_costs(
+    candidates: list[tuple[int, ...]],
+    loads: list[int],
+    costs: list[float],
     others_cost: float,
     delta: float,
-) -> float:
-    """Cost of one candidate path straight from the sharing definitions.
+) -> list[float]:
+    """Cost of each candidate path straight from the sharing definitions.
 
     Joining an edge already used by ``k`` others makes its load ``k + 1``;
     the page cost is the others' page cost plus every newly used edge.
+    Paths and ``loads`` are indexed by edge declaration position.
     """
-    shared = 0.0
-    added = 0.0
-    for edge_id in candidate:
-        k = other_loads.get(edge_id, 0)
-        cost = graph.edge(edge_id).cost
-        shared += cost / (k + 1)
-        if k == 0:
-            added += cost
-    return shared + delta * (others_cost + added)
+    scores = []
+    for candidate in candidates:
+        shared = 0.0
+        added = 0.0
+        for position in candidate:
+            k = loads[position]
+            cost = costs[position]
+            shared += cost / (k + 1)
+            if k == 0:
+                added += cost
+        scores.append(shared + delta * (others_cost + added))
+    return scores
 
 
-def _profile_is_equilibrium(
-    graph: GameGraph,
-    players: Sequence[Player],
-    path_sets: list[list[tuple[str, ...]]],
-    profile: StrategyProfile,
-    delta: float,
-) -> bool:
-    for player, candidates in zip(players, path_sets):
-        pid = player.player_id
-        other_loads: dict[str, int] = {}
-        others_used: set[str] = set()
-        for other_id, path in profile.items():
-            if other_id == pid:
+def _stability_flags(
+    graph: GameGraph, path_sets: list[list[tuple[str, ...]]], delta: float
+) -> bytearray:
+    """One byte per profile in product order: 1 when no player can improve.
+
+    Player ``i``'s index contributes ``index * strides[i]`` to a profile's
+    rank, so the profiles that differ only in player ``i``'s path sit
+    ``strides[i]`` apart.
+    """
+    position = {edge.edge_id: i for i, edge in enumerate(graph.edges)}
+    costs = [edge.cost for edge in graph.edges]
+    indexed = [[tuple(position[e] for e in path) for path in paths] for paths in path_sets]
+    strides = [math.prod(len(paths) for paths in indexed[i + 1:]) for i in range(len(indexed))]
+    flags = bytearray(b"\x01") * math.prod(len(paths) for paths in indexed)
+    for i, candidates in enumerate(indexed):
+        stride = strides[i]
+        span = len(candidates) * stride
+        others = [j for j in range(len(indexed)) if j != i]
+        offsets = [[k * strides[j] for k in range(len(indexed[j]))] for j in others]
+        for combo_offsets, combo in zip(
+            itertools.product(*offsets), itertools.product(*(indexed[j] for j in others))
+        ):
+            base = sum(combo_offsets)
+            if 1 not in flags[base : base + span : stride]:
                 continue
-            others_used.update(path)
-            for edge_id in path:
-                other_loads[edge_id] = other_loads.get(edge_id, 0) + 1
-        others_cost = sum(
-            edge.cost for edge in graph.edges if edge.edge_id in others_used
-        )
-        current = _deviation_cost(
-            graph, profile.path(pid), other_loads, others_cost, delta
-        )
-        for candidate in candidates:
-            if candidate == profile.path(pid):
-                continue
-            alt = _deviation_cost(graph, candidate, other_loads, others_cost, delta)
-            if alt < current - TOLERANCE:
-                return False
-    return True
+            loads = [0] * len(costs)
+            for path in combo:
+                for e in path:
+                    loads[e] += 1
+            # sum() in declaration order, like page_cost.
+            others_cost = sum(itertools.compress(costs, loads))
+            scores = _deviation_costs(candidates, loads, costs, others_cost, delta)
+            best = min(scores)
+            for c, score in enumerate(scores):
+                if best < score - TOLERANCE:
+                    flags[base + c * stride] = 0
+    return flags
 
 
 def union_is_forest(graph: GameGraph, profile: StrategyProfile) -> bool:
@@ -187,19 +240,19 @@ def brute_force_equilibria(
     """Every pure equilibrium, in product-enumeration order."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
+    flags = _stability_flags(graph, path_sets, delta)
     entries: list[EquilibriumEntry] = []
-    for combo in itertools.product(*path_sets):
+    for combo in itertools.compress(itertools.product(*path_sets), flags):
         profile = StrategyProfile(
             {player.player_id: path for player, path in zip(players, combo)}
         )
-        if _profile_is_equilibrium(graph, players, path_sets, profile, delta):
-            entries.append(
-                EquilibriumEntry(
-                    profile=profile,
-                    report=cost_report(graph, profile, delta),
-                    is_forest=union_is_forest(graph, profile),
-                )
+        entries.append(
+            EquilibriumEntry(
+                profile=profile,
+                report=cost_report(graph, profile, delta),
+                is_forest=union_is_forest(graph, profile),
             )
+        )
     return tuple(entries)
 
 
@@ -209,20 +262,21 @@ def social_optimum(
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
-    best_profile: StrategyProfile | None = None
+    costs = [edge.cost for edge in graph.edges]
+    edge_ids = [edge.edge_id for edge in graph.edges]
+    best_combo = None
     best_cost = math.inf
     for combo in itertools.product(*path_sets):
-        used: set[str] = set()
-        for path in combo:
-            used.update(path)
-        cost = sum(edge.cost for edge in graph.edges if edge.edge_id in used)
+        used = set().union(*combo)
+        # sum() over the used edges in declaration order, like page_cost.
+        cost = sum(itertools.compress(costs, map(used.__contains__, edge_ids)))
         if cost < best_cost:
             best_cost = cost
-            best_profile = StrategyProfile(
-                {player.player_id: path for player, path in zip(players, combo)}
-            )
-    assert best_profile is not None
-    return best_profile
+            best_combo = combo
+    assert best_combo is not None
+    return StrategyProfile(
+        {player.player_id: path for player, path in zip(players, best_combo)}
+    )
 
 
 def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:

@@ -13,6 +13,7 @@ from pagegame import (
     build_graph,
     enumerate_paths,
 )
+from pagegame.game import reachable_from
 
 DELTAS = (0.0, 0.5, 1.0, 2.0)
 
@@ -94,6 +95,28 @@ def random_instance(seed: int, delta: float = 0.0, max_profiles: int = 400) -> G
             for i, ((root, leaf), _) in enumerate(chosen)
         )
         return GameInstance(graph=graph, players=players, delta=delta)
+
+
+def layered_game(seed: int, delta: float, count: int = 10) -> tuple:
+    """A source over five layers of four nodes with small integer costs, so
+    best responses see exact ties, several roots and dead-end branches;
+    ``count`` players."""
+    rng = random.Random(seed)
+    layers = [[f"L{l}.{i}" for i in range(4)] for l in range(5)]
+    nodes = ["s"] + [n for layer in layers for n in layer]
+    edges = [(f"s{i}", "s", n, float(rng.randint(1, 3))) for i, n in enumerate(layers[0])]
+    for l in range(4):
+        for i, src in enumerate(layers[l]):
+            for j in rng.sample(range(4), rng.randint(1, 3)):
+                edges.append((f"e{l}{i}{j}", src, layers[l + 1][j], float(rng.randint(0, 3))))
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    players = []
+    while len(players) < count:
+        root = rng.choice(["s"] + layers[0] + layers[1])
+        leaf = rng.choice(layers[3] + layers[4])
+        if leaf in reachable_from(graph, root):
+            players.append(Player(len(players) + 1, root, leaf))
+    return graph, tuple(players), delta
 
 
 def corpus(count: int = 200, base_seed: int = 20_000) -> list[GameInstance]:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -469,3 +470,62 @@ def test_deeply_nested_document_solves_enumerates_and_checks(tmp_path, capsys, d
     assert "FAIL" not in capsys.readouterr().out
     (path,) = json.loads(report.read_text(encoding="utf-8"))["final_profile"].values()
     assert len(path) == depth + 1
+
+
+def _diamond_chain(tmp_path, diamonds, players):
+    """``diamonds`` two-way diamonds in a row: 2**diamonds root-leaf paths."""
+    nodes = [f"v{i}" for i in range(diamonds + 1)]
+    edges = []
+    for i in range(diamonds):
+        for side, cost in (("a", 1.0), ("b", 2.0)):
+            nodes.append(f"m{i}{side}")
+            edges.append((f"e{i:02d}{side}1", f"v{i}", f"m{i}{side}", cost))
+            edges.append((f"e{i:02d}{side}2", f"m{i}{side}", f"v{i + 1}", cost))
+    return _write(tmp_path, "diamonds.json", {
+        "format_version": 1,
+        "delta": 0.0,
+        "nodes": [{"id": n, "kind": "abstract"} for n in nodes],
+        "edges": [{"id": e, "src": s, "dst": d, "cost": c} for e, s, d, c in edges],
+        "players": [{"id": i + 1, "root": "v0", "leaf": f"v{diamonds}"}
+                    for i in range(players)],
+    })
+
+
+def test_enumerate_refuses_oversized_space_before_listing_paths(tmp_path, capsys):
+    instance = _diamond_chain(tmp_path, 60, players=2)
+    started = time.perf_counter()
+    assert main(["enumerate", "--instance", str(instance), "--cap", "1000"]) == 4
+    assert time.perf_counter() - started < 1.0
+    assert f"has {2 ** 120} entries, exceeding cap 1000" in _single_error_line(capsys)
+
+
+def test_check_honours_cap(d1_file, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    main(["solve", "--instance", str(d1_file), "--output", str(report)])
+    capsys.readouterr()
+    # Two players with one alternative path each: two deviations to sweep.
+    assert main(["check", "--instance", str(d1_file), "--report", str(report),
+                 "--cap", "2"]) == 0
+    assert "PASS potential-identity" in capsys.readouterr().out
+    assert main(["check", "--instance", str(d1_file), "--report", str(report),
+                 "--cap", "1"]) == 4
+    assert "sweep has 2 entries, exceeding cap 1" in _single_error_line(capsys)
+    assert capsys.readouterr().out == ""
+    assert main(["check", "--instance", str(d1_file), "--report", str(report),
+                 "--cap", "0"]) == 1
+    assert "--cap" in _single_error_line(capsys)
+
+
+def test_check_default_cap_refuses_exponential_sweep(tmp_path, capsys):
+    instance = _diamond_chain(tmp_path, 60, players=1)
+    path = [f"e{i:02d}a{k}" for i in range(60) for k in (1, 2)]
+    report = _write(tmp_path, "report.json", {
+        "format_version": 1,
+        "kind": "run-report",
+        "delta": 0.0,
+        "final_profile": {"1": path},
+    })
+    started = time.perf_counter()
+    assert main(["check", "--instance", str(instance), "--report", str(report)]) == 4
+    assert time.perf_counter() - started < 1.0
+    assert f"has {2 ** 60 - 1} entries, exceeding cap 1000000" in _single_error_line(capsys)

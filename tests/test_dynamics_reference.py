@@ -2,7 +2,6 @@
 ``reference_dynamics``: same traces, same answers, floats bit for bit."""
 
 import itertools
-import random
 
 import pytest
 
@@ -12,7 +11,7 @@ from pagegame.errors import NoPath
 from pagegame.game import reachable_from
 
 import reference_dynamics as reference
-from gamegen import DELTAS, all_profiles, first_path_profile, random_instance
+from gamegen import DELTAS, all_profiles, first_path_profile, layered_game, random_instance
 
 SCHEDULES = ("round-robin", "random")
 
@@ -42,27 +41,6 @@ def _assert_same_dynamics(graph, players, delta, initial=None):
         expected = reference.run_dynamics(graph, players, delta, schedule, initial=initial)
         actual = dynamics.run_dynamics(graph, players, delta, schedule, initial=initial)
         assert _trace_bits(actual) == _trace_bits(expected)
-
-
-def layered_game(seed: int, delta: float) -> tuple:
-    """A source over five layers of four nodes with small integer costs, so
-    best responses see exact ties, several roots and dead-end branches."""
-    rng = random.Random(seed)
-    layers = [[f"L{l}.{i}" for i in range(4)] for l in range(5)]
-    nodes = ["s"] + [n for layer in layers for n in layer]
-    edges = [(f"s{i}", "s", n, float(rng.randint(1, 3))) for i, n in enumerate(layers[0])]
-    for l in range(4):
-        for i, src in enumerate(layers[l]):
-            for j in rng.sample(range(4), rng.randint(1, 3)):
-                edges.append((f"e{l}{i}{j}", src, layers[l + 1][j], float(rng.randint(0, 3))))
-    graph = build_graph([(n, "abstract") for n in nodes], edges)
-    players = []
-    while len(players) < 10:
-        root = rng.choice(["s"] + layers[0] + layers[1])
-        leaf = rng.choice(layers[3] + layers[4])
-        if leaf in reachable_from(graph, root):
-            players.append(Player(len(players) + 1, root, leaf))
-    return graph, tuple(players), delta
 
 
 # ---------------------------------------------------------------- run_dynamics

@@ -18,6 +18,7 @@ from pagegame import (
     union_is_forest,
 )
 from pagegame.errors import NoEquilibria, SearchSpaceTooLarge
+from pagegame.oracle import path_counts
 
 from gamegen import DELTAS, all_profiles, build_d1, random_instance
 
@@ -60,9 +61,10 @@ def _count_paths_memoized(graph, root, leaf):
 def test_enumerate_count_matches_memoized_oracle():
     for seed in range(15):
         inst = random_instance(2100 + seed)
-        for p in inst.players:
+        counts = path_counts(inst.graph, inst.players)
+        for p, count in zip(inst.players, counts):
             listed = enumerate_paths(inst.graph, p.root, p.leaf)
-            assert len(listed) == _count_paths_memoized(inst.graph, p.root, p.leaf)
+            assert len(listed) == _count_paths_memoized(inst.graph, p.root, p.leaf) == count
             assert listed == sorted(listed), "lexicographic order"
             assert len(set(listed)) == len(listed)
 

@@ -1,0 +1,191 @@
+"""The per-player oracle sweep against the per-profile reference in
+``reference_oracle``: same catalogs, same errors, floats bit for bit."""
+
+import itertools
+import math
+
+import pytest
+
+from pagegame import Player, build_graph, oracle
+from pagegame.errors import NoPath, SearchSpaceTooLarge
+from pagegame.game import TOLERANCE, reachable_from
+
+import reference_oracle as reference
+from gamegen import DELTAS, layered_game, random_instance
+
+
+def _bits(value):
+    """Floats as hex strings, so equality means equal bits (and sign of zero)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return tuple(sorted((k, _bits(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _catalog_bits(catalog):
+    entries = tuple(
+        (e.profile.paths, _bits(e.report.page_cost), _bits(e.report.player_costs),
+         _bits(e.report.shares), _bits(e.report.potential), _bits(e.report.delta),
+         e.is_forest)
+        for e in catalog.equilibria
+    )
+    return (entries, catalog.optimum.paths, _bits(catalog.optimum_cost),
+            _bits(catalog.poa), _bits(catalog.pos))
+
+
+def _assert_same_catalog(graph, players, delta):
+    expected = reference.analyze(graph, players, delta)
+    actual = oracle.analyze(graph, players, delta)
+    assert _catalog_bits(actual) == _catalog_bits(expected)
+    return actual
+
+
+def _profile_space(graph, players):
+    return math.prod(oracle.path_counts(graph, players))
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_catalogs_match_reference_on_gamegen_games(delta):
+    for seed in range(40):
+        inst = random_instance(4000 + seed, delta=delta)
+        _assert_same_catalog(inst.graph, inst.players, delta)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_catalogs_match_reference_on_layered_games(delta):
+    compared = 0
+    for seed in range(40):
+        graph, players, _ = layered_game(4100 + seed, delta, count=3)
+        if _profile_space(graph, players) > 1500:
+            continue
+        catalog = _assert_same_catalog(graph, players, delta)
+        compared += 1
+        assert catalog.equilibria
+    assert compared >= 10
+
+
+def test_all_tied_profiles_are_equilibria_in_product_order():
+    # Equal costs everywhere and no social term: every split of the shared
+    # edges ties, so the sweep must keep exactly the reference's profiles.
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("a", "r", "m", 1.0), ("b", "r", "m", 1.0), ("c", "m", "l", 1.0),
+         ("d", "m", "l", 1.0)],
+    )
+    players = tuple(Player(i, "r", "l") for i in (1, 2, 3))
+    catalog = _assert_same_catalog(graph, players, 0.0)
+    keys = [tuple(e.profile.paths.values()) for e in catalog.equilibria]
+    assert keys == sorted(keys)
+
+
+def test_errors_match_reference(d1):
+    for fn in (oracle.brute_force_equilibria, reference.brute_force_equilibria):
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            fn(d1.graph, d1.players, 0.0, cap=3)
+        assert (err.value.size, err.value.cap) == (4, 3)
+    graph = build_graph([("r", "abstract"), ("l", "abstract"), ("x", "abstract")],
+                        [("a", "r", "l", 1.0)])
+    players = (Player(1, "r", "l"), Player(2, "r", "x"))
+    for fn in (oracle.brute_force_equilibria, reference.brute_force_equilibria):
+        with pytest.raises(NoPath) as err:
+            fn(graph, players, 0.0)
+        assert err.value.player_id == 2
+
+
+# ---------------------------------------------------------------- work and boundary
+
+def _layer_game():
+    """Source, two layers of three nodes joined completely, sink: nine paths."""
+    nodes = ["s", "a0", "a1", "a2", "b0", "b1", "b2", "t"]
+    costs = itertools.cycle((1.0, 2.0, 0.0, 3.0, 1.5))
+    edges = [(f"s{i}", "s", f"a{i}", next(costs)) for i in range(3)]
+    edges += [(f"m{i}{j}", f"a{i}", f"b{j}", next(costs)) for i in range(3) for j in range(3)]
+    edges += [(f"t{j}", f"b{j}", "t", next(costs)) for j in range(3)]
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    return graph, tuple(Player(i, "s", "t") for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_sweep_scores_each_candidate_once_per_combination(monkeypatch, delta):
+    graph, players = _layer_game()
+    assert oracle.path_counts(graph, players) == [9, 9, 9]
+    scored = []
+    real = oracle._deviation_costs
+
+    def counting(candidates, *args):
+        scored.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", counting)
+    actual = oracle.brute_force_equilibria(graph, players, delta)
+    # At most P·N; skipping combinations already refuted keeps it below.
+    assert 0 < sum(scored) < 3 * 729
+    monkeypatch.undo()
+    expected = reference.brute_force_equilibria(graph, players, delta)
+    assert [e.profile.paths for e in actual] == [e.profile.paths for e in expected]
+
+
+def test_improvement_must_exceed_tolerance():
+    # One player on the dear edge b; its only alternative a is cheaper by
+    # exactly TOLERANCE (as floats) in the first game, and by one ulp more
+    # in the second. Only a strictly larger improvement refutes the profile.
+    cheap = 1.0
+    dear = cheap + TOLERANCE
+    assert dear - TOLERANCE == cheap
+    more = math.nextafter(dear, math.inf)
+    assert cheap < more - TOLERANCE
+    for cost_b, b_is_stable in ((dear, True), (more, False)):
+        graph = build_graph([("r", "abstract"), ("l", "abstract")],
+                            [("a", "r", "l", cheap), ("b", "r", "l", cost_b)])
+        players = (Player(1, "r", "l"),)
+        for fn in (oracle.brute_force_equilibria, reference.brute_force_equilibria):
+            stable = [e.profile.path(1) for e in fn(graph, players, 0.0)]
+            assert stable == ([("a",), ("b",)] if b_is_stable else [("a",)])
+
+
+# ---------------------------------------------------------------- property test
+
+def test_random_dags_match_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        n = draw(st.integers(3, 8))
+        costs = st.sampled_from((0.0, 1.0, 1.0, 2.0, 0.5, 1.5, 0.1, 0.2, 0.3, 3.7))
+        edges = []
+        for j in range(draw(st.integers(n - 1, 2 * n))):
+            src = draw(st.integers(0, n - 2))
+            dst = draw(st.integers(src + 1, n - 1))
+            edges.append((f"e{j:02d}", f"n{src}", f"n{dst}", draw(costs)))
+        graph = build_graph([(f"n{i}", "abstract") for i in range(n)], edges)
+        pairs = [
+            (u, v) for u, v in itertools.combinations(graph.topo_order, 2)
+            if v in reachable_from(graph, u)
+        ]
+        hypothesis.assume(pairs)
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+        players = tuple(Player(i + 1, r, l) for i, (r, l) in enumerate(chosen))
+        hypothesis.assume(_profile_space(graph, players) <= 600)
+        return graph, players, draw(st.sampled_from(DELTAS))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(games())
+    def check(game):
+        _assert_same_catalog(*game)
+
+    check()
+
+
+def test_path_counts_match_listing_on_edge_cases():
+    graph = build_graph([("r", "abstract"), ("l", "abstract"), ("x", "abstract")],
+                        [("a", "r", "l", 1.0), ("b", "r", "l", 1.0)])
+    players = [Player(1, "r", "l"), Player(2, "l", "r"), Player(3, "r", "r"),
+               Player(4, "ghost", "l"), Player(5, "r", "x"), Player(6, "ghost", "ghost")]
+    assert oracle.path_counts(graph, players) == [
+        len(oracle.enumerate_paths(graph, p.root, p.leaf)) for p in players
+    ] == [2, 0, 1, 0, 0, 0]
