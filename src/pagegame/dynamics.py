@@ -18,10 +18,10 @@ private state for all its best responses, and nothing outlives the call:
 * the edge loads of the current profile. A best response lifts the
   player's own path off them and puts it back; a move swaps the old path
   for the new one, so each costs O(path length);
-* one ``reachable_from`` set per distinct root, and per root-leaf pair a
-  plan: the nodes reachable from the root that reach the leaf, in reversed
-  topological order. A best response relaxes only its plan, weighing each
-  out-edge inline in edge-id order; distances stay infinite outside it;
+* per root-leaf pair a plan: the nodes reachable from the root (the graph's
+  memo) that reach the leaf, in reversed topological order. A best response
+  relaxes only its plan, weighing each out-edge inline in edge-id order;
+  distances stay infinite outside it;
 * the loaded edges in declaration order and ``sum()`` of their costs. That
   is the others' page cost unless one of the player's own edges drops to
   load 0, when the sum skips those edges.
@@ -56,7 +56,6 @@ from .game import (
     StrategyProfile,
     cost_report,
     load_map,
-    reachable_from,
     validate_profile,
 )
 from .rng import SplitMix64
@@ -111,52 +110,32 @@ def reweight(
 
 
 class _State:
-    """The per-call best-response state described in the module docstring.
-    Nodes are numbered by topological position, edges by declaration order."""
+    """The per-call best-response state described in the module docstring."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         self.graph = graph
         self.delta = delta
-        self.pos = pos = {nid: i for i, nid in enumerate(graph.topo_order)}
-        self.index = index = {edge.edge_id: i for i, edge in enumerate(graph.edges)}
-        self.ids = [edge.edge_id for edge in graph.edges]
-        self.costs = [edge.cost for edge in graph.edges]
-        self.fresh = [edge.cost * (delta + 1.0) for edge in graph.edges]
-        self.heads = [pos[edge.dst] for edge in graph.edges]
-        self.outs = [
-            tuple([index[edge.edge_id] for edge in graph.out_edges(nid)])
-            for nid in graph.topo_order
-        ]
-        self.ins: list[list[int]] = [[] for _ in pos]
-        for edge in graph.edges:
-            self.ins[pos[edge.dst]].append(pos[edge.src])
-        self.loads = loads = [0] * len(self.ids)
-        self.paths = {pid: self._indices(path) for pid, path in profile.items()}
+        self.index = index = graph.index
+        self.fresh = [cost * (delta + 1.0) for cost in index.costs]
+        self.loads = loads = [0] * len(index.costs)
+        self.paths = {pid: index.positions(path) for pid, path in profile.items()}
         for path in self.paths.values():
             for e in path:
                 loads[e] += 1
         self.used = [e for e, load in enumerate(loads) if load]
         self.page: float | None = None
-        self.weights = [0.0] * len(self.ids)
+        self.weights = [0.0] * len(loads)
         # All infinite between best responses: a relaxation writes only its
         # plan, so every edge leaving the plan reads an infinite distance.
-        self.dist = [math.inf] * len(pos)
-        self.frames: list = [None] * len(pos)
-        self.prefix: list = [None] * len(pos)
-        self.accs = [0.0] * len(pos)
-        self.reach: dict[str, set[int]] = {}
+        self.dist = [math.inf] * len(graph.nodes)
+        self.frames: list = [None] * len(graph.nodes)
+        self.prefix: list = [None] * len(graph.nodes)
+        self.accs = [0.0] * len(graph.nodes)
         self.plans: dict[tuple[str, str], tuple[int, ...]] = {}
-
-    def _indices(self, path: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple([self.index[edge_id] for edge_id in path])
-        except KeyError as exc:
-            self.graph.edge(exc.args[0])  # raises GraphError
-            raise
 
     def place(self, player_id: int, path: Sequence[str]) -> None:
         """Move a player from its current path (if any) onto ``path``."""
-        new = self._indices(path)
+        new = self.index.positions(path)
         loads, used = self.loads, self.used
         for e in self.paths.get(player_id, ()):
             loads[e] -= 1
@@ -180,10 +159,9 @@ class _State:
         it, into ``dist``, and the weights of their out-edges into
         ``weights``. Returns the plan and the leaf's position."""
         plan = self._plan(root, leaf)
-        loads, costs, fresh, heads, outs = (
-            self.loads, self.costs, self.fresh, self.heads, self.outs)
-        weights, dist = self.weights, self.dist
-        target = self.pos[leaf]
+        loads, fresh, weights, dist = self.loads, self.fresh, self.weights, self.dist
+        costs, heads, outs = self.index.costs, self.index.heads, self.index.outs
+        target = self.index.node_position[leaf]
         dist[target] = 0.0
         for node in plan:
             best = math.inf
@@ -202,15 +180,13 @@ class _State:
         plan = self.plans.get((root, leaf))
         if plan is not None:
             return plan
-        if root not in self.reach:
-            self.reach[root] = {self.pos[n] for n in reachable_from(self.graph, root)}
-        reach, ins = self.reach[root], self.ins
-        target = self.pos[leaf]
+        reach, order = self.graph.reachable(root), self.graph.topo_order
+        target = self.index.node_position[leaf]
         live = {target}
-        stack = [target] if target in reach else []
+        stack = [target] if leaf in reach else []
         while stack:
-            for node in ins[stack.pop()]:
-                if node in reach and node not in live:
+            for node in self.index.ins[stack.pop()]:
+                if node not in live and order[node] in reach:
                     live.add(node)
                     stack.append(node)
         live.discard(target)
@@ -225,7 +201,7 @@ class _State:
 
     def _others_page(self, own: Sequence[int]) -> float:
         """Page cost of the other players, with ``own`` lifted off."""
-        costs = self.costs
+        costs = self.index.costs
         dropped = {e for e in own if not self.loads[e]}
         if dropped:
             return sum(costs[e] for e in self.used if e not in dropped)
@@ -238,7 +214,7 @@ class _State:
         own = self.paths.get(player_id, ())
         self._lift(own, -1)
         plan, target = self._relax(root, leaf)
-        best = self.dist[self.pos[root]]
+        best = self.dist[self.index.node_position[root]]
         self._clear(plan, target)
         if self.delta:
             best += self.delta * self._others_page(own)
@@ -251,8 +227,8 @@ class _State:
         """Walk the root-target paths whose weight stays within ``bound``, in
         lexicographic edge-id order: their count, and the ``index``-th with
         its accumulated weight. With ``stop`` the walk ends at that path."""
-        heads, outs, ids, weights, dist = (
-            self.heads, self.outs, self.ids, self.weights, self.dist)
+        heads, outs, ids = self.index.heads, self.index.outs, self.index.edge_ids
+        weights, dist = self.weights, self.dist
         # frames[d] runs over the out-edges of the node that prefix[:d]
         # reaches, and accs[d] is the weight accumulated on the way there.
         frames, prefix, accs = self.frames, self.prefix, self.accs
@@ -291,7 +267,7 @@ class _State:
         own = self.paths.get(player.player_id, ())
         self._lift(own, -1)
         plan, target = self._relax(player.root, player.leaf)
-        root = self.pos[player.root]
+        root = self.index.node_position[player.root]
         best = self.dist[root]
         chosen = None
         if not math.isinf(best):

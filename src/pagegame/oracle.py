@@ -3,9 +3,9 @@
 Everything here works by enumeration straight from the cost definitions:
 candidate paths are listed explicitly, profiles come from the Cartesian
 product, and a profile counts as an equilibrium only if no player has any
-listed alternative path that beats its current cost. None of it reuses the
-reweighting shortcut from :mod:`pagegame.dynamics`, so agreement between
-the two routes is a real check, not a tautology.
+listed alternative path that beats its current cost. Sharing only graph
+data with :mod:`pagegame.dynamics`, not its reweighting shortcut, makes
+agreement between the two routes a real check, not a tautology.
 
 A player's deviation options depend only on the other players' paths, so
 the equilibrium search sweeps each player once per combination of the
@@ -14,8 +14,7 @@ candidate path of the player once, and clears the stability flag of each
 profile in that combination that some candidate beats. The flags are one
 byte per profile, indexed by the profile's rank in product order; only the
 profiles left standing get a cost report. Paths are held as tuples of edge
-declaration positions, so the extra memory is those index arrays plus one
-byte per profile.
+declaration positions, so the extra memory is one byte per profile.
 
 The product enumeration is capped (default one million profiles). Each
 player's paths are counted first (:func:`path_counts`), without listing
@@ -96,32 +95,30 @@ def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
     """Each player's number of root-leaf paths, without listing them.
 
     An exact integer count: the paths from a root into a node are the sum
-    of those into its predecessors, one term per in-edge. The count walks
-    back from each leaf, so it visits only the leaf's ancestors, and keeps
-    one table per distinct root. The counts equal
-    ``len(enumerate_paths(...))``, including 1 when root and leaf coincide
-    and 0 when the leaf is unreachable.
+    of those into the tails of its in-edges. The count walks back from each
+    leaf, visiting only its ancestors, with one table per distinct root. It
+    equals ``len(enumerate_paths(...))``: 1 when root and leaf coincide, 0
+    when the leaf is unreachable or an endpoint is not in the graph.
     """
-    sources: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        sources.setdefault(edge.dst, []).append(edge.src)
-    into_from: dict[str, dict[str, int]] = {}
+    position, ins = graph.index.node_position, graph.index.ins
+    into_from: dict[int, dict[int, int]] = {}
     counts = []
     for player in players:
-        if player.root not in graph:
+        if player.root not in graph or player.leaf not in graph:
             counts.append(0)
             continue
-        into = into_from.setdefault(player.root, {player.root: 1})
-        stack = [player.leaf]
+        root, leaf = position[player.root], position[player.leaf]
+        into = into_from.setdefault(root, {root: 1})
+        stack = [leaf]
         while stack:
             node = stack[-1]
             if node in into:
                 stack.pop()
-            elif pending := [u for u in sources.get(node, ()) if u not in into]:
+            elif pending := [u for u in ins[node] if u not in into]:
                 stack.extend(pending)
             else:
-                into[node] = sum(into[u] for u in sources.get(node, ()))
-        counts.append(into[player.leaf])
+                into[node] = sum(into[u] for u in ins[node])
+        counts.append(into[leaf])
     return counts
 
 
@@ -141,7 +138,7 @@ def _candidate_paths(
 def _deviation_costs(
     candidates: list[tuple[int, ...]],
     loads: list[int],
-    costs: list[float],
+    costs: Sequence[float],
     others_cost: float,
     delta: float,
 ) -> list[float]:
@@ -174,9 +171,8 @@ def _stability_flags(
     rank, so the profiles that differ only in player ``i``'s path sit
     ``strides[i]`` apart.
     """
-    position = {edge.edge_id: i for i, edge in enumerate(graph.edges)}
-    costs = [edge.cost for edge in graph.edges]
-    indexed = [[tuple(position[e] for e in path) for path in paths] for paths in path_sets]
+    costs, positions = graph.index.costs, graph.index.positions
+    indexed = [[positions(path) for path in paths] for paths in path_sets]
     strides = [math.prod(len(paths) for paths in indexed[i + 1:]) for i in range(len(indexed))]
     flags = bytearray(b"\x01") * math.prod(len(paths) for paths in indexed)
     for i, candidates in enumerate(indexed):
@@ -262,8 +258,7 @@ def social_optimum(
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
-    costs = [edge.cost for edge in graph.edges]
-    edge_ids = [edge.edge_id for edge in graph.edges]
+    costs, edge_ids = graph.index.costs, graph.index.edge_ids
     best_combo = None
     best_cost = math.inf
     for combo in itertools.product(*path_sets):

@@ -2,7 +2,7 @@
 
 Reports and traces are plain JSON with sorted keys and a fixed layout, so
 identical inputs produce byte-identical files. Player ids become string
-keys in JSON and are parsed back to integers on load.
+keys in JSON; on load only the spelling ``str(id)`` parses back.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ def profile_from_json(obj: Any) -> StrategyProfile:
     for key, value in obj.items():
         try:
             pid = int(key)
+            if key != str(pid):  # "02", " 2" and "+2" would alias player 2
+                raise ValueError(key)
         except ValueError:
             raise MalformedInstance(f"profile key {key!r} is not a player id") from None
         if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
@@ -131,22 +133,22 @@ def load_report(path: str) -> dict[str, Any]:
     return obj
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def _used_edges(graph: GameGraph, profile: StrategyProfile):
+    """``(edge, load, share)`` for each edge some player uses, by edge id."""
+    loads = load_map(profile)
+    for edge in sorted(graph.edges, key=lambda e: e.edge_id):
+        count = loads.get(edge.edge_id, 0)
+        if count:
+            yield edge, count, edge.cost / count
 
 
 def render_dot(graph: GameGraph, profile: StrategyProfile) -> str:
     """DOT rendering of the chosen tree, edges annotated with load and share."""
-    loads = load_map(profile)
     used_nodes: set[str] = set()
     edge_lines: list[str] = []
-    for edge in sorted(graph.edges, key=lambda e: e.edge_id):
-        count = loads.get(edge.edge_id, 0)
-        if not count:
-            continue
+    for edge, count, share in _used_edges(graph, profile):
         used_nodes.update((edge.src, edge.dst))
-        share = edge.cost / count
-        label = f"{edge.edge_id} c={_fmt(edge.cost)} x={count} share={_fmt(share)}"
+        label = f"{edge.edge_id} c={edge.cost:g} x={count} share={share:g}"
         edge_lines.append(f'  "{edge.src}" -> "{edge.dst}" [label="{label}"];')
     node_lines = [f'  "{node_id}";' for node_id in sorted(used_nodes)]
     body = "\n".join(node_lines + edge_lines)
@@ -159,22 +161,11 @@ def profile_summary(
     graph: GameGraph, profile: StrategyProfile, report: CostReport
 ) -> dict[str, Any]:
     """Machine-readable companion to the DOT rendering."""
-    loads = load_map(profile)
-    edges = []
-    for edge in sorted(graph.edges, key=lambda e: e.edge_id):
-        count = loads.get(edge.edge_id, 0)
-        if not count:
-            continue
-        edges.append(
-            {
-                "id": edge.edge_id,
-                "src": edge.src,
-                "dst": edge.dst,
-                "cost": edge.cost,
-                "load": count,
-                "share": edge.cost / count,
-            }
-        )
+    edges = [
+        {"id": edge.edge_id, "src": edge.src, "dst": edge.dst, "cost": edge.cost,
+         "load": count, "share": share}
+        for edge, count, share in _used_edges(graph, profile)
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "profile-summary",

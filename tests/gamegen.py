@@ -13,7 +13,6 @@ from pagegame import (
     build_graph,
     enumerate_paths,
 )
-from pagegame.game import reachable_from
 
 DELTAS = (0.0, 0.5, 1.0, 2.0)
 
@@ -114,7 +113,7 @@ def layered_game(seed: int, delta: float, count: int = 10) -> tuple:
     while len(players) < count:
         root = rng.choice(["s"] + layers[0] + layers[1])
         leaf = rng.choice(layers[3] + layers[4])
-        if leaf in reachable_from(graph, root):
+        if leaf in graph.reachable(root):
             players.append(Player(len(players) + 1, root, leaf))
     return graph, tuple(players), delta
 
@@ -165,3 +164,25 @@ def instance_to_json(instance: GameInstance) -> dict:
             for p in instance.players
         ],
     }
+
+
+class _LoggedMemo(dict):
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
+def search_log(graph) -> list[str]:
+    """The nodes ``graph.reachable`` searches from after this call, in order.
+
+    The memo of a fresh graph is swapped for one that logs each fill, so a
+    node searched twice shows up twice.
+    """
+    log: list[str] = []
+    assert not graph._reach, "log a graph before its first search"
+    graph._reach = _LoggedMemo(log)
+    return log

@@ -314,6 +314,37 @@ def test_solve_matches_library_result(d1_file, tmp_path):
     assert report["final_profile"] == expected
 
 
+def test_commands_build_the_graph_index_at_most_once(d1_file, tmp_path, monkeypatch):
+    from gamegen import instance_to_json, random_instance
+    from pagegame import game
+    from pagegame.instance import load_instance
+
+    builds = []
+
+    class CountedIndex(game.GraphIndex):
+        def __init__(self, graph):
+            builds.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(game, "GraphIndex", CountedIndex)
+    inst = _write(tmp_path, "inst.json", instance_to_json(random_instance(2001)))
+    load_instance(str(inst))
+    assert builds == []
+    unstable = _write(tmp_path, "bb.json", {
+        "format_version": 1, "kind": "run-report", "final_profile": {"1": ["b"], "2": ["b"]}})
+    report = tmp_path / "report.json"
+    runs = [
+        (["solve", "--instance", str(inst), "--output", str(report)], 0),
+        (["check", "--instance", str(inst), "--report", str(report), "--delta", "1"], 0),
+        (["check", "--instance", str(d1_file), "--report", str(unstable)], 5),
+        (["enumerate", "--instance", str(inst), "--output", str(tmp_path / "cat.json")], 0),
+    ]
+    for argv, code in runs:
+        builds.clear()
+        assert main(argv) == code
+        assert len(builds) <= 1, argv[0]
+
+
 def test_unconverged_solve_exits_3_with_report(tmp_path):
     from gamegen import instance_to_json, random_instance
     from pagegame import run_dynamics
@@ -441,6 +472,23 @@ def test_bad_report_delta_fails_validation(d1_file, tmp_path, capsys, command, d
     path = _write(tmp_path, "delta.json", report)
     assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 2
     assert "delta" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "2 ", "1_0", "two"])
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]
+)
+def test_non_canonical_report_player_key_is_malformed(d1_file, tmp_path, capsys, command, key):
+    # int() reads all of these, and "02" would silently replace player 2.
+    report = {
+        "format_version": 1,
+        "kind": "run-report",
+        "delta": 0.0,
+        "final_profile": {"1": ["a"], "2": ["a"], key: ["b"]},
+    }
+    path = _write(tmp_path, "keys.json", report)
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 1
+    assert repr(key) in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize(

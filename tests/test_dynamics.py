@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pagegame import (
@@ -18,7 +20,7 @@ from pagegame import (
 from pagegame import dynamics, game
 from pagegame.errors import UnknownPlayer
 
-from gamegen import DELTAS, build_d1, first_path_profile, random_instance
+from gamegen import DELTAS, build_d1, first_path_profile, random_instance, search_log
 
 TOL = 1e-9
 
@@ -311,21 +313,20 @@ def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
 
 @COUNTED_GAMES
 def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, inst, start):
-    # Loads are tallied only by the cost reports (one per profile), and
-    # reachability is searched once per distinct root for the whole run.
+    # Loads are tallied only by the cost reports (one per profile), and each
+    # distinct root is searched once per graph: at load, then never again.
+    graph = build_graph(inst.graph.nodes.values(), inst.graph.edges)
+    searched = search_log(graph)
+    instance = GameInstance(graph, inst.players, inst.delta)
+    dataclasses.replace(instance, delta=inst.delta + 0.5)
     loads = _count_calls(monkeypatch, "load_map", game, dynamics)
-    reach = _count_calls(monkeypatch, "reachable_from", game, dynamics)
-    roots = len({p.root for p in inst.players})
     for initial in (None, start or first_path_profile(inst)):
         loads.clear()
-        reach.clear()
-        trace = run_dynamics(inst.graph, inst.players, inst.delta, initial=initial)
+        trace = run_dynamics(graph, inst.players, inst.delta, initial=initial)
         moves = sum(step.path_changed for step in trace.steps)
         assert len(loads) == 1 + moves
-        assert len(reach) == roots
 
     loads.clear()
-    reach.clear()
-    is_nash(inst.graph, trace.final_profile, inst.delta)
+    is_nash(graph, trace.final_profile, inst.delta)
     assert len(loads) == 1
-    assert len(reach) == roots
+    assert sorted(searched) == sorted({p.root for p in inst.players})

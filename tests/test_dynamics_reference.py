@@ -8,7 +8,6 @@ import pytest
 from pagegame import Player, Schedule, build_graph
 from pagegame import dynamics
 from pagegame.errors import NoPath
-from pagegame.game import reachable_from
 
 import reference_dynamics as reference
 from gamegen import DELTAS, all_profiles, first_path_profile, layered_game, random_instance
@@ -119,7 +118,7 @@ def test_random_dags_match_reference_property():
         graph = build_graph([(f"n{i}", "abstract") for i in range(n)], edges)
         pairs = [
             (u, v) for u, v in itertools.combinations(graph.topo_order, 2)
-            if v in reachable_from(graph, u)
+            if v in graph.reachable(u)
         ]
         hypothesis.assume(pairs)
         chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))

@@ -33,9 +33,14 @@ from pagegame.errors import (
     ZeroLoad,
 )
 
-from pagegame import game
+from pagegame.instance import load_instance
 
-from gamegen import SAMPLE_DOCUMENT, DELTAS, all_profiles, build_d1, first_path_profile, random_instance
+import golden_corpus
+
+from gamegen import (
+    SAMPLE_DOCUMENT, DELTAS, all_profiles, build_d1, corpus, first_path_profile,
+    random_instance, search_log,
+)
 
 TOL = 1e-9
 
@@ -106,6 +111,32 @@ def test_parallel_edges_are_distinct():
     assert graph.edge("a").cost == 1.0
     assert graph.edge("b").cost == 3.0
     assert len(graph.edges) == 2
+
+
+def _index_graphs():
+    for name, path in golden_corpus.games().items():
+        yield name, load_instance(str(path)).graph
+    for inst in corpus(40, base_seed=2500):
+        yield "gamegen", inst.graph
+
+
+def test_index_agrees_with_graph():
+    for name, graph in _index_graphs():
+        index = graph.index
+        assert index is graph.index, name
+        order = graph.topo_order
+        assert list(index.node_position) == list(order), name
+        assert index.edge_ids == tuple(e.edge_id for e in graph.edges), name
+        assert index.costs == tuple(e.cost for e in graph.edges), name
+        assert [order[v] for v in index.heads] == [e.dst for e in graph.edges], name
+        for v, node in enumerate(order):
+            outs = [index.edge_ids[e] for e in index.outs[v]]
+            assert outs == sorted(outs) == [e.edge_id for e in graph.out_edges(node)], name
+            ins = [order[u] for u in index.ins[v]]
+            assert ins == [e.src for e in graph.edges if e.dst == node], name
+        assert index.positions(index.edge_ids) == tuple(range(len(graph.edges))), name
+        with pytest.raises(GraphError, match="'no-such-edge'"):
+            index.positions([index.edge_ids[0], "no-such-edge"])
 
 
 # ---------------------------------------------------------------- load map
@@ -366,27 +397,21 @@ def test_instance_rejects_equal_root_and_leaf(d1):
         GameInstance(graph=d1.graph, players=(Player(1, "r", "r"),))
 
 
-def test_validate_players_searches_once_per_root(monkeypatch):
-    graph = build_graph(
-        [("r", "abstract"), ("s", "abstract"), ("m", "abstract"),
-         ("l", "abstract"), ("island", "abstract")],
-        [("a", "r", "m", 1.0), ("b", "m", "l", 1.0), ("c", "s", "l", 1.0)],
-    )
-    roots = []
-    search = game.reachable_from
-
-    def counted(graph, node_id):
-        roots.append(node_id)
-        return search(graph, node_id)
-
-    monkeypatch.setattr(game, "reachable_from", counted)
-    validate_players(
-        graph,
-        (Player(1, "r", "l"), Player(2, "r", "m"), Player(3, "s", "l"), Player(4, "r", "l")),
-    )
+def test_validate_players_searches_once_per_root():
+    nodes = [("r", "abstract"), ("s", "abstract"), ("m", "abstract"),
+             ("l", "abstract"), ("island", "abstract")]
+    edges = [("a", "r", "m", 1.0), ("b", "m", "l", 1.0), ("c", "s", "l", 1.0)]
+    graph = build_graph(nodes, edges)
+    roots = search_log(graph)
+    players = (Player(1, "r", "l"), Player(2, "r", "m"), Player(3, "s", "l"), Player(4, "r", "l"))
+    validate_players(graph, players)
+    assert sorted(roots) == ["r", "s"]
+    # Validating again, as a --delta override does, searches nothing.
+    validate_players(graph, players)
     assert sorted(roots) == ["r", "s"]
 
-    roots.clear()
+    graph = build_graph(nodes, edges)
+    roots = search_log(graph)
     with pytest.raises(NoPath) as err:
         validate_players(graph, (Player(1, "r", "l"), Player(2, "r", "island")))
     assert err.value.player_id == 2

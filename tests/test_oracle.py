@@ -17,7 +17,7 @@ from pagegame import (
     social_optimum,
     union_is_forest,
 )
-from pagegame.errors import NoEquilibria, SearchSpaceTooLarge
+from pagegame.errors import NoEquilibria, NoPath, SearchSpaceTooLarge
 from pagegame.oracle import path_counts
 
 from gamegen import DELTAS, all_profiles, build_d1, random_instance
@@ -124,6 +124,15 @@ def test_search_space_cap(d1):
     with pytest.raises(SearchSpaceTooLarge) as err:
         brute_force_equilibria(d1.graph, d1.players, 0.0, cap=3)
     assert err.value.size == 4
+
+
+@pytest.mark.parametrize("root, leaf", [("ghost", "l"), ("r", "ghost")])
+def test_unknown_endpoint_is_no_path(d1, root, leaf):
+    players = (d1.players[0], Player(2, root, leaf))
+    for search in (analyze, brute_force_equilibria, social_optimum):
+        with pytest.raises(NoPath) as err:
+            search(d1.graph, players)
+        assert err.value.player_id == 2
 
 
 def test_catalog_is_deterministic():

@@ -8,7 +8,7 @@ import pytest
 
 from pagegame import Player, build_graph, oracle
 from pagegame.errors import NoPath, SearchSpaceTooLarge
-from pagegame.game import TOLERANCE, reachable_from
+from pagegame.game import TOLERANCE
 
 import reference_oracle as reference
 from gamegen import DELTAS, layered_game, random_instance
@@ -164,7 +164,7 @@ def test_random_dags_match_reference_property():
         graph = build_graph([(f"n{i}", "abstract") for i in range(n)], edges)
         pairs = [
             (u, v) for u, v in itertools.combinations(graph.topo_order, 2)
-            if v in reachable_from(graph, u)
+            if v in graph.reachable(u)
         ]
         hypothesis.assume(pairs)
         chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
