@@ -13,18 +13,17 @@ The leftover term, ``delta`` times the other players' page cost, does not
 depend on the candidate path, hence cheapest-path minimization is exact.
 
 Each call of ``run_dynamics``, ``best_response`` or ``is_nash`` keeps one
-private state for all its best responses, and nothing outlives the call:
+private state for all its best responses; only the graph's memos outlive it:
 
 * the edge loads of the current profile. A best response lifts the
   player's own path off them and puts it back; a move swaps the old path
   for the new one, so each costs O(path length);
-* per root-leaf pair a plan: the nodes reachable from the root (the graph's
-  memo) that reach the leaf, in reversed topological order. A best response
-  relaxes only its plan, weighing each out-edge inline in edge-id order;
-  distances stay infinite outside it;
-* the loaded edges in declaration order and ``sum()`` of their costs. That
-  is the others' page cost unless one of the player's own edges drops to
-  load 0, when the sum skips those edges.
+* the graph's plan of each root-leaf pair (``GameGraph.between``). A best
+  response relaxes only its plan, weighing each out-edge inline in edge-id
+  order; distances stay infinite outside it;
+* the loaded edges in declaration order and the ``ordered_sum`` of their
+  costs. That is the others' page cost unless one of the player's own edges
+  drops to load 0, when the sum skips those edges.
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. The tie walk goes through
@@ -56,6 +55,7 @@ from .game import (
     StrategyProfile,
     cost_report,
     load_map,
+    ordered_sum,
     validate_profile,
 )
 from .rng import SplitMix64
@@ -131,7 +131,6 @@ class _State:
         self.frames: list = [None] * len(graph.nodes)
         self.prefix: list = [None] * len(graph.nodes)
         self.accs = [0.0] * len(graph.nodes)
-        self.plans: dict[tuple[str, str], tuple[int, ...]] = {}
 
     def place(self, player_id: int, path: Sequence[str]) -> None:
         """Move a player from its current path (if any) onto ``path``."""
@@ -158,7 +157,7 @@ class _State:
         """Cheapest weight to ``leaf`` from every node between ``root`` and
         it, into ``dist``, and the weights of their out-edges into
         ``weights``. Returns the plan and the leaf's position."""
-        plan = self._plan(root, leaf)
+        plan = self.graph.between(root, leaf)
         loads, fresh, weights, dist = self.loads, self.fresh, self.weights, self.dist
         costs, heads, outs = self.index.costs, self.index.heads, self.index.outs
         target = self.index.node_position[leaf]
@@ -174,25 +173,6 @@ class _State:
             dist[node] = best
         return plan, target
 
-    def _plan(self, root: str, leaf: str) -> tuple[int, ...]:
-        """Nodes reachable from ``root`` that reach ``leaf``, leaf excluded,
-        in reversed topological order."""
-        plan = self.plans.get((root, leaf))
-        if plan is not None:
-            return plan
-        reach, order = self.graph.reachable(root), self.graph.topo_order
-        target = self.index.node_position[leaf]
-        live = {target}
-        stack = [target] if leaf in reach else []
-        while stack:
-            for node in self.index.ins[stack.pop()]:
-                if node not in live and order[node] in reach:
-                    live.add(node)
-                    stack.append(node)
-        live.discard(target)
-        plan = self.plans[(root, leaf)] = tuple(sorted(live, reverse=True))
-        return plan
-
     def _clear(self, plan: tuple[int, ...], target: int) -> None:
         dist = self.dist
         dist[target] = math.inf
@@ -204,9 +184,9 @@ class _State:
         costs = self.index.costs
         dropped = {e for e in own if not self.loads[e]}
         if dropped:
-            return sum(costs[e] for e in self.used if e not in dropped)
+            return ordered_sum(costs[e] for e in self.used if e not in dropped)
         if self.page is None:
-            self.page = sum(costs[e] for e in self.used)
+            self.page = ordered_sum(costs[e] for e in self.used)
         return self.page
 
     def attainable(self, player_id: int, root: str, leaf: str) -> float:
@@ -264,6 +244,8 @@ class _State:
         consulted only when two or more tie, to draw one by its lexicographic
         rank.
         """
+        if not self.graph.between(player.root, player.leaf):
+            raise NoPath(player.player_id, player.root, player.leaf)
         own = self.paths.get(player.player_id, ())
         self._lift(own, -1)
         plan, target = self._relax(player.root, player.leaf)

@@ -37,6 +37,7 @@ from .game import (
     Player,
     StrategyProfile,
     cost_report,
+    ordered_sum,
     page_cost,
 )
 
@@ -65,26 +66,31 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
     """All simple directed root-leaf paths, lexicographic by edge-id sequence.
 
     The graph is acyclic so every directed path is simple; the list is empty
-    when the leaf is unreachable.
+    when the leaf is unreachable. Only edges into the leaf or into the
+    pair's plan (``GameGraph.between``) are followed.
     """
-    if root not in graph:
-        return []
     if root == leaf:
-        return [()]
+        return [()] if root in graph else []
+    plan = graph.between(root, leaf)
+    if not plan:
+        return []
+    heads, outs, ids = graph.index.heads, graph.index.outs, graph.index.edge_ids
+    target, live = graph.index.node_position[leaf], set(plan)
     paths: list[tuple[str, ...]] = []
     # frames[d] runs over the out-edges of the node that prefix[:d] reaches.
-    frames: list = [None] * len(graph.nodes)
-    prefix: list = [None] * len(graph.nodes)
-    frames[0] = iter(graph.out_edges(root))
+    frames: list = [None] * len(plan)
+    prefix: list = [None] * len(plan)
+    frames[0] = iter(outs[plan[-1]])
     depth = 0
     while depth >= 0:
-        for edge in frames[depth]:
-            prefix[depth] = edge.edge_id
-            if edge.dst == leaf:
+        for e in frames[depth]:
+            prefix[depth] = ids[e]
+            head = heads[e]
+            if head == target:
                 paths.append(tuple(prefix[: depth + 1]))
-            elif below := graph.out_edges(edge.dst):  # dead ends are skipped
+            elif head in live:
                 depth += 1
-                frames[depth] = iter(below)
+                frames[depth] = iter(outs[head])
                 break
         else:
             depth -= 1
@@ -94,30 +100,23 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
 def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
     """Each player's number of root-leaf paths, without listing them.
 
-    An exact integer count: the paths from a root into a node are the sum
-    of those into the tails of its in-edges. The count walks back from each
-    leaf, visiting only its ancestors, with one table per distinct root. It
-    equals ``len(enumerate_paths(...))``: 1 when root and leaf coincide, 0
-    when the leaf is unreachable or an endpoint is not in the graph.
+    An exact integer count over the pair's plan (``GameGraph.between``) in
+    topological order: the paths from the root into a node are the sum of
+    those into the tails of its in-edges. It equals
+    ``len(enumerate_paths(...))``: 1 when root and leaf coincide, 0 when
+    the leaf is unreachable or an endpoint is not in the graph.
     """
     position, ins = graph.index.node_position, graph.index.ins
-    into_from: dict[int, dict[int, int]] = {}
     counts = []
     for player in players:
-        if player.root not in graph or player.leaf not in graph:
-            counts.append(0)
+        plan = graph.between(player.root, player.leaf)
+        if not plan:
+            counts.append(int(player.root == player.leaf and player.root in graph))
             continue
-        root, leaf = position[player.root], position[player.leaf]
-        into = into_from.setdefault(root, {root: 1})
-        stack = [leaf]
-        while stack:
-            node = stack[-1]
-            if node in into:
-                stack.pop()
-            elif pending := [u for u in ins[node] if u not in into]:
-                stack.extend(pending)
-            else:
-                into[node] = sum(into[u] for u in ins[node])
+        leaf = position[player.leaf]
+        into = {plan[-1]: 1}
+        for node in (*plan[-2::-1], leaf):
+            into[node] = sum(into.get(u, 0) for u in ins[node])
         counts.append(into[leaf])
     return counts
 
@@ -190,8 +189,7 @@ def _stability_flags(
             for path in combo:
                 for e in path:
                     loads[e] += 1
-            # sum() in declaration order, like page_cost.
-            others_cost = sum(itertools.compress(costs, loads))
+            others_cost = ordered_sum(itertools.compress(costs, loads))
             scores = _deviation_costs(candidates, loads, costs, others_cost, delta)
             best = min(scores)
             for c, score in enumerate(scores):
@@ -263,8 +261,7 @@ def social_optimum(
     best_cost = math.inf
     for combo in itertools.product(*path_sets):
         used = set().union(*combo)
-        # sum() over the used edges in declaration order, like page_cost.
-        cost = sum(itertools.compress(costs, map(used.__contains__, edge_ids)))
+        cost = ordered_sum(itertools.compress(costs, map(used.__contains__, edge_ids)))
         if cost < best_cost:
             best_cost = cost
             best_combo = combo

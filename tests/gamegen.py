@@ -176,13 +176,15 @@ class _LoggedMemo(dict):
         super().__setitem__(key, value)
 
 
-def search_log(graph) -> list[str]:
-    """The nodes ``graph.reachable`` searches from after this call, in order.
+def search_log(graph, memo: str = "_reach") -> list:
+    """The keys a graph memo fills after this call, in order: the nodes
+    ``graph.reachable`` searches from, or with ``memo="_plans"`` the
+    (root, leaf) pairs ``graph.between`` plans.
 
     The memo of a fresh graph is swapped for one that logs each fill, so a
-    node searched twice shows up twice.
+    key searched twice shows up twice.
     """
-    log: list[str] = []
-    assert not graph._reach, "log a graph before its first search"
-    graph._reach = _LoggedMemo(log)
+    log: list = []
+    assert not getattr(graph, memo), "log a graph before its first search"
+    setattr(graph, memo, _LoggedMemo(log))
     return log

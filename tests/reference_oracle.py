@@ -3,7 +3,8 @@
 This is the straightforward form of :mod:`pagegame.oracle`: every path of
 every player is listed before the cap is checked, and every profile is
 checked on its own, each player re-tallying the others' loads and page
-cost and re-scoring every alternative path against its current one. The
+cost and re-scoring every alternative path against its current one. Paths
+are listed by walking every node below the root, not the engine's plan. The
 engine sweeps each player once per combination of the others' paths; the
 tests require both to produce the same catalogs, floats bit for bit.
 """
@@ -15,22 +16,32 @@ import math
 from dataclasses import replace
 
 from pagegame.errors import NoPath, SearchSpaceTooLarge
-from pagegame.game import TOLERANCE, StrategyProfile, cost_report, page_cost
+from pagegame.game import TOLERANCE, StrategyProfile, cost_report, ordered_sum, page_cost
 from pagegame.oracle import (
     DEFAULT_CAP,
     EquilibriumCatalog,
     EquilibriumEntry,
     efficiency_metrics,
-    enumerate_paths,
     union_is_forest,
 )
+
+
+def list_paths(graph, node, leaf, prefix=()):
+    """Every ``node``-``leaf`` path in lexicographic edge-id order, walking
+    every node below ``node``."""
+    for edge in graph.out_edges(node) if node in graph else ():
+        path = prefix + (edge.edge_id,)
+        if edge.dst == leaf:
+            yield path
+        else:
+            yield from list_paths(graph, edge.dst, leaf, path)
 
 
 def candidate_paths(graph, players, cap):
     path_sets = []
     size = 1
     for player in players:
-        paths = enumerate_paths(graph, player.root, player.leaf)
+        paths = list(list_paths(graph, player.root, player.leaf))
         if not paths:
             raise NoPath(player.player_id, player.root, player.leaf)
         path_sets.append(paths)
@@ -64,7 +75,7 @@ def profile_is_equilibrium(graph, players, path_sets, profile, delta):
             others_used.update(path)
             for edge_id in path:
                 other_loads[edge_id] = other_loads.get(edge_id, 0) + 1
-        others_cost = sum(
+        others_cost = ordered_sum(
             edge.cost for edge in graph.edges if edge.edge_id in others_used
         )
         current = deviation_cost(graph, profile.path(pid), other_loads, others_cost, delta)
@@ -105,7 +116,7 @@ def social_optimum(graph, players, cap=DEFAULT_CAP):
         used = set()
         for path in combo:
             used.update(path)
-        cost = sum(edge.cost for edge in graph.edges if edge.edge_id in used)
+        cost = ordered_sum(edge.cost for edge in graph.edges if edge.edge_id in used)
         if cost < best_cost:
             best_cost = cost
             best_profile = StrategyProfile(

@@ -24,6 +24,7 @@ from pagegame import (
     shapley_share,
 )
 from pagegame.cli import main
+from pagegame.game import ordered_sum
 
 from gamegen import (
     SAMPLE_DOCUMENT,
@@ -244,7 +245,7 @@ def test_criterion_7_zero_delta_reduction(instance_corpus, corpus_catalogs):
         for profile in all_profiles(inst):
             loads = load_map(profile)
             for pid, path in profile.items():
-                pure = sum(inst.graph.edge(e).cost / loads[e] for e in path)
+                pure = ordered_sum(inst.graph.edge(e).cost / loads[e] for e in path)
                 if player_cost(inst.graph, profile, pid, 0.0) != pure:
                     exact = False
                 reductions += 1

@@ -314,11 +314,41 @@ def test_solve_matches_library_result(d1_file, tmp_path):
     assert report["final_profile"] == expected
 
 
+def test_check_plans_each_root_leaf_pair_once(tmp_path, monkeypatch):
+    # is_nash, every best_response and the potential-identity sweep share
+    # the graph's plans; an unstable report runs all of them.
+    from gamegen import first_path_profile, instance_to_json, random_instance, search_log
+    from pagegame import cli
+    from pagegame.instance import load_instance
+
+    instance = random_instance(2004)
+    inst = _write(tmp_path, "inst.json", instance_to_json(instance))
+    start = first_path_profile(instance)
+    unstable = _write(tmp_path, "start.json", {
+        "format_version": 1, "kind": "run-report",
+        "final_profile": {str(pid): list(path) for pid, path in start.items()}})
+    logs = []
+
+    def logged_load(path):
+        loaded = load_instance(path)
+        logs.append(search_log(loaded.graph, "_plans"))
+        return loaded
+
+    monkeypatch.setattr(cli, "load_instance", logged_load)
+    assert main(["check", "--instance", str(inst), "--report", str(unstable)]) == 5
+    [planned] = logs
+    pairs = [(p.root, p.leaf) for p in instance.players]
+    assert len(set(pairs)) < len(pairs)
+    assert sorted(planned) == sorted(set(pairs))
+
+
 def test_commands_build_the_graph_index_at_most_once(d1_file, tmp_path, monkeypatch):
     from gamegen import instance_to_json, random_instance
     from pagegame import game
     from pagegame.instance import load_instance
 
+    # Generated first: listing paths while generating builds an index.
+    inst = _write(tmp_path, "inst.json", instance_to_json(random_instance(2001)))
     builds = []
 
     class CountedIndex(game.GraphIndex):
@@ -327,7 +357,6 @@ def test_commands_build_the_graph_index_at_most_once(d1_file, tmp_path, monkeypa
             super().__init__(graph)
 
     monkeypatch.setattr(game, "GraphIndex", CountedIndex)
-    inst = _write(tmp_path, "inst.json", instance_to_json(random_instance(2001)))
     load_instance(str(inst))
     assert builds == []
     unstable = _write(tmp_path, "bb.json", {

@@ -33,6 +33,8 @@ from pagegame.errors import (
     ZeroLoad,
 )
 
+from pagegame import game
+from pagegame.game import ordered_sum
 from pagegame.instance import load_instance
 
 import golden_corpus
@@ -137,6 +139,23 @@ def test_index_agrees_with_graph():
         assert index.positions(index.edge_ids) == tuple(range(len(graph.edges))), name
         with pytest.raises(GraphError, match="'no-such-edge'"):
             index.positions([index.edge_ids[0], "no-such-edge"])
+
+
+def test_plan_is_the_nodes_on_some_root_leaf_path():
+    for name, graph in _index_graphs():
+        order, position = graph.topo_order, graph.index.node_position
+        for root in order:
+            for leaf in order:
+                expected = sorted(
+                    (position[u] for u in graph.reachable(root)
+                     if u != leaf and leaf in graph.reachable(u)),
+                    reverse=True,
+                )
+                plan = graph.between(root, leaf)
+                assert plan == tuple(expected), (name, root, leaf)
+                assert graph.between(root, leaf) is plan, name
+        assert graph.between(order[0], "no-such-node") == ()
+        assert graph.between("no-such-node", order[-1]) == ()
 
 
 # ---------------------------------------------------------------- load map
@@ -249,6 +268,17 @@ def test_player_cost_unknown_player(d1):
         player_cost(d1.graph, StrategyProfile({1: ("a",)}), 9, 0.0)
 
 
+def test_ordered_sum_is_a_left_to_right_fold():
+    # Python 3.12's sum() compensates: [1e16, 1.0, 1.0] sums to 1.0000000000000002e16.
+    assert ordered_sum([]) == 0
+    assert type(ordered_sum([])) is int
+    samples = [[1e16, 1.0, 1.0], [0.1] * 10, [-0.0]]
+    samples += [[e.cost / 3 for e in inst.graph.edges] for inst in corpus(20)]
+    for values in samples:
+        assert ordered_sum(values).hex() == game._fold(values).hex()
+    assert ordered_sum([1e16, 1.0, 1.0]) == 1e16
+
+
 def test_zero_delta_reduces_to_pure_share_cost():
     # Exact equality: the social term must vanish, not approximately cancel.
     for seed in range(10):
@@ -256,7 +286,7 @@ def test_zero_delta_reduces_to_pure_share_cost():
         profile = first_path_profile(inst)
         loads = load_map(profile)
         for pid, path in profile.items():
-            pure = sum(inst.graph.edge(e).cost / loads[e] for e in path)
+            pure = ordered_sum(inst.graph.edge(e).cost / loads[e] for e in path)
             assert player_cost(inst.graph, profile, pid, 0.0) == pure
 
 

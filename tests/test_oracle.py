@@ -18,8 +18,11 @@ from pagegame import (
     union_is_forest,
 )
 from pagegame.errors import NoEquilibria, NoPath, SearchSpaceTooLarge
+from pagegame.game import ordered_sum
+from pagegame.instance import load_instance
 from pagegame.oracle import path_counts
 
+import golden_corpus
 from gamegen import DELTAS, all_profiles, build_d1, random_instance
 
 TOL = 1e-9
@@ -129,10 +132,21 @@ def test_search_space_cap(d1):
 @pytest.mark.parametrize("root, leaf", [("ghost", "l"), ("r", "ghost")])
 def test_unknown_endpoint_is_no_path(d1, root, leaf):
     players = (d1.players[0], Player(2, root, leaf))
-    for search in (analyze, brute_force_equilibria, social_optimum):
+    for search in (analyze, brute_force_equilibria, social_optimum, run_dynamics):
         with pytest.raises(NoPath) as err:
             search(d1.graph, players)
         assert err.value.player_id == 2
+
+
+def test_price_of_stability_within_harmonic_bound_at_zero_delta():
+    # Anshelevich et al. (FOCS 2004): under fair cost sharing some
+    # equilibrium costs at most H(P) times the social optimum.
+    games = [load_instance(str(path)) for path in golden_corpus.games().values()]
+    games += [random_instance(6000 + seed) for seed in range(60)]
+    for inst in games:
+        catalog = analyze(inst.graph, inst.players, 0.0)
+        harmonic = ordered_sum(1.0 / j for j in range(1, len(inst.players) + 1))
+        assert 1.0 <= catalog.pos <= harmonic + TOL
 
 
 def test_catalog_is_deterministic():
