@@ -31,6 +31,7 @@ from .game import (
     GameInstance,
     cost_report,
     player_cost,
+    slack,
     validate_profile,
 )
 from .instance import load_instance
@@ -199,6 +200,9 @@ def _cmd_check(args) -> int:
 
     results: list[tuple[str, bool, str]] = []
     report = cost_report(graph, profile, delta)
+    # Shares summed over every path; each float comparison below allows the
+    # rounding of sums of about this many terms (see game.slack).
+    terms = sum(len(path) for _, path in profile.items())
 
     stable = is_nash(graph, profile, delta)
     detail = ""
@@ -206,7 +210,8 @@ def _cmd_check(args) -> int:
         for pid, _ in profile.items():
             candidate = best_response(graph, profile, pid, delta, seed=0)
             improved = player_cost(graph, profile.replace(pid, candidate), pid, delta)
-            if improved < report.player_costs[pid] - TOLERANCE:
+            cost = report.player_costs[pid]
+            if improved < cost - slack(cost, terms):
                 detail = f"player {pid} can switch to [{', '.join(candidate)}]"
                 break
     results.append(("nash-stability", stable, detail))
@@ -214,7 +219,7 @@ def _cmd_check(args) -> int:
     total_shares = sum(
         report.shares[edge_id] for _, path in profile.items() for edge_id in path
     )
-    balanced = abs(total_shares - report.page_cost) <= TOLERANCE
+    balanced = abs(total_shares - report.page_cost) <= slack(report.page_cost, terms)
     results.append(
         ("budget-balance", balanced,
          "" if balanced else f"shares sum to {total_shares}, page cost {report.page_cost}")
@@ -223,7 +228,7 @@ def _cmd_check(args) -> int:
     k = len(instance.players)
     total_player = sum(cost for _, cost in sorted(report.player_costs.items()))
     expected = report.page_cost * (1.0 + delta * k)
-    aggregated = abs(total_player - expected) <= TOLERANCE
+    aggregated = abs(total_player - expected) <= slack(expected, terms + k)
     results.append(
         ("cost-aggregation", aggregated,
          "" if aggregated else f"player costs sum to {total_player}, expected {expected}")
@@ -239,7 +244,11 @@ def _cmd_check(args) -> int:
             deviated = cost_report(graph, profile.replace(pid, alt), delta)
             d_phi = report.potential - deviated.potential
             d_cost = report.player_costs[pid] - deviated.player_costs[pid]
-            if abs(d_phi - d_cost) > TOLERANCE:
+            gap = abs(d_phi - d_cost)
+            # slack() is never below TOLERANCE; most deviations stop here.
+            if gap > TOLERANCE and gap > slack(
+                max(report.potential, deviated.potential), 2 * (terms + len(alt) + 2)
+            ):
                 identity_ok = False
                 identity_detail = (
                     f"player {pid} via [{', '.join(alt)}]: "

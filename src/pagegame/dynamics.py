@@ -26,13 +26,27 @@ private state for all its best responses; only the graph's memos outlive it:
   drops to load 0, when the sum skips those edges.
 
 The relaxation does the same float operations and ``<`` comparisons as one
-over the whole graph with freshly tallied loads. The tie walk goes through
-the tied paths in lexicographic edge-id order with an explicit stack,
-accumulating each path's weight from the root; it counts them and keeps
-the first, and only when the draw picks another does a second walk stop at
-it, so a large tie set is never held in memory. Distances, tie sets,
-accumulated weights, RNG draws and traces are therefore bit-identical to
-rebuilding everything for each best response.
+over the whole graph with freshly tallied loads. A path ties when the weight
+accumulated from the root along it, plus the distance left, stays within the
+bound at every edge. Whether an edge is taken therefore depends only on the
+node and that accumulated float, so the number of tied completions is a
+function of the pair ``(node, acc)``. An explicit-stack post-order counts
+the tied paths, exactly, into a memo on that pair, and keeps the first in
+lexicographic edge-id order; when the draw picks another, an unrank walks
+down from the root, subtracting each tied subtree's count until the rank
+falls inside one. When tied prefixes reach each node with bit-equal
+weights, as equal costs do, both walks are linear in the plan however many
+paths tie. Near-ties can give a node many accumulated weights, so the memo
+stops growing at ``_MEMO_PER_NODE`` entries per graph node; the unrank
+counts a subtree missing from it again with the same walk. Distances, tie
+counts, accumulated weights, RNG draws and traces are therefore
+bit-identical to rebuilding everything and listing the tied paths for each
+best response.
+
+Sums from the root and sums from the leaf round differently, by more than
+``TOLERANCE`` once costs are large. The tie bound and the move and
+equilibrium tests therefore use ``game.slack``, which is ``TOLERANCE`` unless
+the terms summed times one ulp of the value exceed it.
 
 Randomness is confined to tie-breaking among cheapest paths and to the
 optional random activation order; both draw from one ``SplitMix64`` stream
@@ -56,9 +70,14 @@ from .game import (
     cost_report,
     load_map,
     ordered_sum,
+    slack,
     validate_profile,
 )
 from .rng import SplitMix64
+
+#: The tie memo of one best response holds at most this many entries per
+#: graph node; subtrees past it are walked again when needed.
+_MEMO_PER_NODE = 4
 
 
 @dataclass(frozen=True)
@@ -128,9 +147,7 @@ class _State:
         # All infinite between best responses: a relaxation writes only its
         # plan, so every edge leaving the plan reads an infinite distance.
         self.dist = [math.inf] * len(graph.nodes)
-        self.frames: list = [None] * len(graph.nodes)
-        self.prefix: list = [None] * len(graph.nodes)
-        self.accs = [0.0] * len(graph.nodes)
+        self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
 
     def place(self, player_id: int, path: Sequence[str]) -> None:
         """Move a player from its current path (if any) onto ``path``."""
@@ -201,48 +218,98 @@ class _State:
         self._lift(own, 1)
         return best
 
-    def _ties(
-        self, root: int, target: int, bound: float, index: int, stop: bool
+    def _count(
+        self, start: int, start_acc: float, target: int, bound: float, memo: dict
     ) -> tuple[int, tuple[tuple[str, ...], float] | None]:
-        """Walk the root-target paths whose weight stays within ``bound``, in
-        lexicographic edge-id order: their count, and the ``index``-th with
-        its accumulated weight. With ``stop`` the walk ends at that path."""
+        """Number of ``start``-target paths that stay within ``bound`` after
+        ``start_acc`` has been accumulated to ``start``, and the first of them
+        in lexicographic edge-id order with its accumulated weight. Every
+        subtree it finishes goes into ``memo`` under its ``(node, acc)``
+        while the memo is below its cap."""
         heads, outs, ids = self.index.heads, self.index.outs, self.index.edge_ids
         weights, dist = self.weights, self.dist
-        # frames[d] runs over the out-edges of the node that prefix[:d]
-        # reaches, and accs[d] is the weight accumulated on the way there.
-        frames, prefix, accs = self.frames, self.prefix, self.accs
-        frames[0] = iter(outs[root])
-        depth = count = 0
-        chosen = None
-        while depth >= 0:
-            acc = accs[depth]
-            for e in frames[depth]:
+        cap = self.memo_cap
+        # One entry per node above the current one: its out-edge iterator,
+        # accumulated weight and count so far, the edge taken down, and the
+        # memo key of the node that edge reaches.
+        stack: list = []
+        frame, acc, total = iter(outs[start]), start_acc, 0
+        first = None
+        while True:
+            for e in frame:
                 through = acc + weights[e]
                 head = heads[e]
                 if through + dist[head] <= bound:
-                    prefix[depth] = ids[e]
-                    if head != target:
-                        depth += 1
-                        accs[depth] = through
-                        frames[depth] = iter(outs[head])
+                    if head == target:
+                        if first is None:
+                            first = (tuple([ids[entry[3]] for entry in stack] + [ids[e]]), through)
+                        total += 1
+                        continue
+                    key = (head, through)
+                    below = memo.get(key)
+                    if below is None:
+                        stack.append((frame, acc, total, e, key))
+                        frame, acc, total = iter(outs[head]), through, 0
                         break
-                    if count == index:
-                        chosen = (tuple(prefix[: depth + 1]), through)
-                        if stop:
-                            return count + 1, chosen
-                    count += 1
+                    total += below
             else:
-                depth -= 1
-        return count, chosen
+                if not stack:
+                    return total, first
+                frame, acc, above, _, key = stack.pop()
+                if len(memo) < cap:
+                    memo[key] = total
+                total += above
+
+    def _unrank(
+        self, root: int, target: int, bound: float, index: int, memo: dict
+    ) -> tuple[tuple[str, ...], float]:
+        """The ``index``-th root-target path within ``bound`` in lexicographic
+        edge-id order, and its accumulated weight. Subtrees missing from
+        ``memo`` are counted again."""
+        heads, outs, ids = self.index.heads, self.index.outs, self.index.edge_ids
+        weights, dist = self.weights, self.dist
+        path: list[str] = []
+        node, acc = root, 0.0
+        while True:
+            for e in outs[node]:
+                through = acc + weights[e]
+                head = heads[e]
+                if through + dist[head] <= bound:
+                    if head == target:
+                        below = 1
+                    else:
+                        below = memo.get((head, through))
+                        if below is None:
+                            below, _ = self._count(head, through, target, bound, memo)
+                    if index < below:
+                        path.append(ids[e])
+                        if head == target:
+                            return tuple(path), through
+                        node, acc = head, through
+                        break
+                    index -= below
+
+    def _ties(
+        self, root: int, target: int, bound: float, rng: SplitMix64
+    ) -> tuple[tuple[str, ...], float] | None:
+        """One root-target path within ``bound``, drawn uniformly by its
+        lexicographic rank, with its accumulated weight; ``None`` if there is
+        none. The RNG is consulted only when two or more tie."""
+        memo: dict = {}
+        count, chosen = self._count(root, 0.0, target, bound, memo)
+        if count > 1:
+            index = rng.randrange(count)
+            if index:
+                chosen = self._unrank(root, target, bound, index, memo)
+        return chosen
 
     def respond(self, player: Player, rng: SplitMix64) -> tuple[tuple[str, ...], float, float]:
         """Chosen path, its cost, and the least attainable cost for ``player``
         against the others' paths.
 
-        Paths within ``TOLERANCE`` of the cheapest weight tie. The RNG is
-        consulted only when two or more tie, to draw one by its lexicographic
-        rank.
+        Paths within the slack (``TOLERANCE`` for moderate costs) of the
+        cheapest weight tie. The RNG is consulted only when two or more tie,
+        to draw one by its lexicographic rank.
         """
         if not self.graph.between(player.root, player.leaf):
             raise NoPath(player.player_id, player.root, player.leaf)
@@ -253,12 +320,8 @@ class _State:
         best = self.dist[root]
         chosen = None
         if not math.isinf(best):
-            bound = best + TOLERANCE
-            count, chosen = self._ties(root, target, bound, 0, False)
-            if count > 1:
-                index = rng.randrange(count)
-                if index:
-                    _, chosen = self._ties(root, target, bound, index, True)
+            bound = best + slack(best, len(plan))
+            chosen = self._ties(root, target, bound, rng)
         self._clear(plan, target)
         if chosen is None:
             raise NoPath(player.player_id, player.root, player.leaf)
@@ -266,6 +329,14 @@ class _State:
         others_cost = self._others_page(own) if self.delta else 0.0
         self._lift(own, 1)
         return path, weight + self.delta * others_cost, best + self.delta * others_cost
+
+    def improves(self, root: str, leaf: str, attainable: float, current: float) -> bool:
+        """True iff ``attainable`` undercuts ``current`` by more than the
+        slack of sums over the root-leaf plan (and, with ``delta``, the page)."""
+        if attainable >= current - TOLERANCE:  # slack() is never below it
+            return False
+        terms = len(self.graph.between(root, leaf)) + (len(self.used) if self.delta else 0)
+        return attainable < current - slack(current, terms)
 
 
 def best_response(
@@ -277,8 +348,8 @@ def best_response(
 ) -> tuple[str, ...]:
     """A path minimizing the player's cost against everyone else's paths.
 
-    The player's root and leaf are read off its current path. Ties within
-    ``TOLERANCE`` are drawn uniformly from the seeded generator.
+    The player's root and leaf are read off its current path. Tied paths
+    are drawn uniformly from the seeded generator.
     """
     current = profile.path(player_id)
     player = Player(player_id, graph.edge(current[0]).src, graph.edge(current[-1]).dst)
@@ -287,12 +358,13 @@ def best_response(
 
 
 def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
-    """True iff no player can cut its cost by more than ``TOLERANCE``."""
+    """True iff no player can cut its cost by more than the slack
+    (``TOLERANCE`` for moderate costs)."""
     costs = cost_report(graph, profile, delta).player_costs
     state = _State(graph, profile, delta)
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
-        if state.attainable(pid, root, leaf) < costs[pid] - TOLERANCE:
+        if state.improves(root, leaf, state.attainable(pid, root, leaf), costs[pid]):
             return False
     return True
 
@@ -308,7 +380,7 @@ def run_dynamics(
     """Iterate best responses until a full pass makes no move.
 
     One iteration is a full pass over all players. A player moves only when
-    its best response improves its cost by more than ``TOLERANCE``; the move
+    its best response improves its cost by more than the slack; the move
     test compares against the exact cheapest-path value, the same quantity
     ``is_nash`` checks, so a converged profile is always an equilibrium.
     When ``max_iters`` passes end without a quiet pass the trace is returned
@@ -349,7 +421,7 @@ def run_dynamics(
             pid = player.player_id
             previous = report.player_costs[pid]
             path, new_cost, attainable = state.respond(player, rng)
-            if attainable < previous - TOLERANCE:
+            if state.improves(player.root, player.leaf, attainable, previous):
                 state.place(pid, path)
                 profile = profile.replace(pid, path)
                 report = cost_report(graph, profile, delta)

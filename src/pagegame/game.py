@@ -38,8 +38,15 @@ from .errors import (
 
 NODE_KINDS = frozenset({"document-root", "element", "attribute", "text", "abstract"})
 
-#: Tolerance used by every floating-point comparison in the engine.
+#: Tolerance of every floating-point comparison in the engine, widened by
+#: ``slack`` only where the values compared are large.
 TOLERANCE = 1e-9
+
+
+def slack(value: float, terms: int) -> float:
+    """Comparison slack for sums of ``terms`` floats of magnitude ``value``:
+    ``TOLERANCE``, or more where two orders of summing can round further apart."""
+    return max(TOLERANCE, terms * math.ulp(value))
 
 
 def _fold(values: Iterable[float]) -> float:

@@ -11,10 +11,13 @@ one-line recipe that any implementation can reproduce bit for bit:
 
 Derived draws are defined on top of the raw stream:
 
-* ``randrange(n)`` is ``next_u64() mod n``; by the modulo bias the most
-  likely outcome is more likely than the least likely one by a relative
-  ``1 / floor(2^64 / n)``, about ``n / 2^64`` (2^-45.6 for a 352,716-way
-  tie);
+* ``randrange(n)`` reads ``k = max(1, ceil(bitlength(n - 1) / 64))``
+  words, concatenates them with the first as the most significant into a
+  ``64 k``-bit value ``v`` and returns ``v mod n``. For every ``n <= 2^64``
+  that is one word, ``next_u64() mod n``. By the modulo bias the most likely
+  outcome is more likely than the least likely one by a relative
+  ``1 / floor(2^(64 k) / n)``, about ``n / 2^(64 k)`` (2^-45.6 for a
+  352,716-way tie, 2^-58 for a 2^70-way one);
 * ``shuffle`` is a Fisher-Yates pass from the last index down, swapping
   position ``i`` with position ``randrange(i + 1)``.
 """
@@ -41,7 +44,10 @@ class SplitMix64:
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange() requires n >= 1")
-        return self.next_u64() % n
+        value = self.next_u64()
+        for _ in range(((n - 1).bit_length() - 1) // 64):
+            value = value << 64 | self.next_u64()
+        return value % n
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

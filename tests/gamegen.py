@@ -7,6 +7,7 @@ import itertools
 import random
 
 from pagegame import (
+    GameGraph,
     GameInstance,
     Player,
     StrategyProfile,
@@ -116,6 +117,21 @@ def layered_game(seed: int, delta: float, count: int = 10) -> tuple:
         if leaf in graph.reachable(root):
             players.append(Player(len(players) + 1, root, leaf))
     return graph, tuple(players), delta
+
+
+def diamond_chain(diamonds: int, extra=lambda i: 0.0) -> GameGraph:
+    """``diamonds`` two-way diamonds in a row, ``v0`` to ``v{diamonds}``:
+    every edge costs 1, except that the second edge of diamond ``i``'s lower
+    branch costs ``1 + extra(i)``. With no extra all 2**diamonds paths tie."""
+    nodes = [(f"v{i}", "abstract") for i in range(diamonds + 1)]
+    edges = []
+    for i in range(diamonds):
+        for side in "ab":
+            nodes.append((f"m{i}{side}", "abstract"))
+            edges.append((f"e{i:02d}{side}1", f"v{i}", f"m{i}{side}", 1.0))
+            cost = 1.0 + extra(i) if side == "b" else 1.0
+            edges.append((f"e{i:02d}{side}2", f"m{i}{side}", f"v{i + 1}", cost))
+    return build_graph(nodes, edges)
 
 
 def corpus(count: int = 200, base_seed: int = 20_000) -> list[GameInstance]:

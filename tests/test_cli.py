@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from pagegame import GameInstance, Player
 from pagegame.cli import main
 
-from gamegen import build_d1
+from gamegen import build_d1, diamond_chain, instance_to_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -425,6 +426,56 @@ def test_solve_then_check_round_trip_on_random_instances(tmp_path):
         assert main(["check", "--instance", str(path), "--report", str(out)]) == 0
 
 
+LARGE_COST_CHAIN = {
+    "format_version": 1,
+    "nodes": [{"id": f"v{i}", "kind": "abstract"} for i in range(4)],
+    "edges": [
+        {"id": "a", "src": "v0", "dst": "v1", "cost": 686433675450.4867},
+        {"id": "b", "src": "v1", "dst": "v2", "cost": 809851016021.9619},
+        {"id": "c", "src": "v2", "dst": "v3", "cost": 184473628096.8114},
+    ],
+    "players": [{"id": 1, "root": "v0", "leaf": "v3"}, {"id": 2, "root": "v1", "leaf": "v3"}],
+}
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.5))
+def test_large_costs_solve_and_check(tmp_path, capsys, delta):
+    # Summed from the root, (a + b) + c ends in .2603; summed from the leaf,
+    # a + (b + c) ends in .26: further apart than TOLERANCE, within 3 ulps.
+    a, b, c = (edge["cost"] for edge in LARGE_COST_CHAIN["edges"])
+    assert 1e-9 < (a + b) + c - (a + (b + c)) <= 3 * math.ulp(a + b + c)
+    instance = _write(tmp_path, "chain.json", dict(LARGE_COST_CHAIN, delta=delta))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(instance), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["converged"] is True and report["iterations"] == 1
+    assert report["final_profile"] == {"1": ["a", "b", "c"], "2": ["b", "c"]}
+    assert main(["check", "--instance", str(instance), "--report", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_large_costs_solve_then_check_round_trip_on_random_instances(tmp_path, capsys):
+    import random
+
+    from gamegen import random_instance
+    from pagegame import build_graph
+
+    for seed in range(5000, 5020):
+        inst = random_instance(seed, delta=(seed % 3) * 0.5)
+        rng = random.Random(seed)
+        scale = 10 ** rng.uniform(9, 13)
+        graph = build_graph(inst.graph.nodes.values(), [
+            (e.edge_id, e.src, e.dst, e.cost * scale * rng.uniform(0.9, 1.1))
+            for e in inst.graph.edges
+        ])
+        path = _write(tmp_path, f"inst_{seed}.json",
+                      instance_to_json(GameInstance(graph, inst.players, inst.delta)))
+        out = tmp_path / f"report_{seed}.json"
+        assert main(["solve", "--instance", str(path), "--output", str(out)]) == 0
+        assert main(["check", "--instance", str(path), "--report", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+
 def test_report_missing_report_file(d1_file, tmp_path):
     absent = tmp_path / "absent.json"
     assert main(["report", "--instance", str(d1_file), "--report", str(absent)]) == 1
@@ -551,21 +602,10 @@ def test_deeply_nested_document_solves_enumerates_and_checks(tmp_path, capsys, d
 
 def _diamond_chain(tmp_path, diamonds, players):
     """``diamonds`` two-way diamonds in a row: 2**diamonds root-leaf paths."""
-    nodes = [f"v{i}" for i in range(diamonds + 1)]
-    edges = []
-    for i in range(diamonds):
-        for side, cost in (("a", 1.0), ("b", 2.0)):
-            nodes.append(f"m{i}{side}")
-            edges.append((f"e{i:02d}{side}1", f"v{i}", f"m{i}{side}", cost))
-            edges.append((f"e{i:02d}{side}2", f"m{i}{side}", f"v{i + 1}", cost))
-    return _write(tmp_path, "diamonds.json", {
-        "format_version": 1,
-        "delta": 0.0,
-        "nodes": [{"id": n, "kind": "abstract"} for n in nodes],
-        "edges": [{"id": e, "src": s, "dst": d, "cost": c} for e, s, d, c in edges],
-        "players": [{"id": i + 1, "root": "v0", "leaf": f"v{diamonds}"}
-                    for i in range(players)],
-    })
+    chain = diamond_chain(diamonds)
+    crossing = tuple(Player(i + 1, "v0", f"v{diamonds}") for i in range(players))
+    return _write(tmp_path, "diamonds.json",
+                  instance_to_json(GameInstance(chain, crossing, 0.0)))
 
 
 def test_enumerate_refuses_oversized_space_before_listing_paths(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import time
 
 import pytest
 
@@ -17,10 +19,19 @@ from pagegame import (
     reweight,
     run_dynamics,
 )
-from pagegame import dynamics, game
+from pagegame import SplitMix64, dynamics, game
+from pagegame.cli import main
 from pagegame.errors import UnknownPlayer
 
-from gamegen import DELTAS, build_d1, first_path_profile, random_instance, search_log
+from gamegen import (
+    DELTAS,
+    build_d1,
+    diamond_chain,
+    first_path_profile,
+    instance_to_json,
+    random_instance,
+    search_log,
+)
 
 TOL = 1e-9
 
@@ -330,3 +341,35 @@ def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, i
     is_nash(graph, trace.final_profile, inst.delta)
     assert len(loads) == 1
     assert sorted(searched) == sorted({p.root for p in inst.players})
+
+
+# ---------------------------------------------------------------- tie counting
+
+@pytest.mark.parametrize("diamonds", (60, 70))
+def test_solve_counts_and_draws_exponential_ties_exactly(tmp_path, monkeypatch, diamonds):
+    # 2**diamonds equal paths: the count is exact, and the drawn index picks
+    # its path by lexicographic rank, the first diamond's branch first.
+    draws = []
+    randrange = SplitMix64.randrange
+
+    def recorded(self, n):
+        draws.append((n, randrange(self, n)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(SplitMix64, "randrange", recorded)
+    graph = diamond_chain(diamonds)
+    instance = GameInstance(graph, (Player(1, "v0", f"v{diamonds}"),), 0.0)
+    path = tmp_path / "diamonds.json"
+    path.write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["solve", "--instance", str(path), "--seed", "5", "--output", str(out)]) == 0
+    assert time.perf_counter() - started < 1.0
+    # One draw for the greedy start, one for the quiet pass.
+    assert [n for n, _ in draws] == [2**diamonds, 2**diamonds]
+    rank = draws[0][1]
+    if diamonds > 64:
+        assert rank >= 2**64  # out of reach of a one-word draw
+    sides = [rank >> (diamonds - 1 - i) & 1 for i in range(diamonds)]
+    expected = [f"e{i:02d}{'ab'[side]}{k}" for i, side in enumerate(sides) for k in (1, 2)]
+    assert json.loads(out.read_text())["final_profile"] == {"1": expected}

@@ -10,7 +10,14 @@ from pagegame import dynamics
 from pagegame.errors import NoPath
 
 import reference_dynamics as reference
-from gamegen import DELTAS, all_profiles, first_path_profile, layered_game, random_instance
+from gamegen import (
+    DELTAS,
+    all_profiles,
+    diamond_chain,
+    first_path_profile,
+    layered_game,
+    random_instance,
+)
 
 SCHEDULES = ("round-robin", "random")
 
@@ -56,6 +63,43 @@ def test_traces_match_reference_on_gamegen_games(delta):
 def test_traces_match_reference_on_layered_games(delta):
     for seed in range(6):
         _assert_same_dynamics(*layered_game(3100 + seed, delta))
+
+
+def _near_tie_diamonds():
+    """Twelve diamonds whose lower branches cost more by distinct amounts
+    below TOLERANCE: tied prefixes reach a node with many different
+    accumulated weights, and only the cheaper combinations stay tied."""
+    graph = diamond_chain(12, extra=lambda i: (i + 1) * 3e-11)
+    players = (Player(1, "v0", "v12"), Player(2, "v0", "v12"), Player(3, "v2", "v10"),
+               Player(4, "v1", "m7b"), Player(5, "m0a", "v12"))
+    return graph, players
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_traces_match_reference_on_near_tie_diamonds(delta):
+    _assert_same_dynamics(*_near_tie_diamonds(), delta)
+
+
+@pytest.mark.parametrize("per_node", (0, 0.25))
+def test_traces_match_reference_with_a_tiny_tie_memo(monkeypatch, per_node):
+    # Past the memo cap, drawing a path counts the subtrees it passes again.
+    monkeypatch.setattr(dynamics, "_MEMO_PER_NODE", per_node)
+    calls = {"_ties": 0, "_count": 0}
+    for name in calls:
+        original = getattr(dynamics._State, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(dynamics._State, name, counted)
+    for seed, delta in zip(range(6), itertools.cycle(DELTAS)):
+        _assert_same_dynamics(*layered_game(3100 + seed, delta))
+    for seed, delta in zip(range(20), itertools.cycle(DELTAS)):
+        inst = random_instance(3000 + seed, delta=delta)
+        _assert_same_dynamics(inst.graph, inst.players, delta)
+    _assert_same_dynamics(*_near_tie_diamonds(), 0.0)
+    assert calls["_count"] > calls["_ties"] > 0
 
 
 def test_missing_path_raises_like_reference():

@@ -43,3 +43,31 @@ def test_shuffle_is_seed_deterministic():
     SplitMix64(99).shuffle(items2)
     assert items1 == items2
     assert sorted(items1) == list(range(10))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 352_716, 2**63 + 1, 2**64 - 1, 2**64))
+def test_randrange_up_to_two_to_the_64_reads_one_word(n):
+    rng, twin = SplitMix64(11), SplitMix64(11)
+    for _ in range(20):
+        assert rng.randrange(n) == twin.next_u64() % n
+    assert rng.next_u64() == twin.next_u64()
+
+
+def test_randrange_past_two_to_the_64_concatenates_words():
+    rng, twin = SplitMix64(5), SplitMix64(5)
+    draws = []
+    for _ in range(50):
+        draws.append(rng.randrange(2**100))
+        high, low = twin.next_u64(), twin.next_u64()
+        assert draws[-1] == (high << 64 | low) % 2**100
+    assert rng.next_u64() == twin.next_u64()
+    assert max(draws) >= 2**64
+
+
+@pytest.mark.parametrize("n, words", ((2**64 + 1, 2), (2**128, 2), (2**128 + 1, 3)))
+def test_randrange_reads_as_many_words_as_n_minus_one_has_bits(n, words):
+    rng, twin = SplitMix64(3), SplitMix64(3)
+    rng.randrange(n)
+    for _ in range(words):
+        twin.next_u64()
+    assert rng.next_u64() == twin.next_u64()
