@@ -29,12 +29,13 @@ from .errors import EngineError, MalformedInstance, NegativeDelta, SearchSpaceTo
 from .game import (
     TOLERANCE,
     GameInstance,
+    Tally,
     cost_report,
     player_cost,
     slack,
     validate_profile,
 )
-from .instance import load_instance
+from .instance import load_instance, number
 from .reporting import (
     canonical_json,
     load_report,
@@ -178,14 +179,11 @@ def _report_profile(args):
     if report.get("final_profile") is None:
         raise MalformedInstance("report holds no final profile")
     profile = profile_from_json(report["final_profile"])
-    delta = report.get("delta", 0.0)
-    if args.delta is not None:
-        delta = args.delta
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-        raise MalformedInstance("report delta must be a number")
+    delta = report.get("delta", 0.0) if args.delta is None else args.delta
+    delta = number(delta, "report delta must be a number")
     if not (0.0 <= delta < math.inf):
         raise NegativeDelta(delta)
-    return profile, float(delta)
+    return profile, delta
 
 
 def _cmd_check(args) -> int:
@@ -234,38 +232,32 @@ def _cmd_check(args) -> int:
          "" if aggregated else f"player costs sum to {total_player}, expected {expected}")
     )
 
-    identity_ok = True
     identity_detail = ""
     for player in instance.players:
         pid = player.player_id
         for alt in oracle.enumerate_paths(graph, player.root, player.leaf):
             if alt == profile.path(pid):
                 continue
-            deviated = cost_report(graph, profile.replace(pid, alt), delta)
-            d_phi = report.potential - deviated.potential
-            d_cost = report.player_costs[pid] - deviated.player_costs[pid]
+            deviated = Tally(graph, profile.replace(pid, alt), delta)
+            phi = deviated.potential()
+            d_phi = report.potential - phi
+            d_cost = report.player_costs[pid] - deviated.cost(pid)
             gap = abs(d_phi - d_cost)
             # slack() is never below TOLERANCE; most deviations stop here.
             if gap > TOLERANCE and gap > slack(
-                max(report.potential, deviated.potential), 2 * (terms + len(alt) + 2)
+                max(report.potential, phi), 2 * (terms + len(alt) + 2)
             ):
-                identity_ok = False
                 identity_detail = (
                     f"player {pid} via [{', '.join(alt)}]: "
                     f"potential moved {d_phi}, cost moved {d_cost}"
                 )
                 break
-        if not identity_ok:
+        if identity_detail:
             break
-    results.append(("potential-identity", identity_ok, identity_detail))
+    results.append(("potential-identity", not identity_detail, identity_detail))
 
-    lines = []
-    for name, passed, info in results:
-        if passed:
-            lines.append(f"PASS {name}")
-        else:
-            lines.append(f"FAIL {name}: {info}")
-    _emit("".join(line + "\n" for line in lines), args.output)
+    lines = [f"PASS {name}\n" if ok else f"FAIL {name}: {info}\n" for name, ok, info in results]
+    _emit("".join(lines), args.output)
     return EXIT_OK if all(passed for _, passed, _ in results) else EXIT_CHECK_FAILED
 
 

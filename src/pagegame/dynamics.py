@@ -15,15 +15,15 @@ depend on the candidate path, hence cheapest-path minimization is exact.
 Each call of ``run_dynamics``, ``best_response`` or ``is_nash`` keeps one
 private state for all its best responses; only the graph's memos outlive it:
 
-* the edge loads of the current profile. A best response lifts the
-  player's own path off them and puts it back; a move swaps the old path
-  for the new one, so each costs O(path length);
+* the current profile's ``game.Tally``: edge loads, loaded edges and page
+  cost. A best response lifts the player's own path off the loads and puts
+  it back; a move swaps the old path for the new one, so each costs O(path
+  length). The page cost is the others' unless one of the player's own
+  edges drops to load 0, when the sum skips those edges. The costs and
+  potentials of the trace are read from it: the floats of ``cost_report``;
 * the graph's plan of each root-leaf pair (``GameGraph.between``). A best
   response relaxes only its plan, weighing each out-edge inline in edge-id
-  order; distances stay infinite outside it;
-* the loaded edges in declaration order and the ``ordered_sum`` of their
-  costs. That is the others' page cost unless one of the player's own edges
-  drops to load 0, when the sum skips those edges.
+  order; distances stay infinite outside it.
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
@@ -56,7 +56,6 @@ least two tied candidates, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,7 +66,7 @@ from .game import (
     GameGraph,
     Player,
     StrategyProfile,
-    cost_report,
+    Tally,
     load_map,
     ordered_sum,
     slack,
@@ -128,42 +127,17 @@ def reweight(
     return weights
 
 
-class _State:
+class _State(Tally):
     """The per-call best-response state described in the module docstring."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
-        self.graph = graph
-        self.delta = delta
-        self.index = index = graph.index
-        self.fresh = [cost * (delta + 1.0) for cost in index.costs]
-        self.loads = loads = [0] * len(index.costs)
-        self.paths = {pid: index.positions(path) for pid, path in profile.items()}
-        for path in self.paths.values():
-            for e in path:
-                loads[e] += 1
-        self.used = [e for e, load in enumerate(loads) if load]
-        self.page: float | None = None
-        self.weights = [0.0] * len(loads)
+        super().__init__(graph, profile, delta)
+        self.fresh = [cost * (delta + 1.0) for cost in self.index.costs]
+        self.weights = [0.0] * len(self.loads)
         # All infinite between best responses: a relaxation writes only its
         # plan, so every edge leaving the plan reads an infinite distance.
         self.dist = [math.inf] * len(graph.nodes)
         self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
-
-    def place(self, player_id: int, path: Sequence[str]) -> None:
-        """Move a player from its current path (if any) onto ``path``."""
-        new = self.index.positions(path)
-        loads, used = self.loads, self.used
-        for e in self.paths.get(player_id, ()):
-            loads[e] -= 1
-            if not loads[e]:
-                del used[bisect.bisect_left(used, e)]
-                self.page = None
-        for e in new:
-            if not loads[e]:
-                bisect.insort(used, e)
-                self.page = None
-            loads[e] += 1
-        self.paths[player_id] = new
 
     def _lift(self, own: Sequence[int], by: int) -> None:
         loads = self.loads
@@ -202,9 +176,7 @@ class _State:
         dropped = {e for e in own if not self.loads[e]}
         if dropped:
             return ordered_sum(costs[e] for e in self.used if e not in dropped)
-        if self.page is None:
-            self.page = ordered_sum(costs[e] for e in self.used)
-        return self.page
+        return self.page()
 
     def attainable(self, player_id: int, root: str, leaf: str) -> float:
         """Least cost the player can reach against the others' paths."""
@@ -353,18 +325,16 @@ def best_response(
     """
     current = profile.path(player_id)
     player = Player(player_id, graph.edge(current[0]).src, graph.edge(current[-1]).dst)
-    path, _, _ = _State(graph, profile, delta).respond(player, SplitMix64(seed))
-    return path
+    return _State(graph, profile, delta).respond(player, SplitMix64(seed))[0]
 
 
 def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
     """True iff no player can cut its cost by more than the slack
     (``TOLERANCE`` for moderate costs)."""
-    costs = cost_report(graph, profile, delta).player_costs
     state = _State(graph, profile, delta)
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
-        if state.improves(root, leaf, state.attainable(pid, root, leaf), costs[pid]):
+        if state.improves(root, leaf, state.attainable(pid, root, leaf), state.cost(pid)):
             return False
     return True
 
@@ -395,52 +365,38 @@ def run_dynamics(
     if initial is None:
         # Greedy start: each player best-responds to those placed before it.
         state = _State(graph, StrategyProfile({}), delta)
-        paths: dict[int, tuple[str, ...]] = {}
         for player in players:
-            path, _, _ = state.respond(player, rng)
-            state.place(player.player_id, path)
-            paths[player.player_id] = path
-        profile = StrategyProfile(paths)
+            state.place(player.player_id, state.respond(player, rng)[0])
+        initial = state.profile()
     else:
         validate_profile(graph, players, initial)
-        profile = initial
-        state = _State(graph, profile, delta)
-    initial_profile = profile
+        state = _State(graph, initial, delta)
 
     steps: list[Step] = []
-    report = cost_report(graph, profile, delta)
-    converged = False
-    passes = 0
-    for pass_no in range(1, max_iters + 1):
-        passes = pass_no
+    potential = state.potential()
+    for passes in range(1, max_iters + 1):
         order = list(players)
         if schedule.kind == "random":
             rng.shuffle(order)
         moved = False
         for player in order:
             pid = player.player_id
-            previous = report.player_costs[pid]
+            previous = state.cost(pid)
             path, new_cost, attainable = state.respond(player, rng)
             if state.improves(player.root, player.leaf, attainable, previous):
                 state.place(pid, path)
-                profile = profile.replace(pid, path)
-                report = cost_report(graph, profile, delta)
-                steps.append(
-                    Step(pass_no, pid, previous, new_cost, report.potential, True, path)
-                )
+                potential = state.potential()
+                steps.append(Step(passes, pid, previous, new_cost, potential, True, path))
                 moved = True
             else:
-                steps.append(
-                    Step(pass_no, pid, previous, previous, report.potential, False, None)
-                )
+                steps.append(Step(passes, pid, previous, previous, potential, False, None))
         if not moved:
-            converged = True
             break
 
     return DynamicsTrace(
         steps=tuple(steps),
-        converged=converged,
-        final_profile=profile,
-        initial_profile=initial_profile,
+        converged=not moved,
+        final_profile=state.profile(),
+        initial_profile=initial,
         passes=passes,
     )

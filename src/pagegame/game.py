@@ -7,16 +7,20 @@ root-to-leaf path; the cost of every edge is split equally among the
 players using it, and a player may additionally carry a ``delta``-weighted
 copy of the whole page cost as a cooperative term.
 
-Every function here is pure and no type changes after construction, but a
-graph fills its integer index, reachability memo and root-leaf plans,
-idempotently, on first use. Floating-point sums always run left to right
-(``ordered_sum``) in a canonical order (edge declaration order, player id
-order), so results are reproducible across processes and Python versions.
+Outside the oracle's sweeps, costs, potentials and page costs are read from
+a ``Tally`` of a profile's edge loads, the only type here that changes after
+construction (``place`` moves a player); a graph only fills its integer
+index, reachability memo and root-leaf plans, idempotently, on first use.
+Floating-point sums always run left to right (``ordered_sum``) in a
+canonical order (edge declaration order, player id order), so results are
+reproducible across processes and Python versions.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -112,7 +116,7 @@ class GraphIndex:
     def positions(self, path: Iterable[str]) -> tuple[int, ...]:
         """Declaration positions of a path's edges."""
         try:
-            return tuple([self.edge_position[edge_id] for edge_id in path])
+            return tuple(map(self.edge_position.__getitem__, path))
         except KeyError as exc:
             raise GraphError(f"unknown edge id {exc.args[0]!r}") from None
 
@@ -298,12 +302,6 @@ class StrategyProfile:
             {pid: path for pid, path in self.paths.items() if pid != player_id}
         )
 
-    def used_edges(self) -> set[str]:
-        used: set[str] = set()
-        for _, path in self.items():
-            used.update(path)
-        return used
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -328,6 +326,11 @@ class GameInstance:
         object.__setattr__(self, "players", tuple(self.players))
         if not (0.0 <= self.delta < math.inf):
             raise NegativeDelta(self.delta)
+        # Every cost, potential and sum that check forms stays below this bound.
+        total = ordered_sum([edge.cost for edge in self.graph.edges])
+        if math.isinf(total * (1.0 + self.delta) * (len(self.players) + 1)):
+            raise GraphError(
+                f"edge costs too large: total {total} overflows at delta {self.delta}")
         validate_players(self.graph, self.players)
 
 
@@ -340,10 +343,75 @@ def load_map(profile: StrategyProfile) -> dict[str, int]:
     return loads
 
 
+class Tally:
+    """A profile's edge loads and page cost, all by declaration position:
+    ``loads[e]``, each player's path in ``paths`` and the loaded edges in
+    ``used``, in order. The page cost is summed on first use after a change.
+    With ``delta == 0`` the social terms are skipped entirely, so player
+    costs equal the pure shared-path costs bit for bit.
+    """
+
+    def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float = 0.0):
+        self.graph = graph
+        self.delta = delta
+        self.index = index = graph.index
+        self.loads = loads = [0] * len(index.costs)
+        self.paths = {pid: index.positions(path) for pid, path in profile.items()}
+        for path in self.paths.values():
+            for e in path:
+                loads[e] += 1
+        self.used = list(itertools.compress(range(len(loads)), loads))
+        self._page: float | None = None
+
+    def place(self, player_id: int, path: Sequence[str]) -> None:
+        """Move a player from its current path (if any) onto ``path``."""
+        new = self.index.positions(path)
+        loads, used = self.loads, self.used
+        for e in self.paths.get(player_id, ()):
+            loads[e] -= 1
+            if not loads[e]:
+                del used[bisect.bisect_left(used, e)]
+                self._page = None
+        for e in new:
+            if not loads[e]:
+                bisect.insort(used, e)
+                self._page = None
+            loads[e] += 1
+        self.paths[player_id] = new
+
+    def profile(self) -> StrategyProfile:
+        ids = self.index.edge_ids
+        return StrategyProfile({pid: [ids[e] for e in path] for pid, path in self.paths.items()})
+
+    def page(self) -> float:
+        """Total cost of the loaded edges, each counted once."""
+        if self._page is None:
+            costs = self.index.costs
+            self._page = ordered_sum([costs[e] for e in self.used])
+        return self._page
+
+    def cost(self, player_id: int) -> float:
+        """The player's Shapley shares plus ``delta`` times the page cost."""
+        costs, loads = self.index.costs, self.loads
+        own = ordered_sum([costs[e] / loads[e] for e in self.paths[player_id]])
+        return own + self.delta * self.page() if self.delta else own
+
+    def potential(self) -> float:
+        """Exact potential: each ``cost / x`` for ``x`` up to an edge's load,
+        added into one running total, plus ``delta`` times the page cost. A
+        unilateral path change moves it by exactly the mover's cost change."""
+        costs, loads = self.index.costs, self.loads
+        total = 0.0
+        for e in self.used:
+            cost = costs[e]
+            for x in range(1, loads[e] + 1):
+                total += cost / x
+        return total + self.delta * self.page() if self.delta else total
+
+
 def page_cost(graph: GameGraph, profile: StrategyProfile) -> float:
     """Total cost of the union of all chosen paths, each edge counted once."""
-    used = profile.used_edges()
-    return ordered_sum(edge.cost for edge in graph.edges if edge.edge_id in used)
+    return Tally(graph, profile).page()
 
 
 def shapley_share(cost: float, load: int) -> float:
@@ -358,48 +426,26 @@ def player_cost(
 ) -> float:
     """Shapley path cost plus ``delta`` times the page cost."""
     profile.path(player_id)
-    return cost_report(graph, profile, delta).player_costs[player_id]
+    return Tally(graph, profile, delta).cost(player_id)
 
 
 def potential(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> float:
-    """Exact potential: harmonic edge terms plus ``delta`` times page cost.
-
-    For every unilateral path change the potential moves by exactly the
-    deviating player's cost change.
-    """
-    return cost_report(graph, profile, delta).potential
+    """Exact potential (``Tally.potential``)."""
+    return Tally(graph, profile, delta).potential()
 
 
 def cost_report(
     graph: GameGraph, profile: StrategyProfile, delta: float = 0.0
 ) -> CostReport:
-    """Page cost, edge shares, player costs and potential of one profile.
-
-    One pass over the edges in declaration order accumulates the page cost,
-    the shares and the harmonic potential terms. With ``delta == 0`` the
-    social terms are skipped entirely, so player costs equal the pure
-    shared-path costs bit for bit.
-    """
-    loads = load_map(profile)
-    used_costs: list[float] = []
-    shares: dict[str, float] = {}
-    total = 0.0
-    for edge in graph.edges:
-        count = loads.get(edge.edge_id, 0)
-        if count:
-            used_costs.append(edge.cost)
-            shares[edge.edge_id] = edge.cost / count
-            for x in range(1, count + 1):
-                total += edge.cost / x
-    for edge_id in loads.keys() - shares.keys():
-        graph.edge(edge_id)  # raises GraphError for an edge the graph lacks
-    page = ordered_sum(used_costs)
-    players = {pid: ordered_sum(shares[e] for e in path) for pid, path in profile.items()}
-    if delta:
-        players = {pid: own + delta * page for pid, own in players.items()}
-        total += delta * page
+    """Page cost, edge shares, player costs and potential of one profile."""
+    tally = Tally(graph, profile, delta)
+    ids, costs, loads = tally.index.edge_ids, tally.index.costs, tally.loads
     return CostReport(
-        page_cost=page, player_costs=players, shares=shares, potential=total, delta=delta
+        page_cost=tally.page(),
+        player_costs={pid: tally.cost(pid) for pid in tally.paths},
+        shares={ids[e]: costs[e] / loads[e] for e in tally.used},
+        potential=tally.potential(),
+        delta=delta,
     )
 
 
@@ -443,10 +489,9 @@ def validate_profile(
             raise InvalidProfile(pid, f"path starts at {edges[0].src!r}, not the root")
         if edges[-1].dst != player.leaf:
             raise InvalidProfile(pid, f"path ends at {edges[-1].dst!r}, not the leaf")
-        visited = [edges[0].src]
         for prev, nxt in zip(edges, edges[1:]):
             if prev.dst != nxt.src:
                 raise InvalidProfile(pid, "consecutive edges do not connect")
-        visited.extend(edge.dst for edge in edges)
+        visited = [edges[0].src] + [edge.dst for edge in edges]
         if len(set(visited)) != len(visited):
             raise InvalidProfile(pid, "path revisits a node")

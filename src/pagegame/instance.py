@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .dom import (
@@ -31,14 +32,22 @@ _EXPLICIT_KEYS = ("nodes", "edges", "players")
 _DOCUMENT_KEYS = ("document", "devices")
 
 
+def number(value: Any, message: str, *args) -> float:
+    """A JSON number as a float, infinite past the float range; else malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedInstance(message % args)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise MalformedInstance(f"{where}: missing key {key!r}")
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedInstance(f"{where}: {key!r} must be a number")
-        return float(value)
+        return number(value, "%s: %r must be a number", where, key)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise MalformedInstance(f"{where}: {key!r} must be an integer")
@@ -155,9 +164,7 @@ def _parse_document_form(obj: dict, delta: float) -> GameInstance:
         overrides = _require(section, "base_costs", dict, "cost_model")
         base = dict(model.base_costs)
         for kind, value in overrides.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedInstance(f"cost_model: base cost for {kind!r} must be a number")
-            base[str(kind)] = float(value)
+            base[str(kind)] = number(value, "cost_model: base cost for %r must be a number", kind)
         model = CostModel(base_costs=base)
 
     return build_game(parse_document(text), devices, cost_model=model, delta=delta)
@@ -166,7 +173,7 @@ def _parse_document_form(obj: dict, delta: float) -> GameInstance:
 def instance_from_text(text: str) -> GameInstance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedInstance(f"not valid JSON: {exc}") from None
     return parse_instance(obj)
 
@@ -175,6 +182,6 @@ def load_instance(path: str) -> GameInstance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise MalformedInstance(f"cannot read instance file: {exc}") from None
     return instance_from_text(text)

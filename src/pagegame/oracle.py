@@ -204,7 +204,7 @@ def union_is_forest(graph: GameGraph, profile: StrategyProfile) -> bool:
     Parallel edges count separately: two players on parallel edges between
     the same nodes already form an undirected cycle.
     """
-    used = profile.used_edges()
+    used = set().union(*profile.paths.values())
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:

@@ -124,7 +124,7 @@ def load_report(path: str) -> dict[str, Any]:
             obj = json.load(handle)
     except OSError as exc:
         raise MalformedInstance(f"cannot read report file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedInstance(f"report is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("kind") != "run-report":
         raise MalformedInstance("file is not a run report")

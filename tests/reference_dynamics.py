@@ -6,6 +6,10 @@ weighs all edges, relaxes the whole graph and lists the tied paths with a
 recursive walk. The engine keeps its loads across activations and relaxes
 only each player's root-leaf subgraph; the tests require both to produce
 the same traces, answers and floats bit for bit.
+
+Comparisons allow the engine's ``game.slack``, with the engine's term
+counts: the nodes on some root-leaf path (leaf excluded), found here from
+the definition, plus the loaded edges when ``delta > 0``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import math
 from pagegame.dynamics import DynamicsTrace, Schedule, Step
 from pagegame.errors import NoPath
 from pagegame.game import (
-    TOLERANCE,
     Player,
     StrategyProfile,
     cost_report,
     load_map,
     page_cost,
+    slack,
     validate_profile,
 )
 from pagegame.rng import SplitMix64
@@ -49,13 +53,32 @@ def distance_to(graph, weights, target):
     return dist
 
 
-def cheapest_paths(graph, weights, root, leaf, tol=TOLERANCE):
-    """Minimum root-leaf weight and every path within ``tol`` of it, in
+def plan_size(graph, root, leaf):
+    """Number of nodes on some ``root``-``leaf`` path, the leaf excluded."""
+    below = {root}
+    for nid in graph.topo_order:
+        if nid in below:
+            below.update(edge.dst for edge in graph.out_edges(nid))
+    above = {leaf}
+    for nid in reversed(graph.topo_order):
+        if any(edge.dst in above for edge in graph.out_edges(nid)):
+            above.add(nid)
+    return len(below & above) - 1 if leaf in below else 0
+
+
+def improves(graph, profile, root, leaf, attainable, current, delta):
+    terms = plan_size(graph, root, leaf) + (len(load_map(profile)) if delta else 0)
+    return attainable < current - slack(current, terms)
+
+
+def cheapest_paths(graph, weights, root, leaf):
+    """Minimum root-leaf weight and every path within the slack of it, in
     lexicographic edge-id order with its accumulated weight."""
     to_leaf = distance_to(graph, weights, leaf)
     best = to_leaf[root]
     if math.isinf(best):
         return best, []
+    bound = best + slack(best, plan_size(graph, root, leaf))
     ties = []
     stack = []
 
@@ -65,7 +88,7 @@ def cheapest_paths(graph, weights, root, leaf, tol=TOLERANCE):
             return
         for edge in graph.out_edges(node):
             through = acc + weights[edge.edge_id]
-            if through + to_leaf[edge.dst] <= best + tol:
+            if through + to_leaf[edge.dst] <= bound:
                 stack.append(edge.edge_id)
                 walk(edge.dst, through)
                 stack.pop()
@@ -101,7 +124,7 @@ def is_nash(graph, profile, delta=0.0):
         best = distance_to(graph, weights, leaf)[root]
         if delta:
             best += delta * page_cost(graph, others)
-        if best < costs[pid] - TOLERANCE:
+        if improves(graph, profile, root, leaf, best, costs[pid], delta):
             return False
     return True
 
@@ -134,7 +157,7 @@ def run_dynamics(graph, players, delta=0.0, schedule=None, max_iters=10000, init
             pid = player.player_id
             previous = report.player_costs[pid]
             path, new_cost, attainable = respond(graph, profile, player, delta, rng)
-            if attainable < previous - TOLERANCE:
+            if improves(graph, profile, player.root, player.leaf, attainable, previous, delta):
                 profile = profile.replace(pid, path)
                 report = cost_report(graph, profile, delta)
                 steps.append(

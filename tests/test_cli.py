@@ -538,6 +538,103 @@ def test_non_finite_number_fails_validation(tmp_path, capsys, instance, flags, f
     assert field in line and "finite" in line
 
 
+# An integer JSON reads exactly but float() cannot hold: it overflows.
+PAST_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "instance, field",
+    [
+        (_edited(D1_INSTANCE, lambda o: o["edges"][0].update(cost=PAST_FLOAT)), "edge 'a'"),
+        (_edited(D1_INSTANCE, lambda o: o.update(delta=PAST_FLOAT)), "delta"),
+        (_edited(_DOC_INSTANCE, lambda o: o["devices"][0].update(cost_factor=PAST_FLOAT)),
+         "cost_factor"),
+        (_edited(_DOC_INSTANCE,
+                 lambda o: o.update(cost_model={"base_costs": {"text": PAST_FLOAT}})),
+         "base cost for kind 'text'"),
+    ],
+    ids=["edge-cost", "instance-delta", "cost-factor", "base-cost"],
+)
+def test_integer_past_float_range_is_non_finite(tmp_path, capsys, instance, field):
+    path = _write(tmp_path, "inst.json", instance)
+    assert main(["solve", "--instance", str(path)]) == 2
+    line = _single_error_line(capsys)
+    assert field in line and "finite" in line and "inf" in line
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]
+)
+def test_report_delta_past_float_range_is_non_finite(d1_file, tmp_path, capsys, command):
+    report = {
+        "format_version": 1,
+        "kind": "run-report",
+        "delta": PAST_FLOAT,
+        "final_profile": {"1": ["a"], "2": ["a"]},
+    }
+    path = _write(tmp_path, "delta.json", report)
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 2
+    assert "delta must be finite" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "instance, flags",
+    [
+        (_edited(D1_INSTANCE, lambda o: o["edges"][1].update(cost=1.7e308)), []),
+        (_edited(D1_INSTANCE, lambda o: o["edges"][0].update(cost=1e300)), ["--delta", "1e10"]),
+        (_edited(_DOC_INSTANCE, lambda o: o.update(cost_model={"base_costs": {"element": 1e308}})),
+         []),
+    ],
+    ids=["edge-costs", "delta-flag", "base-costs"],
+)
+def test_costs_whose_sums_overflow_fail_validation(tmp_path, capsys, instance, flags):
+    # Each cost is finite, but the page cost or a player's cost would not be.
+    path = _write(tmp_path, "inst.json", instance)
+    for command in ("solve", "enumerate"):
+        assert main([command, "--instance", str(path), *flags]) == 2
+        assert "edge costs too large" in _single_error_line(capsys)
+
+
+# json.loads refuses integers of more than 4,300 digits (ValueError) and
+# nesting past the recursion limit (RecursionError).
+UNDECODABLE = {
+    "digits": '{"format_version": 1, "kind": "run-report", "delta": ' + "1" * 5000 + "}",
+    "nesting": "[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize("command", [["solve"], ["enumerate"]], ids=["solve", "enumerate"])
+def test_undecodable_instance_is_malformed(tmp_path, capsys, command, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, "--instance", str(path)]) == 1
+    assert "not valid JSON" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]
+)
+def test_undecodable_report_is_malformed(d1_file, tmp_path, capsys, command, text):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 1
+    assert "report is not valid JSON" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["instance", "report"])
+def test_file_not_utf8_is_malformed(d1_file, tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": 1, "kind": "run-report", "x": "\xe9"}')
+    if command == "instance":
+        argv = ["solve", "--instance", str(path)]
+    else:
+        argv = ["check", "--instance", str(d1_file), "--report", str(path)]
+    assert main(argv) == 1
+    assert "utf-8" in _single_error_line(capsys)
+
+
 @pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
 @pytest.mark.parametrize(
     "command", [["check"], ["report", "--format", "json"]], ids=["check", "report"]

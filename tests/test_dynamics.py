@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 
@@ -291,7 +292,19 @@ def _count_calls(monkeypatch, name: str, *modules) -> list:
         return original(*args, **kwargs)
 
     for module in modules:
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def _count_tallies(monkeypatch) -> list:
+    calls = []
+    original = game.Tally.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(game.Tally, "__init__", counted)
     return calls
 
 
@@ -308,39 +321,74 @@ COUNTED_GAMES = pytest.mark.parametrize(
 
 @COUNTED_GAMES
 def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
-    calls = _count_calls(monkeypatch, "cost_report", dynamics)
+    # One tally of the start profile per call, kept up to date move by move;
+    # every cost and potential is read from it, never from a cost report.
+    reports = _count_calls(monkeypatch, "cost_report", game, dynamics)
+    tallies = _count_tallies(monkeypatch)
     for initial in (None, start or first_path_profile(inst)):
-        calls.clear()
+        tallies.clear()
         trace = run_dynamics(inst.graph, inst.players, inst.delta, initial=initial)
-        moves = sum(step.path_changed for step in trace.steps)
-        assert len(calls) == 1 + moves
+        assert len(tallies) == 1
         if initial is not None:
-            assert moves > 0
+            assert sum(step.path_changed for step in trace.steps) > 0
 
-    calls.clear()
+    tallies.clear()
     is_nash(inst.graph, trace.final_profile, inst.delta)
-    assert len(calls) == 1
+    assert len(tallies) == 1
+    assert reports == []
 
 
 @COUNTED_GAMES
 def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, inst, start):
-    # Loads are tallied only by the cost reports (one per profile), and each
-    # distinct root is searched once per graph: at load, then never again.
+    # Loads are tallied only by the state's own tally, never into an id-keyed
+    # map, and each distinct root is searched once per graph: at load, then
+    # never again.
     graph = build_graph(inst.graph.nodes.values(), inst.graph.edges)
     searched = search_log(graph)
     instance = GameInstance(graph, inst.players, inst.delta)
     dataclasses.replace(instance, delta=inst.delta + 0.5)
     loads = _count_calls(monkeypatch, "load_map", game, dynamics)
     for initial in (None, start or first_path_profile(inst)):
-        loads.clear()
         trace = run_dynamics(graph, inst.players, inst.delta, initial=initial)
-        moves = sum(step.path_changed for step in trace.steps)
-        assert len(loads) == 1 + moves
-
-    loads.clear()
     is_nash(graph, trace.final_profile, inst.delta)
-    assert len(loads) == 1
+    assert loads == []
     assert sorted(searched) == sorted({p.root for p in inst.players})
+
+
+def _golden_and_gamegen_games():
+    from golden_corpus import games
+    from pagegame.instance import load_instance
+
+    for name, path in games().items():
+        inst = load_instance(str(path))
+        for delta in sorted({0.0, inst.delta or 0.5}):
+            yield name, dataclasses.replace(inst, delta=delta)
+    for seed, delta in zip(range(24), itertools.cycle(DELTAS)):
+        yield f"gamegen-{4000 + seed}", random_instance(4000 + seed, delta=delta)
+
+
+def test_each_step_reads_what_cost_report_computes():
+    # The state's costs and potential are the cost report's floats, bit for
+    # bit, at every step: before the step for the activated player's cost,
+    # after it for the potential.
+    checked = set()
+    for name, inst in _golden_and_gamegen_games():
+        starts = ((None, Schedule()), (first_path_profile(inst), Schedule("random", 5)))
+        for initial, schedule in starts:
+            trace = run_dynamics(inst.graph, inst.players, inst.delta, schedule, initial=initial)
+            profile = trace.initial_profile
+            for step in trace.steps:
+                before = game.cost_report(inst.graph, profile, inst.delta)
+                assert step.previous_cost.hex() == before.player_costs[step.player_id].hex()
+                if step.path_changed:
+                    profile = profile.replace(step.player_id, step.path)
+                after = game.cost_report(inst.graph, profile, inst.delta)
+                assert step.potential_after.hex() == after.potential.hex(), name
+                checked.add((inst.delta > 0, initial is None, step.path_changed))
+            assert profile == trace.final_profile
+    # Every kind of start at both kinds of delta; moves at both kinds of delta.
+    assert {key[:2] for key in checked} == set(itertools.product((False, True), repeat=2))
+    assert {(False, False, True), (True, False, True)} <= checked
 
 
 # ---------------------------------------------------------------- tie counting

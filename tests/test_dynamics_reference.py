@@ -2,10 +2,11 @@
 ``reference_dynamics``: same traces, same answers, floats bit for bit."""
 
 import itertools
+import random
 
 import pytest
 
-from pagegame import Player, Schedule, build_graph
+from pagegame import GameInstance, Player, Schedule, StrategyProfile, build_graph
 from pagegame import dynamics
 from pagegame.errors import NoPath
 
@@ -100,6 +101,41 @@ def test_traces_match_reference_with_a_tiny_tie_memo(monkeypatch, per_node):
         _assert_same_dynamics(inst.graph, inst.players, delta)
     _assert_same_dynamics(*_near_tie_diamonds(), 0.0)
     assert calls["_count"] > calls["_ties"] > 0
+
+
+def _scaled_instance(seed):
+    """A ``gamegen`` game with every cost scaled by 1e9 to 1e13."""
+    inst = random_instance(seed, delta=(seed % 3) * 0.5)
+    rng = random.Random(seed)
+    scale = 10 ** rng.uniform(9, 13)
+    graph = build_graph(inst.graph.nodes.values(), [
+        (e.edge_id, e.src, e.dst, e.cost * scale * rng.uniform(0.9, 1.1))
+        for e in inst.graph.edges
+    ])
+    return graph, inst.players, inst.delta
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.5))
+def test_traces_match_reference_on_large_costs(delta):
+    # Sums from the root and from the leaf of this chain differ by more than
+    # TOLERANCE; both sides compare within game.slack.
+    graph = build_graph(
+        [(f"v{i}", "abstract") for i in range(4)],
+        [("a", "v0", "v1", 686433675450.4867), ("b", "v1", "v2", 809851016021.9619),
+         ("c", "v2", "v3", 184473628096.8114)],
+    )
+    players = (Player(1, "v0", "v3"), Player(2, "v1", "v3"))
+    _assert_same_dynamics(graph, players, delta)
+    given = StrategyProfile({1: ("a", "b", "c"), 2: ("b", "c")})
+    _assert_same_dynamics(graph, players, delta, given)
+
+
+def test_traces_match_reference_on_scaled_gamegen_games():
+    for seed in range(5000, 5020):
+        graph, players, delta = _scaled_instance(seed)
+        _assert_same_dynamics(graph, players, delta)
+        start = first_path_profile(GameInstance(graph, players, delta))
+        _assert_same_dynamics(graph, players, delta, start)
 
 
 def test_missing_path_raises_like_reference():
