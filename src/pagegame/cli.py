@@ -24,14 +24,13 @@ import math
 import sys
 
 from . import oracle
-from .dynamics import Schedule, best_response, is_nash, run_dynamics
+from .dynamics import Schedule, improving_move, is_nash, run_dynamics
 from .errors import EngineError, MalformedInstance, NegativeDelta, SearchSpaceTooLarge
 from .game import (
     TOLERANCE,
     GameInstance,
     Tally,
     cost_report,
-    player_cost,
     slack,
     validate_profile,
 )
@@ -197,7 +196,9 @@ def _cmd_check(args) -> int:
         raise SearchSpaceTooLarge(deviations, args.cap, "potential-identity sweep")
 
     results: list[tuple[str, bool, str]] = []
-    report = cost_report(graph, profile, delta)
+    tally = Tally(graph, profile, delta)
+    page, phi = tally.page(), tally.potential()
+    player_costs = {pid: tally.cost(pid) for pid in tally.paths}
     # Shares summed over every path; each float comparison below allows the
     # rounding of sums of about this many terms (see game.slack).
     terms = sum(len(path) for _, path in profile.items())
@@ -205,48 +206,43 @@ def _cmd_check(args) -> int:
     stable = is_nash(graph, profile, delta)
     detail = ""
     if not stable:
-        for pid, _ in profile.items():
-            candidate = best_response(graph, profile, pid, delta, seed=0)
-            improved = player_cost(graph, profile.replace(pid, candidate), pid, delta)
-            cost = report.player_costs[pid]
-            if improved < cost - slack(cost, terms):
-                detail = f"player {pid} can switch to [{', '.join(candidate)}]"
-                break
+        pid, path = improving_move(graph, profile, delta)
+        detail = f"player {pid} can switch to [{', '.join(path)}]"
     results.append(("nash-stability", stable, detail))
 
-    total_shares = sum(
-        report.shares[edge_id] for _, path in profile.items() for edge_id in path
-    )
-    balanced = abs(total_shares - report.page_cost) <= slack(report.page_cost, terms)
+    costs, loads = tally.index.costs, tally.loads
+    total_shares = sum(costs[e] / loads[e] for path in tally.paths.values() for e in path)
+    balanced = abs(total_shares - page) <= slack(page, terms)
     results.append(
         ("budget-balance", balanced,
-         "" if balanced else f"shares sum to {total_shares}, page cost {report.page_cost}")
+         "" if balanced else f"shares sum to {total_shares}, page cost {page}")
     )
 
     k = len(instance.players)
-    total_player = sum(cost for _, cost in sorted(report.player_costs.items()))
-    expected = report.page_cost * (1.0 + delta * k)
+    total_player = sum(player_costs.values())
+    expected = page * (1.0 + delta * k)
     aggregated = abs(total_player - expected) <= slack(expected, terms + k)
     results.append(
         ("cost-aggregation", aggregated,
          "" if aggregated else f"player costs sum to {total_player}, expected {expected}")
     )
 
+    # Each deviation moves the one tally; the own path goes back after them.
     identity_detail = ""
     for player in instance.players:
         pid = player.player_id
-        for alt in oracle.enumerate_paths(graph, player.root, player.leaf):
-            if alt == profile.path(pid):
+        own = profile.path(pid)
+        paths = oracle.enumerate_paths(graph, player.root, player.leaf)
+        for alt in paths:
+            if alt == own:
                 continue
-            deviated = Tally(graph, profile.replace(pid, alt), delta)
-            phi = deviated.potential()
-            d_phi = report.potential - phi
-            d_cost = report.player_costs[pid] - deviated.cost(pid)
+            tally.place(pid, alt)
+            moved = tally.potential()
+            d_phi = phi - moved
+            d_cost = player_costs[pid] - tally.cost(pid)
             gap = abs(d_phi - d_cost)
             # slack() is never below TOLERANCE; most deviations stop here.
-            if gap > TOLERANCE and gap > slack(
-                max(report.potential, phi), 2 * (terms + len(alt) + 2)
-            ):
+            if gap > TOLERANCE and gap > slack(max(phi, moved), 2 * (terms + len(alt) + 2)):
                 identity_detail = (
                     f"player {pid} via [{', '.join(alt)}]: "
                     f"potential moved {d_phi}, cost moved {d_cost}"
@@ -254,6 +250,8 @@ def _cmd_check(args) -> int:
                 break
         if identity_detail:
             break
+        if len(paths) > 1:
+            tally.place(pid, own)
     results.append(("potential-identity", not identity_detail, identity_detail))
 
     lines = [f"PASS {name}\n" if ok else f"FAIL {name}: {info}\n" for name, ok, info in results]

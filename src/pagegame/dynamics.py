@@ -12,7 +12,7 @@ under reweighted costs:
 The leftover term, ``delta`` times the other players' page cost, does not
 depend on the candidate path, hence cheapest-path minimization is exact.
 
-Each call of ``run_dynamics``, ``best_response`` or ``is_nash`` keeps one
+Each ``run_dynamics``, ``best_response`` or ``improving_move`` call keeps one
 private state for all its best responses; only the graph's memos outlive it:
 
 * the current profile's ``game.Tally``: edge loads, loaded edges and page
@@ -328,15 +328,24 @@ def best_response(
     return _State(graph, profile, delta).respond(player, SplitMix64(seed))[0]
 
 
-def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
-    """True iff no player can cut its cost by more than the slack
-    (``TOLERANCE`` for moderate costs)."""
+def improving_move(
+    graph: GameGraph, profile: StrategyProfile, delta: float = 0.0
+) -> tuple[int, tuple[str, ...]] | None:
+    """The first player, in id order, that the move test of ``run_dynamics``
+    lets improve, with the path ``best_response(..., seed=0)`` gives it;
+    ``None`` when no player can improve."""
     state = _State(graph, profile, delta)
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
         if state.improves(root, leaf, state.attainable(pid, root, leaf), state.cost(pid)):
-            return False
-    return True
+            return pid, state.respond(Player(pid, root, leaf), SplitMix64(0))[0]
+    return None
+
+
+def is_nash(graph: GameGraph, profile: StrategyProfile, delta: float = 0.0) -> bool:
+    """True iff no player can cut its cost by more than the slack
+    (``TOLERANCE`` for moderate costs)."""
+    return improving_move(graph, profile, delta) is None
 
 
 def run_dynamics(

@@ -122,7 +122,8 @@ class GraphIndex:
 
 
 class GameGraph:
-    """Validated directed acyclic multigraph with finite non-negative edge costs.
+    """Validated directed acyclic multigraph with finite non-negative edge
+    costs whose total is finite.
 
     Parallel edges between the same node pair are allowed and are told apart
     by their edge ids. Nodes and edges never change once constructed.
@@ -140,6 +141,7 @@ class GameGraph:
         edge_map: dict[str, Edge] = {}
         out: dict[str, list[Edge]] = {nid: [] for nid in node_map}
         indegree: dict[str, int] = {nid: 0 for nid in node_map}
+        total = 0.0
         for edge in edges:
             if edge.edge_id in edge_map:
                 raise DuplicateEdgeId(edge.edge_id)
@@ -152,6 +154,10 @@ class GameGraph:
             edge_map[edge.edge_id] = edge
             out[edge.src].append(edge)
             indegree[edge.dst] += 1
+            total += edge.cost
+        # Past the float range, best responses and the oracle find no path.
+        if math.isinf(total):
+            raise GraphError("edge costs too large: their total overflows")
 
         self._nodes = node_map
         self._edges = edge_map

@@ -194,6 +194,27 @@ def test_check_names_the_improving_deviation(d1_file, tmp_path, capsys):
     assert "FAIL nash-stability: player 1 can switch to [a]" in out
 
 
+def test_check_names_a_near_tie_deviation_by_the_move_test(tmp_path, capsys):
+    # b and c tie within the slack; the seed-0 draw picks c, which beats the
+    # current path by less than the slack. The FAIL still names the player the
+    # move test flags and the path its best response takes.
+    instance = _edited(D1_INSTANCE, lambda o: o.update(
+        edges=[{"id": eid, "src": "r", "dst": "l", "cost": cost}
+               for eid, cost in (("a", 1.0), ("b", 0.9999999985), ("c", 0.9999999994))],
+        players=o["players"][:1]))
+    report = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+              "final_profile": {"1": ["a"]}}
+    argv = ["check", "--instance", str(_write(tmp_path, "inst.json", instance)),
+            "--report", str(_write(tmp_path, "a.json", report))]
+    assert main(argv) == 5
+    assert capsys.readouterr().out == (
+        "FAIL nash-stability: player 1 can switch to [c]\n"
+        "PASS budget-balance\n"
+        "PASS cost-aggregation\n"
+        "PASS potential-identity\n"
+    )
+
+
 def test_check_unknown_edge_fails_validation(d1_file, tmp_path):
     report = {
         "format_version": 1,

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from pagegame import (
@@ -128,6 +130,40 @@ def test_round_trip_is_isomorphic():
         again = parse_document(serialize_document(forest))
         assert _shape(again.document_root) == _shape(forest.document_root)
         assert set(again.nodes) == set(forest.nodes)
+
+
+def test_round_trip_property():
+    # Documents in the README's subset: nested tags with at most one
+    # attribute, and text runs. Re-parsing the serialized forest gives the
+    # same shape and the same node ids, in document order.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    names = st.builds(operator.add, st.sampled_from(letters),
+                      st.text(letters + "0123456789-", max_size=4))
+    texts = st.text(st.characters(codec="utf-8", exclude_characters="<&"),
+                    min_size=1, max_size=6)
+    values = st.text(st.characters(codec="utf-8", exclude_characters='">'), max_size=6)
+    attributes = st.one_of(st.just(""), st.builds(' {}="{}"'.format, names, values))
+
+    def elements(children):
+        return st.builds(
+            lambda tag, attribute, inner: f"<{tag}{attribute}>{''.join(inner)}</{tag}>",
+            names, attributes, st.lists(children, max_size=4))
+
+    documents = st.lists(st.recursive(texts, elements, max_leaves=16), max_size=4).map("".join)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(documents)
+    def check(text):
+        forest = parse_document(text)
+        again = parse_document(serialize_document(forest))
+        assert _shape(again.document_root) == _shape(forest.document_root)
+        assert list(again.nodes) == list(forest.nodes)
+
+    check()
 
 
 # ---------------------------------------------------------------- levels

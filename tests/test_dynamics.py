@@ -391,6 +391,42 @@ def test_each_step_reads_what_cost_report_computes():
     assert {(False, False, True), (True, False, True)} <= checked
 
 
+def _numbers(tally, pid):
+    return [tally.potential().hex(), tally.page().hex(), tally.cost(pid).hex()]
+
+
+def test_tally_moved_in_place_reads_what_a_fresh_tally_reads():
+    # check scores every deviation on one tally moved in place; each reading
+    # is a fresh tally's, bit for bit, and putting the own path back restores
+    # the tally. improving_move flags exactly the profiles is_nash rejects.
+    moves = set()
+    for name, inst in _golden_and_gamegen_games():
+        graph, delta = inst.graph, inst.delta
+        final = run_dynamics(graph, inst.players, delta).final_profile
+        for profile in (first_path_profile(inst), final):
+            tally = game.Tally(graph, profile, delta)
+            original = game.Tally(graph, profile, delta)
+            for player in inst.players:
+                pid = player.player_id
+                own = profile.path(pid)
+                for alt in enumerate_paths(graph, player.root, player.leaf):
+                    if alt != own:
+                        tally.place(pid, alt)
+                        fresh = game.Tally(graph, profile.replace(pid, alt), delta)
+                        assert _numbers(tally, pid) == _numbers(fresh, pid), (name, pid, alt)
+                tally.place(pid, own)
+                assert tally.loads == original.loads, name
+                assert tally.used == original.used, name
+                assert _numbers(tally, pid) == _numbers(original, pid), name
+            move = dynamics.improving_move(graph, profile, delta)
+            assert (move is None) == is_nash(graph, profile, delta), name
+            if move is not None:
+                pid, path = move
+                assert path == best_response(graph, profile, pid, delta, seed=0), name
+            moves.add(move is None)
+    assert moves == {False, True}
+
+
 # ---------------------------------------------------------------- tie counting
 
 @pytest.mark.parametrize("diamonds", (60, 70))

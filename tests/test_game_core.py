@@ -7,6 +7,7 @@ from pagegame import (
     GameInstance,
     Player,
     StrategyProfile,
+    analyze,
     build_game,
     build_graph,
     cost_report,
@@ -16,6 +17,7 @@ from pagegame import (
     parse_document,
     player_cost,
     potential,
+    run_dynamics,
     shapley_share,
     validate_players,
     validate_profile,
@@ -73,6 +75,23 @@ def test_negative_cost_rejected():
 def test_nan_cost_rejected():
     with pytest.raises(NegativeCost):
         build_graph([("r", "abstract"), ("l", "abstract")], [("a", "r", "l", math.nan)])
+
+
+def test_edge_costs_whose_total_overflows_are_rejected():
+    # Each cost is finite but their total is not: such a graph gave a false
+    # NoPath in run_dynamics and a failed assertion in analyze.
+    chain = [("a", "abstract"), ("b", "abstract"), ("c", "abstract")]
+    with pytest.raises(GraphError, match="edge costs too large"):
+        build_graph(chain, [("x", "a", "b", 1e308), ("y", "b", "c", 1e308)])
+    # Just inside the float range the graph solves and analyzes.
+    graph = build_graph(
+        chain, [("x", "a", "b", 4e307), ("y", "b", "c", 4e307), ("z", "a", "c", 9e307)])
+    players = (Player(1, "a", "c"),)
+    assert run_dynamics(graph, players).final_profile.paths == {1: ("x", "y")}
+    assert analyze(graph, players).optimum_cost == 8e307
+    # The instance still refuses costs whose sums over its players overflow.
+    with pytest.raises(GraphError, match="edge costs too large"):
+        GameInstance(graph, players + (Player(2, "a", "c"),))
 
 
 def test_duplicate_edge_id_rejected():
