@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import oracle
 from .dynamics import Schedule, improving_move, is_nash, run_dynamics
-from .errors import EngineError, MalformedInstance, NegativeDelta, SearchSpaceTooLarge
+from .errors import EngineError, MalformedInstance, SearchSpaceTooLarge
 from .game import (
     TOLERANCE,
     GameInstance,
+    StrategyProfile,
     Tally,
     cost_report,
     slack,
@@ -173,24 +173,27 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _report_profile(args):
+def _report_profile(args) -> tuple[GameInstance, StrategyProfile]:
+    """The instance at the delta in use (``--delta``, else the report's), so
+    its overflow guard covers that delta, and the report's final profile,
+    validated against it."""
+    instance = _load(args)
     report = load_report(args.report)
     if report.get("final_profile") is None:
         raise MalformedInstance("report holds no final profile")
     profile = profile_from_json(report["final_profile"])
-    delta = report.get("delta", 0.0) if args.delta is None else args.delta
-    delta = number(delta, "report delta must be a number")
-    if not (0.0 <= delta < math.inf):
-        raise NegativeDelta(delta)
-    return profile, delta
+    if args.delta is None:
+        delta = number(report.get("delta", 0.0), "report delta must be a number")
+        if delta != instance.delta:
+            instance = dataclasses.replace(instance, delta=delta)
+    validate_profile(instance.graph, instance.players, profile)
+    return instance, profile
 
 
 def _cmd_check(args) -> int:
     _require_positive_cap(args)
-    instance = _load(args)
-    profile, delta = _report_profile(args)
-    graph = instance.graph
-    validate_profile(graph, instance.players, profile)
+    instance, profile = _report_profile(args)
+    graph, delta = instance.graph, instance.delta
     deviations = sum(n - 1 for n in oracle.path_counts(graph, instance.players))
     if deviations > args.cap:
         raise SearchSpaceTooLarge(deviations, args.cap, "potential-identity sweep")
@@ -260,14 +263,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    instance = _load(args)
-    profile, delta = _report_profile(args)
+    instance, profile = _report_profile(args)
     graph = instance.graph
-    validate_profile(graph, instance.players, profile)
     if args.format == "dot":
         _emit(render_dot(graph, profile), args.output)
     else:
-        summary = profile_summary(graph, profile, cost_report(graph, profile, delta))
+        summary = profile_summary(graph, profile, cost_report(graph, profile, instance.delta))
         _emit(canonical_json(summary), args.output)
     return EXIT_OK
 

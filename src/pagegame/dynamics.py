@@ -16,11 +16,12 @@ Each ``run_dynamics``, ``best_response`` or ``improving_move`` call keeps one
 private state for all its best responses; only the graph's memos outlive it:
 
 * the current profile's ``game.Tally``: edge loads, loaded edges and page
-  cost. A best response lifts the player's own path off the loads and puts
-  it back; a move swaps the old path for the new one, so each costs O(path
-  length). The page cost is the others' unless one of the player's own
-  edges drops to load 0, when the sum skips those edges. The costs and
-  potentials of the trace are read from it: the floats of ``cost_report``;
+  cost. A best response takes the player off with ``Tally.move``, reads the
+  others' loads and page cost from the tally, and moves the same path back,
+  restoring the page sum cached before; a move swaps the old path for the
+  new one. Each costs O(path length), plus one page sum when an edge of the
+  player's empties. The costs and potentials of the trace are read from it:
+  the floats of ``cost_report``;
 * the graph's plan of each root-leaf pair (``GameGraph.between``). A best
   response relaxes only its plan, weighing each out-edge inline in edge-id
   order; distances stay infinite outside it.
@@ -68,7 +69,6 @@ from .game import (
     StrategyProfile,
     Tally,
     load_map,
-    ordered_sum,
     slack,
     validate_profile,
 )
@@ -128,7 +128,8 @@ def reweight(
 
 
 class _State(Tally):
-    """The per-call best-response state described in the module docstring."""
+    """The per-call best-response state described in the module docstring:
+    a tally with the distance, weight and tie-memo scratch of ``respond``."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
@@ -138,11 +139,6 @@ class _State(Tally):
         # plan, so every edge leaving the plan reads an infinite distance.
         self.dist = [math.inf] * len(graph.nodes)
         self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
-
-    def _lift(self, own: Sequence[int], by: int) -> None:
-        loads = self.loads
-        for e in own:
-            loads[e] += by
 
     def _relax(self, root: str, leaf: str) -> tuple[tuple[int, ...], int]:
         """Cheapest weight to ``leaf`` from every node between ``root`` and
@@ -169,26 +165,6 @@ class _State(Tally):
         dist[target] = math.inf
         for node in plan:
             dist[node] = math.inf
-
-    def _others_page(self, own: Sequence[int]) -> float:
-        """Page cost of the other players, with ``own`` lifted off."""
-        costs = self.index.costs
-        dropped = {e for e in own if not self.loads[e]}
-        if dropped:
-            return ordered_sum(costs[e] for e in self.used if e not in dropped)
-        return self.page()
-
-    def attainable(self, player_id: int, root: str, leaf: str) -> float:
-        """Least cost the player can reach against the others' paths."""
-        own = self.paths.get(player_id, ())
-        self._lift(own, -1)
-        plan, target = self._relax(root, leaf)
-        best = self.dist[self.index.node_position[root]]
-        self._clear(plan, target)
-        if self.delta:
-            best += self.delta * self._others_page(own)
-        self._lift(own, 1)
-        return best
 
     def _count(
         self, start: int, start_acc: float, target: int, bound: float, memo: dict
@@ -275,32 +251,38 @@ class _State(Tally):
                 chosen = self._unrank(root, target, bound, index, memo)
         return chosen
 
-    def respond(self, player: Player, rng: SplitMix64) -> tuple[tuple[str, ...], float, float]:
-        """Chosen path, its cost, and the least attainable cost for ``player``
-        against the others' paths.
+    def respond(
+        self, player_id: int, root: str, leaf: str, rng: SplitMix64 | None = None
+    ) -> tuple[tuple[str, ...] | None, float | None, float]:
+        """Chosen path, its cost, and the least attainable cost for the
+        player against the others' paths; without ``rng``, only the last.
 
         Paths within the slack (``TOLERANCE`` for moderate costs) of the
         cheapest weight tie. The RNG is consulted only when two or more tie,
-        to draw one by its lexicographic rank.
+        to draw one by its lexicographic rank. The tally ends as it started.
         """
-        if not self.graph.between(player.root, player.leaf):
-            raise NoPath(player.player_id, player.root, player.leaf)
-        own = self.paths.get(player.player_id, ())
-        self._lift(own, -1)
-        plan, target = self._relax(player.root, player.leaf)
-        root = self.index.node_position[player.root]
-        best = self.dist[root]
+        if not self.graph.between(root, leaf):
+            raise NoPath(player_id, root, leaf)
+        page, own = self._page, self.paths.get(player_id)
+        if own:
+            self.move(player_id, ())
+        plan, target = self._relax(root, leaf)
+        start = self.index.node_position[root]
+        best = self.dist[start]
         chosen = None
-        if not math.isinf(best):
-            bound = best + slack(best, len(plan))
-            chosen = self._ties(root, target, bound, rng)
+        if rng is not None and not math.isinf(best):
+            chosen = self._ties(start, target, best + slack(best, len(plan)), rng)
         self._clear(plan, target)
+        others = self.delta * self.page() if self.delta else 0.0
+        if own:
+            self.move(player_id, own)
+        self._page = page
+        if rng is None:
+            return None, None, best + others
         if chosen is None:
-            raise NoPath(player.player_id, player.root, player.leaf)
+            raise NoPath(player_id, root, leaf)
         path, weight = chosen
-        others_cost = self._others_page(own) if self.delta else 0.0
-        self._lift(own, 1)
-        return path, weight + self.delta * others_cost, best + self.delta * others_cost
+        return path, weight + others, best + others
 
     def improves(self, root: str, leaf: str, attainable: float, current: float) -> bool:
         """True iff ``attainable`` undercuts ``current`` by more than the
@@ -324,8 +306,8 @@ def best_response(
     are drawn uniformly from the seeded generator.
     """
     current = profile.path(player_id)
-    player = Player(player_id, graph.edge(current[0]).src, graph.edge(current[-1]).dst)
-    return _State(graph, profile, delta).respond(player, SplitMix64(seed))[0]
+    root, leaf = graph.edge(current[0]).src, graph.edge(current[-1]).dst
+    return _State(graph, profile, delta).respond(player_id, root, leaf, SplitMix64(seed))[0]
 
 
 def improving_move(
@@ -337,8 +319,8 @@ def improving_move(
     state = _State(graph, profile, delta)
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
-        if state.improves(root, leaf, state.attainable(pid, root, leaf), state.cost(pid)):
-            return pid, state.respond(Player(pid, root, leaf), SplitMix64(0))[0]
+        if state.improves(root, leaf, state.respond(pid, root, leaf)[2], state.cost(pid)):
+            return pid, state.respond(pid, root, leaf, SplitMix64(0))[0]
     return None
 
 
@@ -375,7 +357,8 @@ def run_dynamics(
         # Greedy start: each player best-responds to those placed before it.
         state = _State(graph, StrategyProfile({}), delta)
         for player in players:
-            state.place(player.player_id, state.respond(player, rng)[0])
+            pid = player.player_id
+            state.place(pid, state.respond(pid, player.root, player.leaf, rng)[0])
         initial = state.profile()
     else:
         validate_profile(graph, players, initial)
@@ -391,7 +374,7 @@ def run_dynamics(
         for player in order:
             pid = player.player_id
             previous = state.cost(pid)
-            path, new_cost, attainable = state.respond(player, rng)
+            path, new_cost, attainable = state.respond(pid, player.root, player.leaf, rng)
             if state.improves(player.root, player.leaf, attainable, previous):
                 state.place(pid, path)
                 potential = state.potential()

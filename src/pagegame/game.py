@@ -9,7 +9,7 @@ copy of the whole page cost as a cooperative term.
 
 Outside the oracle's sweeps, costs, potentials and page costs are read from
 a ``Tally`` of a profile's edge loads, the only type here that changes after
-construction (``place`` moves a player); a graph only fills its integer
+construction (``move`` moves a player); a graph only fills its integer
 index, reachability memo and root-leaf plans, idempotently, on first use.
 Floating-point sums always run left to right (``ordered_sum``) in a
 canonical order (edge declaration order, player id order), so results are
@@ -371,7 +371,10 @@ class Tally:
 
     def place(self, player_id: int, path: Sequence[str]) -> None:
         """Move a player from its current path (if any) onto ``path``."""
-        new = self.index.positions(path)
+        self.move(player_id, self.index.positions(path))
+
+    def move(self, player_id: int, new: tuple[int, ...]) -> None:
+        """``place`` by declaration positions; ``()`` takes the player off."""
         loads, used = self.loads, self.used
         for e in self.paths.get(player_id, ()):
             loads[e] -= 1

@@ -616,6 +616,25 @@ def test_costs_whose_sums_overflow_fail_validation(tmp_path, capsys, instance, f
         assert "edge costs too large" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["report", "--format", "json"], ["report", "--format", "dot"]],
+    ids=["check", "report-json", "report-dot"],
+)
+def test_report_delta_whose_sums_overflow_fails_validation(d1_file, tmp_path, capsys, command):
+    # The delta a report carries meets the rule --delta meets: on b, each
+    # player's cost, 3 * 1e308, would overflow.
+    report = {
+        "format_version": 1,
+        "kind": "run-report",
+        "delta": 1e308,
+        "final_profile": {"1": ["b"], "2": ["b"]},
+    }
+    path = _write(tmp_path, "delta.json", report)
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == 2
+    assert "edge costs too large" in _single_error_line(capsys)
+
+
 # json.loads refuses integers of more than 4,300 digits (ValueError) and
 # nesting past the recursion limit (RecursionError).
 UNDECODABLE = {

@@ -1,5 +1,7 @@
 """Mutated instance and report files through every subcommand: each run ends
-with a documented exit code, and an error with one line, never a traceback."""
+with a documented exit code, and an error with one line, never a traceback.
+Every report ``solve`` and ``report --format json`` print is standard JSON,
+without ``NaN`` or ``Infinity``."""
 
 import copy
 import json
@@ -74,11 +76,19 @@ def _mutants(st, base: dict):
 
 def _run(argv, capsys):
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in DOCUMENTED_EXIT_CODES, (argv, code)
     if code in (1, 2, 4):
         assert err.startswith("pagegame: error: ") and err.count("\n") == 1, err
-    return code
+    return code, out
+
+
+def _refuse(constant):
+    raise AssertionError(f"non-standard JSON constant {constant}")
+
+
+def _strict_json(text: str):
+    return json.loads(text, parse_constant=_refuse)
 
 
 def test_mutated_files_exit_with_documented_codes(tmp_path, capsys):
@@ -108,6 +118,9 @@ def test_mutated_files_exit_with_documented_codes(tmp_path, capsys):
         return instance, report
 
     big_int = b'{"format_version": 1, "delta": ' + b"1" * 5000 + b"}"
+    # Each player's cost on b, 3 * 1e308, would overflow.
+    big_delta = json.dumps(
+        dict(reports[0], delta=1e308, final_profile={"1": ["b"], "2": ["b"]})).encode("utf-8")
     past_float = b"1" + b"0" * 400
     assert b'"cost": 1.0' in d1 and b'"delta": 0.0' in d1 and b'"delta": 0.0' in d1_report
 
@@ -119,15 +132,21 @@ def test_mutated_files_exit_with_documented_codes(tmp_path, capsys):
     @hypothesis.example((d1.replace(b'"cost": 1.0', b'"cost": ' + past_float), d1_report))
     @hypothesis.example((d1.replace(b'"delta": 0.0', b'"delta": ' + past_float),
                          d1_report.replace(b'"delta": 0.0', b'"delta": ' + past_float)))
+    @hypothesis.example((d1, big_delta))
     def check(pair):
         instance, report = tmp_path / "instance.json", tmp_path / "report.json"
         instance.write_bytes(pair[0])
         report.write_bytes(pair[1])
         given = ["--instance", str(instance)]
-        _run(["solve", *given, "--output", str(tmp_path / "solved.json")], capsys)
+        solved = tmp_path / "solved.json"
+        if _run(["solve", *given, "--output", str(solved)], capsys)[0] == 0:
+            _strict_json(solved.read_text(encoding="utf-8"))
+        # enumerate's poa and pos may be infinite: not checked here.
         _run(["enumerate", *given], capsys)
         _run(["check", *given, "--report", str(report)], capsys)
-        for fmt in ("dot", "json"):
-            _run(["report", *given, "--report", str(report), "--format", fmt], capsys)
+        _run(["report", *given, "--report", str(report), "--format", "dot"], capsys)
+        code, out = _run(["report", *given, "--report", str(report), "--format", "json"], capsys)
+        if code == 0:
+            _strict_json(out)
 
     check()

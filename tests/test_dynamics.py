@@ -24,6 +24,7 @@ from pagegame import SplitMix64, dynamics, game
 from pagegame.cli import main
 from pagegame.errors import UnknownPlayer
 
+import reference_dynamics as reference
 from gamegen import (
     DELTAS,
     build_d1,
@@ -425,6 +426,65 @@ def test_tally_moved_in_place_reads_what_a_fresh_tally_reads():
                 assert path == best_response(graph, profile, pid, delta, seed=0), name
             moves.add(move is None)
     assert moves == {False, True}
+
+
+def _snapshot(tally):
+    page = tally._page
+    return tally.loads[:], tally.used[:], dict(tally.paths), None if page is None else page.hex()
+
+
+def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
+    # respond takes the player off the tally and moves the same path back:
+    # loads, loaded edges, paths and the cached page sum end as they began.
+    # Without a generator it draws nothing and finds the least attainable
+    # cost that a drawing respond and the reference find, bit for bit.
+    draws = []
+    next_u64 = SplitMix64.next_u64
+
+    def counted(self):
+        draws.append(self)
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    seen = set()
+
+    def check(state, player, name):
+        pid, root, leaf = player.player_id, player.root, player.leaf
+        before = _snapshot(state)
+        seen.add((state.delta > 0, any(state.loads[e] == 1 for e in state.paths.get(pid, ())),
+                  before[3] is not None))
+        draws.clear()
+        path, cost, attainable = state.respond(pid, root, leaf)
+        assert (path, cost, draws) == (None, None, []), name
+        assert _snapshot(state) == before, name
+        drawn = state.respond(pid, root, leaf, SplitMix64(7))
+        assert _snapshot(state) == before, name
+        expected = reference.respond(state.graph, state.profile(), player, state.delta,
+                                     SplitMix64(7))
+        assert drawn[0] == expected[0], name
+        assert drawn[1].hex() == expected[1].hex(), name
+        assert attainable.hex() == drawn[2].hex() == expected[2].hex(), name
+
+    for name, inst in _golden_and_gamegen_games():
+        graph, delta = inst.graph, inst.delta
+        greedy = dynamics._State(graph, StrategyProfile({}), delta)
+        rng = SplitMix64(3)
+        for player in inst.players:
+            check(greedy, player, name)
+            pid = player.player_id
+            greedy.place(pid, greedy.respond(pid, player.root, player.leaf, rng)[0])
+        final = run_dynamics(graph, inst.players, delta).final_profile
+        for profile in (first_path_profile(inst), final):
+            state = dynamics._State(graph, profile, delta)
+            for player in inst.players:
+                check(state, player, name)
+                state.page()
+                check(state, player, name)
+    # Both deltas, with and without a cached page; with delta, players whose
+    # take-off empties an edge and players whose take-off does not.
+    assert {(False, False), (False, True), (True, False), (True, True)} <= {
+        (key[0], key[2]) for key in seen}
+    assert {(True, False), (True, True)} <= {key[:2] for key in seen}
 
 
 # ---------------------------------------------------------------- tie counting
