@@ -14,7 +14,23 @@ candidate path of the player once, and clears the stability flag of each
 profile in that combination that some candidate beats. The flags are one
 byte per profile, indexed by the profile's rank in product order; only the
 profiles left standing get a cost report. Paths are held as tuples of edge
-declaration positions, so the extra memory is one byte per profile.
+declaration positions, so the extra memory is one byte per profile. A
+player with one path cannot improve and is not swept.
+
+The social optimum is a depth-first walk over the same product, player 0
+outermost, that places one path per level and moves one ``loads`` list in
+place. Each level carries the running sum of the costs of the edges it
+uses first; a leaf sums its union in declaration order as
+:func:`page_cost` does and wins only when strictly cheaper, so the first
+cheapest profile in product order is kept. A subtree is skipped when its
+running sum, less ``2 * E`` ulps of itself (``E`` the graph's edge count),
+is not below the best leaf. That bound is sound: round-to-nearest
+addition of non-negative terms is monotone, so the declaration-order sum of
+a prefix's union never exceeds that of any completion's; and summing the
+same ``k <= E`` terms in two orders rounds at most about ``2 * (k - 1)``
+ulps apart (the recursive-summation error bound), which ``2 * E`` ulps
+cover. The walk keeps its own stack, so long player lists need no
+recursion.
 
 The product enumeration is capped (default one million profiles). Each
 player's paths are counted first (:func:`path_counts`), without listing
@@ -39,6 +55,7 @@ from .game import (
     cost_report,
     ordered_sum,
     page_cost,
+    slack,
 )
 
 DEFAULT_CAP = 10**6
@@ -168,13 +185,26 @@ def _stability_flags(
 
     Player ``i``'s index contributes ``index * strides[i]`` to a profile's
     rank, so the profiles that differ only in player ``i``'s path sit
-    ``strides[i]`` apart.
+    ``strides[i]`` apart. An improvement must beat ``game.slack`` of the
+    current cost over the terms the README counts: one per node on the
+    player's paths save one endpoint (counted here by edge heads), plus,
+    with ``delta``, one per edge the profile uses.
     """
-    costs, positions = graph.index.costs, graph.index.positions
+    costs, positions, heads = graph.index.costs, graph.index.positions, graph.index.heads
     indexed = [[positions(path) for path in paths] for paths in path_sets]
-    strides = [math.prod(len(paths) for paths in indexed[i + 1:]) for i in range(len(indexed))]
+    strides = [1] * len(indexed)
+    for i in range(len(indexed) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(indexed[i])
     flags = bytearray(b"\x01") * math.prod(len(paths) for paths in indexed)
+    # Scores stay below 2 * (1 + delta) times the total edge cost. Where
+    # the most terms a player can count times that bound's ulp is within
+    # TOLERANCE, slack() is TOLERANCE and the terms need no counting.
+    top_ulp = math.ulp(2 * (1 + delta) * math.fsum(costs))
     for i, candidates in enumerate(indexed):
+        if len(candidates) == 1:
+            continue
+        nodes = len({heads[e] for path in candidates for e in path})
+        tolerance_only = (nodes + (len(costs) if delta else 0)) * top_ulp <= TOLERANCE
         stride = strides[i]
         span = len(candidates) * stride
         others = [j for j in range(len(indexed)) if j != i]
@@ -193,7 +223,14 @@ def _stability_flags(
             scores = _deviation_costs(candidates, loads, costs, others_cost, delta)
             best = min(scores)
             for c, score in enumerate(scores):
-                if best < score - TOLERANCE:
+                if best < score - TOLERANCE:  # slack() is never below it
+                    if not tolerance_only:
+                        terms = nodes
+                        if delta:
+                            terms += len(loads) - loads.count(0)
+                            terms += sum(not loads[e] for e in candidates[c])
+                        if best >= score - slack(score, terms):
+                            continue
                     flags[base + c * stride] = 0
     return flags
 
@@ -256,18 +293,43 @@ def social_optimum(
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
-    costs, edge_ids = graph.index.costs, graph.index.edge_ids
-    best_combo = None
-    best_cost = math.inf
-    for combo in itertools.product(*path_sets):
-        used = set().union(*combo)
-        cost = ordered_sum(itertools.compress(costs, map(used.__contains__, edge_ids)))
-        if cost < best_cost:
-            best_cost = cost
-            best_combo = combo
-    assert best_combo is not None
+    costs, positions = graph.index.costs, graph.index.positions
+    indexed = [[positions(path) for path in paths] for paths in path_sets]
+    margin = 2 * len(costs)
+    loads = [0] * len(costs)
+    # chosen[d] is the index of player d's placed path (-1: none placed);
+    # totals[d] the running cost of the edges the players above d use.
+    chosen = [-1] * len(indexed)
+    totals = [0.0] * (len(indexed) + 1)
+    best_cost, best = math.inf, []
+    depth = 0
+    while depth >= 0:
+        if depth == len(indexed):
+            cost = ordered_sum(itertools.compress(costs, loads))
+            if cost < best_cost:
+                best_cost, best = cost, list(chosen)
+            depth -= 1
+            continue
+        paths, k = indexed[depth], chosen[depth]
+        if k >= 0:
+            for e in paths[k]:
+                loads[e] -= 1
+        k += 1
+        if k == len(paths):
+            chosen[depth] = -1
+            depth -= 1
+            continue
+        chosen[depth] = k
+        total = totals[depth]
+        for e in paths[k]:
+            if not loads[e]:
+                total += costs[e]
+            loads[e] += 1
+        if total - slack(total, margin) < best_cost:
+            totals[depth + 1] = total
+            depth += 1
     return StrategyProfile(
-        {player.player_id: path for player, path in zip(players, best_combo)}
+        {player.player_id: paths[k] for player, paths, k in zip(players, path_sets, best)}
     )
 
 
@@ -283,7 +345,7 @@ def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:
     def ratio(cost: float) -> float:
         if catalog.optimum_cost > 0.0:
             return cost / catalog.optimum_cost
-        return 1.0 if cost <= TOLERANCE else math.inf
+        return 1.0 if cost == 0.0 else math.inf
 
     costs = [entry.report.page_cost for entry in catalog.equilibria]
     return ratio(max(costs)), ratio(min(costs))

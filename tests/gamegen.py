@@ -119,6 +119,27 @@ def layered_game(seed: int, delta: float, count: int = 10) -> tuple:
     return graph, tuple(players), delta
 
 
+def large_cost_game(instance: GameInstance, seed: int) -> GameInstance:
+    """``instance`` with its costs scaled by a seeded factor in 1e7-1e15,
+    where one ulp of a path cost passes 1e-9. About a third of the priced
+    edges also get a two-edge detour through a new node whose parts add up
+    to the edge's cost in exact arithmetic, so paths that tie exactly can
+    differ by an ulp or more once summed."""
+    rng = random.Random(seed)
+    scale = 10 ** rng.uniform(7, 15)
+    nodes = [(node.node_id, node.kind) for node in instance.graph.nodes.values()]
+    edges = []
+    for e in instance.graph.edges:
+        cost = e.cost * scale
+        edges.append((e.edge_id, e.src, e.dst, cost))
+        if cost and rng.random() < 0.3:
+            part = cost * rng.uniform(0.2, 0.8)
+            nodes.append((f"m{e.edge_id}", "abstract"))
+            edges.append((f"{e.edge_id}x", e.src, f"m{e.edge_id}", part))
+            edges.append((f"{e.edge_id}y", f"m{e.edge_id}", e.dst, cost - part))
+    return GameInstance(build_graph(nodes, edges), instance.players, instance.delta)
+
+
 def diamond_chain(diamonds: int, extra=lambda i: 0.0) -> GameGraph:
     """``diamonds`` two-way diamonds in a row, ``v0`` to ``v{diamonds}``:
     every edge costs 1, except that the second edge of diamond ``i``'s lower

@@ -3,7 +3,9 @@
 This is the straightforward form of :mod:`pagegame.oracle`: every path of
 every player is listed before the cap is checked, and every profile is
 checked on its own, each player re-tallying the others' loads and page
-cost and re-scoring every alternative path against its current one. Paths
+cost and re-scoring every alternative path against its current one. An
+alternative must beat the current cost by ``game.slack`` over the terms the
+README counts, taken from this module's own path lists. Paths
 are listed by walking every node below the root, not the engine's plan. The
 engine sweeps each player once per combination of the others' paths; the
 tests require both to produce the same catalogs, floats bit for bit.
@@ -16,7 +18,14 @@ import math
 from dataclasses import replace
 
 from pagegame.errors import NoPath, SearchSpaceTooLarge
-from pagegame.game import TOLERANCE, StrategyProfile, cost_report, ordered_sum, page_cost
+from pagegame.game import (
+    TOLERANCE,
+    StrategyProfile,
+    cost_report,
+    ordered_sum,
+    page_cost,
+    slack,
+)
 from pagegame.oracle import (
     DEFAULT_CAP,
     EquilibriumCatalog,
@@ -79,11 +88,16 @@ def profile_is_equilibrium(graph, players, path_sets, profile, delta):
             edge.cost for edge in graph.edges if edge.edge_id in others_used
         )
         current = deviation_cost(graph, profile.path(pid), other_loads, others_cost, delta)
+        # Terms: the nodes on the player's paths other than its root, and,
+        # with delta, the edges the profile uses.
+        terms = len({graph.edge(e).dst for path in candidates for e in path})
+        if delta:
+            terms += len(others_used.union(profile.path(pid)))
         for candidate in candidates:
             if candidate == profile.path(pid):
                 continue
             alt = deviation_cost(graph, candidate, other_loads, others_cost, delta)
-            if alt < current - TOLERANCE:
+            if alt < current - TOLERANCE and alt < current - slack(current, terms):
                 return False
     return True
 

@@ -497,6 +497,57 @@ def test_large_costs_solve_then_check_round_trip_on_random_instances(tmp_path, c
         assert "FAIL" not in capsys.readouterr().out
 
 
+# One player on r -> l takes edge a or the chain b1, b2, b3. Summed, the
+# chain lands one ulp above the first a and three above the second, both
+# within the slack of the pair's three plan nodes: solve may stop on either
+# path, and enumerate must list wherever it stops.
+@pytest.mark.parametrize("cost_a", [168075831.956926, 168075831.95692593], ids=["1-ulp", "3-ulp"])
+def test_solve_profiles_appear_in_enumerate_catalog_at_large_costs(tmp_path, cost_a):
+    b1, b2, b3 = 68643367.54504867, 80985101.60219619, 18447362.80968114
+    assert 1 <= ((b1 + b2) + b3 - cost_a) / math.ulp(cost_a) <= 3
+    instance = _write(tmp_path, "chain.json", {
+        "format_version": 1,
+        "delta": 0.0,
+        "nodes": [{"id": n, "kind": "abstract"} for n in ("r", "x", "y", "l")],
+        "edges": [
+            {"id": "a", "src": "r", "dst": "l", "cost": cost_a},
+            {"id": "b1", "src": "r", "dst": "x", "cost": b1},
+            {"id": "b2", "src": "x", "dst": "y", "cost": b2},
+            {"id": "b3", "src": "y", "dst": "l", "cost": b3},
+        ],
+        "players": [{"id": 1, "root": "r", "leaf": "l"}],
+    })
+    catalog = tmp_path / "catalog.json"
+    assert main(["enumerate", "--instance", str(instance), "--output", str(catalog)]) == 0
+    listed = [e["profile"] for e in json.loads(catalog.read_text())["catalog"]["equilibria"]]
+    finals = []
+    for seed in range(4):
+        out = tmp_path / f"report_{seed}.json"
+        assert main(["solve", "--instance", str(instance), "--seed", str(seed),
+                     "--output", str(out)]) == 0
+        finals.append(json.loads(out.read_text())["final_profile"])
+        assert finals[-1] in listed
+    assert {"1": ["b1", "b2", "b3"]} in finals
+
+
+def test_enumerate_many_single_path_players(tmp_path):
+    # 5,000 players, one path each: one profile, and a walk 5,000 players
+    # deep that must not recurse.
+    instance = _write(tmp_path, "many.json", {
+        "format_version": 1,
+        "delta": 0.5,
+        "nodes": [{"id": "r", "kind": "abstract"}, {"id": "l", "kind": "abstract"}],
+        "edges": [{"id": "a", "src": "r", "dst": "l", "cost": 1.0}],
+        "players": [{"id": i, "root": "r", "leaf": "l"} for i in range(1, 5001)],
+    })
+    out = tmp_path / "catalog.json"
+    assert main(["enumerate", "--instance", str(instance), "--output", str(out)]) == 0
+    catalog = json.loads(out.read_text())["catalog"]
+    (entry,) = catalog["equilibria"]
+    assert len(entry["profile"]) == 5000
+    assert catalog["optimum"]["page_cost"] == 1.0
+
+
 def test_report_missing_report_file(d1_file, tmp_path):
     absent = tmp_path / "absent.json"
     assert main(["report", "--instance", str(d1_file), "--report", str(absent)]) == 1

@@ -5,6 +5,7 @@ import pytest
 from pagegame import (
     EquilibriumCatalog,
     Player,
+    Schedule,
     StrategyProfile,
     analyze,
     brute_force_equilibria,
@@ -23,7 +24,7 @@ from pagegame.instance import load_instance
 from pagegame.oracle import path_counts
 
 import golden_corpus
-from gamegen import DELTAS, all_profiles, build_d1, random_instance
+from gamegen import DELTAS, all_profiles, build_d1, large_cost_game, random_instance
 
 TOL = 1e-9
 
@@ -108,6 +109,27 @@ def test_dynamics_results_appear_in_catalog():
         assert trace.converged
         entries = brute_force_equilibria(inst.graph, inst.players, delta)
         assert trace.final_profile.paths in [e.profile.paths for e in entries]
+
+
+def test_dynamics_results_appear_in_catalog_at_large_costs():
+    # Past 1e7 an ulp passes TOLERANCE; with detours that tie their edge in
+    # exact arithmetic, paths tie up to a few ulps apart. Wherever a run
+    # stops, under any schedule, the oracle must list the profile.
+    checked = 0
+    for seed in range(300):
+        delta = DELTAS[seed % len(DELTAS)]
+        inst = large_cost_game(random_instance(2400 + seed, delta=delta, max_profiles=100), seed)
+        if math.prod(path_counts(inst.graph, inst.players)) > 2000:
+            continue
+        entries = brute_force_equilibria(inst.graph, inst.players, delta)
+        catalogued = [e.profile.paths for e in entries]
+        for s in range(4):
+            schedule = Schedule("random" if s else "round-robin", s)
+            trace = run_dynamics(inst.graph, inst.players, delta, schedule)
+            if trace.converged:
+                assert trace.final_profile.paths in catalogued, (seed, s)
+                checked += 1
+    assert checked >= 1000
 
 
 def test_oracle_and_engine_agree_profile_by_profile():
@@ -226,6 +248,16 @@ def test_no_equilibria_error():
     )
     with pytest.raises(NoEquilibria):
         efficiency_metrics(empty)
+
+
+def test_zero_cost_optimum_ratio_needs_an_exactly_free_equilibrium():
+    # b costs 1e-10 more than the free edge a, within TOLERANCE, so both
+    # profiles are equilibria; only a is free, so anarchy's price is infinite.
+    graph = build_graph([("r", "abstract"), ("l", "abstract")],
+                        [("a", "r", "l", 0.0), ("b", "r", "l", 1e-10)])
+    catalog = analyze(graph, (Player(1, "r", "l"),), 0.0)
+    assert [e.profile.path(1) for e in catalog.equilibria] == [("a",), ("b",)]
+    assert (catalog.optimum_cost, catalog.poa, catalog.pos) == (0.0, math.inf, 1.0)
 
 
 # ---------------------------------------------------------------- forest flag

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from pagegame import Player, build_graph, oracle
+from pagegame import Player, build_graph, oracle, page_cost
 from pagegame.errors import NoPath, SearchSpaceTooLarge
 from pagegame.game import TOLERANCE
 
 import reference_oracle as reference
-from gamegen import DELTAS, layered_game, random_instance
+from gamegen import DELTAS, diamond_chain, large_cost_game, layered_game, random_instance
 
 
 def _bits(value):
@@ -65,6 +65,68 @@ def test_catalogs_match_reference_on_layered_games(delta):
         compared += 1
         assert catalog.equilibria
     assert compared >= 10
+
+
+def test_catalogs_match_reference_on_large_cost_games():
+    # Past 1e7 an ulp exceeds TOLERANCE, so both sides apply the slack.
+    for seed in range(60):
+        inst = large_cost_game(
+            random_instance(4200 + seed, delta=DELTAS[seed % len(DELTAS)], max_profiles=100), seed
+        )
+        if _profile_space(inst.graph, inst.players) <= 2000:
+            _assert_same_catalog(inst.graph, inst.players, inst.delta)
+
+
+# ---------------------------------------------------------------- social optimum
+
+def _assert_same_optimum(graph, players):
+    expected = reference.social_optimum(graph, players)
+    actual = oracle.social_optimum(graph, players)
+    assert actual.paths == expected.paths
+    assert page_cost(graph, actual).hex() == page_cost(graph, expected).hex()
+    return actual
+
+
+def test_optimum_matches_reference_on_gamegen_layered_and_large_cost_games():
+    compared = 0
+    for seed in range(40):
+        inst = random_instance(4300 + seed)
+        _assert_same_optimum(inst.graph, inst.players)
+        _assert_same_optimum(large_cost_game(inst, seed).graph, inst.players)
+        graph, players, _ = layered_game(4400 + seed, 0.0, count=4)
+        if _profile_space(graph, players) <= 20_000:
+            _assert_same_optimum(graph, players)
+            compared += 1
+    assert compared >= 10
+
+
+def test_optimum_exact_tie_keeps_first_in_product_order():
+    # Both players on a, or both on b then c, cost 2.0 exactly; the split
+    # profiles cost 4.0. The walk must keep (a, a), first in product order.
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("a", "r", "l", 2.0), ("b", "r", "m", 1.0), ("c", "m", "l", 1.0)],
+    )
+    players = (Player(1, "r", "l"), Player(2, "r", "l"))
+    optimum = _assert_same_optimum(graph, players)
+    assert optimum.paths == {1: ("a",), 2: ("a",)}
+
+
+def test_optimum_near_tie_is_decided_by_declaration_order_sums():
+    # Declared b3, b1, b2, the chain sums to one ulp below a; summed along
+    # the path, b1 + b2 + b3 lands one ulp above a. The chain must win: a
+    # walk-order leaf sum, or a bound without its ulp margin, keeps a.
+    b1, b2, b3 = 353388117.51, 777707812.66, 814800196.42
+    declared = (b3 + b1) + b2
+    a = math.nextafter(declared, math.inf)
+    assert (b1 + b2) + b3 == math.nextafter(a, math.inf)
+    graph = build_graph(
+        [(n, "abstract") for n in ("r", "x", "y", "l")],
+        [("b3", "y", "l", b3), ("b1", "r", "x", b1), ("b2", "x", "y", b2), ("a", "r", "l", a)],
+    )
+    optimum = _assert_same_optimum(graph, (Player(1, "r", "l"),))
+    assert optimum.path(1) == ("b1", "b2", "b3")
+    assert page_cost(graph, optimum) == declared
 
 
 def test_all_tied_profiles_are_equilibria_in_product_order():
@@ -126,6 +188,49 @@ def test_sweep_scores_each_candidate_once_per_combination(monkeypatch, delta):
     monkeypatch.undo()
     expected = reference.brute_force_equilibria(graph, players, delta)
     assert [e.profile.paths for e in actual] == [e.profile.paths for e in expected]
+
+
+def test_optimum_walk_prunes_dear_subtrees(monkeypatch):
+    # Every lower branch costs 5 more, so all three players on the upper
+    # branches are cheapest by far: most of the 4,096 profiles never need
+    # a leaf sum.
+    graph = diamond_chain(4, extra=lambda i: 5.0)
+    players = tuple(Player(i, "v0", "v4") for i in (1, 2, 3))
+    profiles = _profile_space(graph, players)
+    assert profiles == 4096
+    sums = []
+    real = oracle.ordered_sum
+
+    def counting(values):
+        sums.append(1)
+        return real(values)
+
+    monkeypatch.setattr(oracle, "ordered_sum", counting)
+    optimum = oracle.social_optimum(graph, players)
+    assert 0 < len(sums) < profiles // 8
+    monkeypatch.undo()
+    assert optimum.paths == reference.social_optimum(graph, players).paths
+
+
+def test_sweep_skips_players_with_one_path(monkeypatch):
+    # Forty players pinned to the single edge c, one with a choice: only
+    # the chooser's candidates are scored, once per combination (one).
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("a", "r", "l", 1.0), ("b", "r", "l", 2.0), ("c", "m", "l", 1.0)],
+    )
+    players = (Player(1, "r", "l"), *(Player(i, "m", "l") for i in range(2, 42)))
+    scored = []
+    real = oracle._deviation_costs
+
+    def counting(candidates, *args):
+        scored.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", counting)
+    entries = oracle.brute_force_equilibria(graph, players, 0.5)
+    assert scored == [2]
+    assert [e.profile.path(1) for e in entries] == [("a",)]
 
 
 def test_improvement_must_exceed_tolerance():
