@@ -34,7 +34,7 @@ from .game import (
     slack,
     validate_profile,
 )
-from .instance import load_instance, number
+from .instance import collector_paused, load_instance, number
 from .reporting import (
     canonical_json,
     load_report,
@@ -281,6 +281,7 @@ _COMMANDS = {
 }
 
 
+@collector_paused
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -12,8 +12,9 @@ under reweighted costs:
 The leftover term, ``delta`` times the other players' page cost, does not
 depend on the candidate path, hence cheapest-path minimization is exact.
 
-Each ``run_dynamics``, ``best_response`` or ``improving_move`` call keeps one
-private state for all its best responses; only the graph's memos outlive it:
+Each ``run_dynamics``, ``best_response`` or ``improving_move`` call registers
+its players' roots (``GameGraph.root_masks``) before its first plan and keeps
+one private state for all its best responses; only the graph's memos outlive it:
 
 * the current profile's ``game.Tally``: edge loads, loaded edges and page
   cost. A best response takes the player off with ``Tally.move``, reads the
@@ -317,6 +318,7 @@ def improving_move(
     lets improve, with the path ``best_response(..., seed=0)`` gives it;
     ``None`` when no player can improve."""
     state = _State(graph, profile, delta)
+    graph.root_masks([graph.edge(path[0]).src for _, path in profile.items()])
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
         if state.improves(root, leaf, state.respond(pid, root, leaf)[2], state.cost(pid)):
@@ -351,6 +353,7 @@ def run_dynamics(
         raise ValueError("max_iters must be >= 1")
     schedule = schedule or Schedule()
     players = tuple(players)
+    graph.root_masks([player.root for player in players])
     rng = SplitMix64(schedule.seed)
 
     if initial is None:

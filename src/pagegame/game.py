@@ -10,7 +10,8 @@ copy of the whole page cost as a cooperative term.
 Outside the oracle's sweeps, costs, potentials and page costs are read from
 a ``Tally`` of a profile's edge loads, the only type here that changes after
 construction (``move`` moves a player); a graph only fills its integer
-index, reachability memo and root-leaf plans, idempotently, on first use.
+index, root masks (which registered roots reach each node, from one pass in
+topological order) and root-leaf plans, idempotently, on first use.
 Floating-point sums always run left to right (``ordered_sum``) in a
 canonical order (edge declaration order, player id order), so results are
 reproducible across processes and Python versions.
@@ -85,6 +86,11 @@ class Player:
     root: str
     leaf: str
     label: str = ""
+
+
+#: A graph's registered roots with their bits, and each node's mask of the
+#: roots that reach it (``GameGraph.root_masks``).
+_Masks = tuple[dict[str, int], dict[str, int]]
 
 
 class GraphIndex:
@@ -166,7 +172,7 @@ class GameGraph:
         self._out = {nid: tuple(sorted(es, key=lambda e: e.edge_id)) for nid, es in out.items()}
         self._topo = self._toposort(indegree)
         self._index: GraphIndex | None = None
-        self._reach: dict[str, frozenset[str]] = {}
+        self._masks: _Masks = ({}, {})
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
 
     def _toposort(self, indegree: dict[str, int]) -> tuple[str, ...]:
@@ -219,32 +225,51 @@ class GameGraph:
             self._index = GraphIndex(self)
         return self._index
 
-    def reachable(self, node_id: str) -> frozenset[str]:
-        """Nodes reachable from ``node_id`` (inclusive), searched once per graph."""
-        if node_id not in self._reach:
-            seen, stack = {node_id}, [node_id]
-            while stack:
-                for edge in self._out[stack.pop()]:
-                    if edge.dst not in seen:
-                        seen.add(edge.dst)
-                        stack.append(edge.dst)
-            self._reach[node_id] = frozenset(seen)
-        return self._reach[node_id]
+    def root_masks(self, roots: Iterable[str]) -> _Masks:
+        """Each registered root's bit and each node's mask of the bits of the
+        roots that reach it (its own included), after registering those of
+        ``roots`` in the graph. New roots rerun the one pass (``_extend``),
+        stored with their bits as one snapshot: a racing store can only drop
+        the other call's new roots, which their next lookup registers again."""
+        snapshot = self._masks
+        new = [root for root in roots if root not in snapshot[0] and root in self._nodes]
+        if new:
+            snapshot = self._masks = self._extend(snapshot, new)
+        return snapshot
+
+    def _extend(self, snapshot: _Masks, roots: Iterable[str]) -> _Masks:
+        """A new snapshot: ``roots`` on new bits after the old ones, and the
+        masks of all, from one pass in topological order that ORs each
+        node's mask into the heads of its out-edges."""
+        bits = dict(snapshot[0])
+        for root in roots:
+            bits.setdefault(root, 1 << len(bits))
+        masks = dict.fromkeys(self._topo, 0)
+        masks.update(bits)
+        out = self._out
+        for node in self._topo:
+            mask = masks[node]
+            if mask:
+                for edge in out[node]:
+                    masks[edge.dst] |= mask
+        return bits, masks
 
     def between(self, root: str, leaf: str) -> tuple[int, ...]:
         """Index positions of the nodes on some ``root``-``leaf`` path, leaf
         excluded, in reversed topological order; empty when there is no path
         or an endpoint is not in the graph. Searched once per pair and graph:
-        back from the leaf over in-edges, kept inside ``reachable(root)``."""
+        back from the leaf over in-edges, through the nodes whose mask
+        (``root_masks``) holds the root's bit."""
         key = (root, leaf)
         if key not in self._plans and root in self._nodes and leaf in self._nodes:
-            reach, order, index = self.reachable(root), self._topo, self.index
+            bits, masks = self.root_masks((root,))
+            bit, order, index = bits[root], self._topo, self.index
             target = index.node_position[leaf]
             live = {target}
-            stack = [target] if leaf in reach else []
+            stack = [target] if masks[leaf] & bit else []
             while stack:
                 for node in index.ins[stack.pop()]:
-                    if node not in live and order[node] in reach:
+                    if node not in live and masks[order[node]] & bit:
                         live.add(node)
                         stack.append(node)
             live.discard(target)
@@ -459,7 +484,9 @@ def cost_report(
 
 
 def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
-    """Check player invariants: distinct ids, real endpoints, a path exists."""
+    """Check player invariants: distinct ids, real endpoints, a path exists.
+    The first player in order that breaks one decides the error."""
+    bits, masks = graph.root_masks([player.root for player in players])
     seen_ids: set[int] = set()
     for player in players:
         if player.player_id in seen_ids:
@@ -471,7 +498,7 @@ def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
             raise InvalidProfile(player.player_id, f"unknown leaf node {player.leaf!r}")
         if player.root == player.leaf:
             raise InvalidProfile(player.player_id, "root and leaf must differ")
-        if player.leaf not in graph.reachable(player.root):
+        if not masks[player.leaf] & bits[player.root]:
             raise NoPath(player.player_id, player.root, player.leaf)
 
 

@@ -11,8 +11,11 @@ errors.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
+import threading
 from typing import Any
 
 from .dom import (
@@ -170,6 +173,40 @@ def _parse_document_form(obj: dict, delta: float) -> GameInstance:
     return build_game(parse_document(text), devices, cost_model=model, delta=delta)
 
 
+#: Calls inside ``collector_paused`` functions, across threads, and whether
+#: the collector was enabled when the first of them began.
+_pause = {"depth": 0, "enabled": False}
+_pause_lock = threading.Lock()
+
+
+def collector_paused(function):
+    """``function`` with Python's cyclic garbage collector paused during the
+    call. Loading a game and running a command build large acyclic
+    structures that reference counting frees; a collection in between only
+    re-walks live objects, and whether a full one falls inside a given call
+    depends on everything the process ran before it. Overlapping calls, in
+    one thread or several, share one pause; the last to return restores
+    the state the first one found."""
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        with _pause_lock:
+            if not _pause["depth"]:
+                _pause["enabled"] = gc.isenabled()
+                gc.disable()
+            _pause["depth"] += 1
+        try:
+            return function(*args, **kwargs)
+        finally:
+            with _pause_lock:
+                _pause["depth"] -= 1
+                if not _pause["depth"] and _pause["enabled"]:
+                    gc.enable()
+
+    return paused
+
+
+@collector_paused
 def instance_from_text(text: str) -> GameInstance:
     try:
         obj = json.loads(text)

@@ -123,6 +123,7 @@ def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
     ``len(enumerate_paths(...))``: 1 when root and leaf coincide, 0 when
     the leaf is unreachable or an endpoint is not in the graph.
     """
+    graph.root_masks([player.root for player in players])
     position, ins = graph.index.node_position, graph.index.ins
     counts = []
     for player in players:

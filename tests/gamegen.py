@@ -114,7 +114,7 @@ def layered_game(seed: int, delta: float, count: int = 10) -> tuple:
     while len(players) < count:
         root = rng.choice(["s"] + layers[0] + layers[1])
         leaf = rng.choice(layers[3] + layers[4])
-        if leaf in graph.reachable(root):
+        if leaf in reachable_from(graph, root):
             players.append(Player(len(players) + 1, root, leaf))
     return graph, tuple(players), delta
 
@@ -203,6 +203,19 @@ def instance_to_json(instance: GameInstance) -> dict:
     }
 
 
+def reachable_from(graph, root: str) -> set:
+    """Nodes reachable from ``root``, itself included, by a plain forward
+    search over ``graph.out_edges``: a reference that shares nothing with
+    the engine's root masks."""
+    seen, stack = {root}, [root]
+    while stack:
+        for edge in graph.out_edges(stack.pop()):
+            if edge.dst not in seen:
+                seen.add(edge.dst)
+                stack.append(edge.dst)
+    return seen
+
+
 class _LoggedMemo(dict):
     def __init__(self, log: list):
         super().__init__()
@@ -213,15 +226,23 @@ class _LoggedMemo(dict):
         super().__setitem__(key, value)
 
 
-def search_log(graph, memo: str = "_reach") -> list:
-    """The keys a graph memo fills after this call, in order: the nodes
-    ``graph.reachable`` searches from, or with ``memo="_plans"`` the
-    (root, leaf) pairs ``graph.between`` plans.
-
-    The memo of a fresh graph is swapped for one that logs each fill, so a
-    key searched twice shows up twice.
-    """
+def search_log(graph, memo: str | None = None) -> list:
+    """What a fresh graph searches after this call, in order: each pass of
+    its root masks as the set of roots it covered, or with
+    ``memo="_plans"`` the (root, leaf) pairs ``graph.between`` plans, a
+    pair planned twice showing up twice."""
     log: list = []
-    assert not getattr(graph, memo), "log a graph before its first search"
-    setattr(graph, memo, _LoggedMemo(log))
+    if memo is not None:
+        assert not getattr(graph, memo), "log a graph before its first search"
+        setattr(graph, memo, _LoggedMemo(log))
+        return log
+    assert not graph._masks[0], "log a graph before its first pass"
+    extend = graph._extend
+
+    def logged(snapshot, roots):
+        result = extend(snapshot, roots)
+        log.append(set(result[0]))
+        return result
+
+    graph._extend = logged
     return log

@@ -396,6 +396,84 @@ def test_commands_build_the_graph_index_at_most_once(d1_file, tmp_path, monkeypa
         assert len(builds) <= 1, argv[0]
 
 
+def test_loads_and_commands_run_with_the_collector_paused(d1_file, tmp_path, monkeypatch):
+    """No cyclic collection can fall inside a load or a command, whatever ran
+    before it; the collector's state is restored after, error exits included."""
+    import gc
+
+    from pagegame import cli, instance
+
+    states = []
+
+    def recorded(function):
+        def call(*args):
+            states.append(gc.isenabled())
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(instance, "parse_instance", recorded(instance.parse_instance))
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, recorded(command))
+    report = tmp_path / "report.json"
+    runs = [
+        (["solve", "--instance", str(d1_file), "--output", str(report)], 0),
+        (["check", "--instance", str(d1_file), "--report", str(report)], 0),
+        (["enumerate", "--instance", str(d1_file), "--output", str(tmp_path / "cat.json")], 0),
+        (["report", "--instance", str(d1_file), "--report", str(report)], 0),
+        (["solve", "--instance", str(tmp_path / "missing.json")], 1),
+        (["solve", "--no-such-flag"], 1),
+    ]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            states.clear()
+            instance.load_instance(str(d1_file))
+            assert gc.isenabled() is enabled
+            for argv, code in runs:
+                assert main(argv) == code, argv
+                assert gc.isenabled() is enabled
+            # one load alone, then a command and its load for each of the
+            # first four runs, and the command alone for the missing file
+            assert states == [False] * 10
+    finally:
+        gc.enable()
+
+
+def test_overlapping_pauses_restore_the_collector_once():
+    """A paused call that outlasts another thread's, begun before it, stays
+    paused; the last one to return restores the collector."""
+    import gc
+    import threading
+
+    from pagegame.instance import collector_paused
+
+    entered, release, seen = threading.Event(), threading.Event(), []
+
+    @collector_paused
+    def first():
+        entered.set()
+        release.wait(10)
+
+    @collector_paused
+    def outlasting():
+        release.set()
+        worker.join(10)
+        seen.append(gc.isenabled())
+
+    gc.enable()
+    worker = threading.Thread(target=first)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        outlasting()
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert seen == [False]
+    assert gc.isenabled() is True
+
+
 def test_unconverged_solve_exits_3_with_report(tmp_path):
     from gamegen import instance_to_json, random_instance
     from pagegame import run_dynamics

@@ -31,6 +31,7 @@ from gamegen import (
     diamond_chain,
     first_path_profile,
     instance_to_json,
+    layered_game,
     random_instance,
     search_log,
 )
@@ -342,10 +343,10 @@ def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
 @COUNTED_GAMES
 def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, inst, start):
     # Loads are tallied only by the state's own tally, never into an id-keyed
-    # map, and each distinct root is searched once per graph: at load, then
-    # never again.
+    # map, and the graph makes one reachability pass over the players'
+    # distinct roots: at load, then never again.
     graph = build_graph(inst.graph.nodes.values(), inst.graph.edges)
-    searched = search_log(graph)
+    passes = search_log(graph)
     instance = GameInstance(graph, inst.players, inst.delta)
     dataclasses.replace(instance, delta=inst.delta + 0.5)
     loads = _count_calls(monkeypatch, "load_map", game, dynamics)
@@ -353,7 +354,27 @@ def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, i
         trace = run_dynamics(graph, inst.players, inst.delta, initial=initial)
     is_nash(graph, trace.final_profile, inst.delta)
     assert loads == []
-    assert sorted(searched) == sorted({p.root for p in inst.players})
+    assert passes == [{p.root for p in inst.players}]
+
+
+def test_commands_on_an_unvalidated_graph_make_one_pass():
+    # A graph straight from build_graph has no root masks yet: each command
+    # registers its players' roots in one pass before its first plan.
+    graph, players, delta = layered_game(3150, 0.5)
+    roots = {p.root for p in players}
+    assert len(roots) > 1
+    passes = search_log(graph)
+    trace = run_dynamics(graph, players, delta)
+    assert passes == [roots]
+
+    profile, first = trace.final_profile, players[0]
+    for command, covered in ((lambda g: is_nash(g, profile, delta), roots),
+                             (lambda g: best_response(g, profile, first.player_id, delta),
+                              {first.root})):
+        graph = build_graph(graph.nodes.values(), graph.edges)
+        passes = search_log(graph)
+        command(graph)
+        assert passes == [covered]
 
 
 def _golden_and_gamegen_games():

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -43,7 +45,7 @@ import golden_corpus
 
 from gamegen import (
     SAMPLE_DOCUMENT, DELTAS, all_profiles, build_d1, corpus, first_path_profile,
-    random_instance, search_log,
+    random_instance, reachable_from, search_log,
 )
 
 TOL = 1e-9
@@ -160,18 +162,21 @@ def test_index_agrees_with_graph():
             index.positions([index.edge_ids[0], "no-such-edge"])
 
 
+def _plan_by_search(graph, reach, root, leaf):
+    """``between``'s plan from ``reach``, each node's plain forward search."""
+    position = graph.index.node_position
+    return tuple(sorted(
+        (position[u] for u in reach[root] if u != leaf and leaf in reach[u]), reverse=True))
+
+
 def test_plan_is_the_nodes_on_some_root_leaf_path():
     for name, graph in _index_graphs():
-        order, position = graph.topo_order, graph.index.node_position
+        order = graph.topo_order
+        reach = {node: reachable_from(graph, node) for node in order}
         for root in order:
             for leaf in order:
-                expected = sorted(
-                    (position[u] for u in graph.reachable(root)
-                     if u != leaf and leaf in graph.reachable(u)),
-                    reverse=True,
-                )
                 plan = graph.between(root, leaf)
-                assert plan == tuple(expected), (name, root, leaf)
+                assert plan == _plan_by_search(graph, reach, root, leaf), (name, root, leaf)
                 assert graph.between(root, leaf) is plan, name
         assert graph.between(order[0], "no-such-node") == ()
         assert graph.between("no-such-node", order[-1]) == ()
@@ -451,17 +456,138 @@ def test_validate_players_searches_once_per_root():
              ("l", "abstract"), ("island", "abstract")]
     edges = [("a", "r", "m", 1.0), ("b", "m", "l", 1.0), ("c", "s", "l", 1.0)]
     graph = build_graph(nodes, edges)
-    roots = search_log(graph)
+    passes = search_log(graph)
     players = (Player(1, "r", "l"), Player(2, "r", "m"), Player(3, "s", "l"), Player(4, "r", "l"))
     validate_players(graph, players)
-    assert sorted(roots) == ["r", "s"]
+    assert passes == [{"r", "s"}]
     # Validating again, as a --delta override does, searches nothing.
     validate_players(graph, players)
-    assert sorted(roots) == ["r", "s"]
+    assert passes == [{"r", "s"}]
 
     graph = build_graph(nodes, edges)
-    roots = search_log(graph)
+    passes = search_log(graph)
     with pytest.raises(NoPath) as err:
         validate_players(graph, (Player(1, "r", "l"), Player(2, "r", "island")))
     assert err.value.player_id == 2
-    assert roots == ["r"]
+    assert passes == [{"r"}]
+
+
+def test_validate_players_keeps_its_error_order():
+    # The first player in order that breaks an invariant decides the error;
+    # the one pass skips roots not in the graph.
+    nodes = [("r", "abstract"), ("m", "abstract"), ("l", "abstract"), ("island", "abstract")]
+    edges = [("a", "r", "m", 1.0), ("b", "m", "l", 1.0)]
+    cases = [
+        ((Player(1, "ghost", "l"), Player(2, "r", "island")), InvalidProfile, 1),
+        ((Player(1, "r", "ghost"), Player(2, "r", "island")), InvalidProfile, 1),
+        ((Player(1, "r", "l"), Player(1, "r", "island")), InvalidProfile, 1),
+        ((Player(1, "r", "island"), Player(2, "ghost", "l")), NoPath, 1),
+        ((Player(1, "r", "l"), Player(2, "m", "r"), Player(3, "ghost", "l")), NoPath, 2),
+        ((Player(1, "m", "l"), Player(2, "l", "m")), NoPath, 2),
+    ]
+    for players, error, player_id in cases:
+        graph = build_graph(nodes, edges)
+        passes = search_log(graph)
+        with pytest.raises(error) as err:
+            validate_players(graph, players)
+        assert err.value.player_id == player_id, players
+        assert passes == [{p.root for p in players if p.root in graph}], players
+
+
+def _assert_masks_agree(graph, snapshot, name):
+    bits, masks = snapshot
+    assert len(set(bits.values())) == len(bits), name
+    for root, bit in bits.items():
+        reach = reachable_from(graph, root)
+        for node in graph.topo_order:
+            assert bool(masks[node] & bit) == (node in reach), (name, root, node)
+
+
+def _layered_graph(seed, layers, width):
+    rng = random.Random(seed)
+    grid = [[f"n{l}.{i}" for i in range(width)] for l in range(layers)]
+    edges = []
+    for l in range(layers - 1):
+        for i, src in enumerate(grid[l]):
+            for j in rng.sample(range(width), rng.randint(0, 2)):
+                edges.append((f"e{l}.{i}.{j}", src, grid[l + 1][j], 1.0))
+            if l + 2 < layers and rng.random() < 0.3:
+                edges.append((f"s{l}.{i}", src, rng.choice(grid[l + 2]), 2.0))
+    return build_graph([(n, "abstract") for layer in grid for n in layer], edges)
+
+
+def test_root_masks_agree_with_a_plain_search():
+    # Every (root, node) pair: the players' roots of the initial pass, then
+    # roots first registered after it, on the corpus and gamegen graphs.
+    for name, graph in _index_graphs():
+        order = graph.topo_order
+        _assert_masks_agree(graph, graph._masks, name)
+        _assert_masks_agree(graph, graph.root_masks(order[::2]), name)
+        _assert_masks_agree(graph, graph.root_masks(order), name)
+        assert set(graph._masks[0]) == set(order), name
+
+    # More than 64 distinct roots, so masks run past one machine word.
+    graph = _layered_graph(7, layers=12, width=10)
+    order = graph.topo_order
+    players = []
+    for root in order:
+        reach = reachable_from(graph, root) - {root}
+        if reach:
+            players.append(Player(len(players) + 1, root, min(reach)))
+    passes = search_log(graph)
+    GameInstance(graph, tuple(players))
+    assert passes == [{p.root for p in players}]
+    assert len(passes[0]) > 64
+    _assert_masks_agree(graph, graph._masks, "layered")
+    late = [node for node in order if node not in passes[0]]
+    assert late
+    _assert_masks_agree(graph, graph.root_masks(late), "layered")
+    assert len(passes) == 2 and passes[1] == set(order)
+
+
+def test_root_masks_survive_a_racing_store():
+    # Two calls extend the same snapshot: one stores {r, s}, then the other
+    # stores {r, m}, built from the stale {r}. Both gave their new root the
+    # same bit, and the later store drops s. Every snapshot still answers
+    # as a plain search, and s is registered again on its next lookup.
+    graph = _layered_graph(11, layers=6, width=4)
+    order = graph.topo_order
+    r, s, m = [node for node in order if graph.out_edges(node)][:3]
+    passes = search_log(graph)
+    stale = graph.root_masks([r])
+    stored = graph.root_masks([s])
+    graph._masks = raced = graph._extend(stale, [m])
+    assert passes == [{r}, {r, s}, {r, m}]
+    assert stored[0][s] == raced[0][m]
+    for snapshot in (stale, stored, raced):
+        _assert_masks_agree(graph, snapshot, "race")
+    reach = {node: reachable_from(graph, node) for node in order}
+    for root in (r, s, m):
+        for leaf in order:
+            assert graph.between(root, leaf) == _plan_by_search(graph, reach, root, leaf)
+    assert passes == [{r}, {r, s}, {r, m}, {r, s, m}]
+    _assert_masks_agree(graph, graph._masks, "race")
+    last = [[node for node in order if node in reach[root]][-1] for root in (r, s, m)]
+    players = [Player(i + 1, root, leaf) for i, (root, leaf) in enumerate(zip((r, s, m), last))]
+    validate_players(graph, players)
+    assert len(passes) == 4
+
+
+def test_many_roots_take_one_pass_and_little_memory():
+    # One player per node of a 3,000-node chain, each routing to its end: one
+    # pass and a few MiB of masks (per-root searches held 205 MiB of sets).
+    n = 3000
+    graph = build_graph(
+        [(f"v{i}", "abstract") for i in range(n)],
+        [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(n - 1)],
+    )
+    players = tuple(Player(i + 1, f"v{i}", f"v{n - 1}") for i in range(n - 1))
+    passes = search_log(graph)
+    tracemalloc.start()
+    try:
+        GameInstance(graph, players)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passes == [{p.root for p in players}]
+    assert peak < 4 * 2**20, peak

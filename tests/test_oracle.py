@@ -24,7 +24,9 @@ from pagegame.instance import load_instance
 from pagegame.oracle import path_counts
 
 import golden_corpus
-from gamegen import DELTAS, all_profiles, build_d1, large_cost_game, random_instance
+from gamegen import (
+    DELTAS, all_profiles, build_d1, large_cost_game, layered_game, random_instance, search_log,
+)
 
 TOL = 1e-9
 
@@ -71,6 +73,17 @@ def test_enumerate_count_matches_memoized_oracle():
             assert len(listed) == _count_paths_memoized(inst.graph, p.root, p.leaf) == count
             assert listed == sorted(listed), "lexicographic order"
             assert len(set(listed)) == len(listed)
+
+
+def test_analyze_on_an_unvalidated_graph_makes_one_pass():
+    # Both product walks count paths first, and the first count registers
+    # every player's root in one pass.
+    graph, players, delta = layered_game(4150, 0.5, count=3)
+    roots = {p.root for p in players}
+    assert len(roots) > 1
+    passes = search_log(graph)
+    analyze(graph, players, delta)
+    assert passes == [roots]
 
 
 # ---------------------------------------------------------------- equilibria
