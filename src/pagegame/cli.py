@@ -31,6 +31,7 @@ from .game import (
     StrategyProfile,
     Tally,
     cost_report,
+    ordered_sum,
     slack,
     validate_profile,
 )
@@ -213,8 +214,9 @@ def _cmd_check(args) -> int:
         detail = f"player {pid} can switch to [{', '.join(path)}]"
     results.append(("nash-stability", stable, detail))
 
-    costs, loads = tally.index.costs, tally.loads
-    total_shares = sum(costs[e] / loads[e] for path in tally.paths.values() for e in path)
+    costs, loads = graph.costs, tally.loads
+    total_shares = ordered_sum(
+        [costs[e] / loads[e] for path in tally.paths.values() for e in path])
     balanced = abs(total_shares - page) <= slack(page, terms)
     results.append(
         ("budget-balance", balanced,
@@ -222,7 +224,7 @@ def _cmd_check(args) -> int:
     )
 
     k = len(instance.players)
-    total_player = sum(player_costs.values())
+    total_player = ordered_sum(player_costs.values())
     expected = page * (1.0 + delta * k)
     aggregated = abs(total_player - expected) <= slack(expected, terms + k)
     results.append(

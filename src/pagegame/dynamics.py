@@ -33,17 +33,16 @@ accumulated from the root along it, plus the distance left, stays within the
 bound at every edge. Whether an edge is taken therefore depends only on the
 node and that accumulated float, so the number of tied completions is a
 function of the pair ``(node, acc)``. An explicit-stack post-order counts
-the tied paths, exactly, into a memo on that pair, and keeps the first in
-lexicographic edge-id order; when the draw picks another, an unrank walks
-down from the root, subtracting each tied subtree's count until the rank
-falls inside one. When tied prefixes reach each node with bit-equal
-weights, as equal costs do, both walks are linear in the plan however many
-paths tie. Near-ties can give a node many accumulated weights, so the memo
-stops growing at ``_MEMO_PER_NODE`` entries per graph node; the unrank
-counts a subtree missing from it again with the same walk. Distances, tie
-counts, accumulated weights, RNG draws and traces are therefore
-bit-identical to rebuilding everything and listing the tied paths for each
-best response.
+the tied paths, exactly, into a memo on that pair; an unrank then walks
+down from the root to the drawn rank (rank 0 when one path ties),
+subtracting each tied subtree's count until the rank falls inside one.
+When tied prefixes reach each node with bit-equal weights, as equal costs
+do, both walks are linear in the plan however many paths tie. Near-ties
+can give a node many accumulated weights, so the memo stops growing at
+``_MEMO_PER_NODE`` entries per graph node; the unrank counts a subtree
+missing from it again with the same walk. Distances, tie counts,
+accumulated weights, RNG draws and traces are therefore bit-identical to
+rebuilding everything and listing the tied paths for each best response.
 
 Sums from the root and sums from the leaf round differently, by more than
 ``TOLERANCE`` once costs are large. The tie bound and the move and
@@ -134,7 +133,7 @@ class _State(Tally):
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
-        self.fresh = [cost * (delta + 1.0) for cost in self.index.costs]
+        self.fresh = [cost * (delta + 1.0) for cost in self.graph.costs]
         self.weights = [0.0] * len(self.loads)
         # All infinite between best responses: a relaxation writes only its
         # plan, so every edge leaving the plan reads an infinite distance.
@@ -147,8 +146,8 @@ class _State(Tally):
         ``weights``. Returns the plan and the leaf's position."""
         plan = self.graph.between(root, leaf)
         loads, fresh, weights, dist = self.loads, self.fresh, self.weights, self.dist
-        costs, heads, outs = self.index.costs, self.index.heads, self.index.outs
-        target = self.index.node_position[leaf]
+        costs, heads, outs = self.graph.costs, self.graph.heads, self.graph.outs
+        target = self.graph.node_position[leaf]
         dist[target] = 0.0
         for node in plan:
             best = math.inf
@@ -167,44 +166,38 @@ class _State(Tally):
         for node in plan:
             dist[node] = math.inf
 
-    def _count(
-        self, start: int, start_acc: float, target: int, bound: float, memo: dict
-    ) -> tuple[int, tuple[tuple[str, ...], float] | None]:
+    def _count(self, start: int, start_acc: float, target: int, bound: float, memo: dict) -> int:
         """Number of ``start``-target paths that stay within ``bound`` after
-        ``start_acc`` has been accumulated to ``start``, and the first of them
-        in lexicographic edge-id order with its accumulated weight. Every
-        subtree it finishes goes into ``memo`` under its ``(node, acc)``
-        while the memo is below its cap."""
-        heads, outs, ids = self.index.heads, self.index.outs, self.index.edge_ids
+        ``start_acc`` has been accumulated to ``start``. Every subtree it
+        finishes goes into ``memo`` under its ``(node, acc)`` while the memo
+        is below its cap."""
+        heads, outs = self.graph.heads, self.graph.outs
         weights, dist = self.weights, self.dist
         cap = self.memo_cap
         # One entry per node above the current one: its out-edge iterator,
-        # accumulated weight and count so far, the edge taken down, and the
-        # memo key of the node that edge reaches.
+        # accumulated weight and count so far, and the memo key of the node
+        # its edge down reaches.
         stack: list = []
         frame, acc, total = iter(outs[start]), start_acc, 0
-        first = None
         while True:
             for e in frame:
                 through = acc + weights[e]
                 head = heads[e]
                 if through + dist[head] <= bound:
                     if head == target:
-                        if first is None:
-                            first = (tuple([ids[entry[3]] for entry in stack] + [ids[e]]), through)
                         total += 1
                         continue
                     key = (head, through)
                     below = memo.get(key)
                     if below is None:
-                        stack.append((frame, acc, total, e, key))
+                        stack.append((frame, acc, total, key))
                         frame, acc, total = iter(outs[head]), through, 0
                         break
                     total += below
             else:
                 if not stack:
-                    return total, first
-                frame, acc, above, _, key = stack.pop()
+                    return total
+                frame, acc, above, key = stack.pop()
                 if len(memo) < cap:
                     memo[key] = total
                 total += above
@@ -215,7 +208,7 @@ class _State(Tally):
         """The ``index``-th root-target path within ``bound`` in lexicographic
         edge-id order, and its accumulated weight. Subtrees missing from
         ``memo`` are counted again."""
-        heads, outs, ids = self.index.heads, self.index.outs, self.index.edge_ids
+        heads, outs, ids = self.graph.heads, self.graph.outs, self.graph.edge_ids
         weights, dist = self.weights, self.dist
         path: list[str] = []
         node, acc = root, 0.0
@@ -229,7 +222,7 @@ class _State(Tally):
                     else:
                         below = memo.get((head, through))
                         if below is None:
-                            below, _ = self._count(head, through, target, bound, memo)
+                            below = self._count(head, through, target, bound, memo)
                     if index < below:
                         path.append(ids[e])
                         if head == target:
@@ -245,12 +238,10 @@ class _State(Tally):
         lexicographic rank, with its accumulated weight; ``None`` if there is
         none. The RNG is consulted only when two or more tie."""
         memo: dict = {}
-        count, chosen = self._count(root, 0.0, target, bound, memo)
-        if count > 1:
-            index = rng.randrange(count)
-            if index:
-                chosen = self._unrank(root, target, bound, index, memo)
-        return chosen
+        count = self._count(root, 0.0, target, bound, memo)
+        if not count:
+            return None
+        return self._unrank(root, target, bound, rng.randrange(count) if count > 1 else 0, memo)
 
     def respond(
         self, player_id: int, root: str, leaf: str, rng: SplitMix64 | None = None
@@ -268,7 +259,7 @@ class _State(Tally):
         if own:
             self.move(player_id, ())
         plan, target = self._relax(root, leaf)
-        start = self.index.node_position[root]
+        start = self.graph.node_position[root]
         best = self.dist[start]
         chosen = None
         if rng is not None and not math.isinf(best):

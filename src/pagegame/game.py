@@ -9,9 +9,11 @@ copy of the whole page cost as a cooperative term.
 
 Outside the oracle's sweeps, costs, potentials and page costs are read from
 a ``Tally`` of a profile's edge loads, the only type here that changes after
-construction (``move`` moves a player); a graph only fills its integer
-index, root masks (which registered roots reach each node, from one pass in
-topological order) and root-leaf plans, idempotently, on first use.
+construction (``move`` moves a player). A graph builds its integer view
+(nodes by topological position, edges by declaration position) once, when
+constructed, and only fills its root masks (which registered roots reach
+each node, from one pass in topological order) and root-leaf plans,
+idempotently, on first use.
 Floating-point sums always run left to right (``ordered_sum``) in a
 canonical order (edge declaration order, player id order), so results are
 reproducible across processes and Python versions.
@@ -89,42 +91,8 @@ class Player:
 
 
 #: A graph's registered roots with their bits, and each node's mask of the
-#: roots that reach it (``GameGraph.root_masks``).
-_Masks = tuple[dict[str, int], dict[str, int]]
-
-
-class GraphIndex:
-    """A graph's nodes numbered by topological position and its edges by
-    declaration position: ``heads[e]`` is edge ``e``'s head, ``outs[v]``
-    node ``v``'s out-edges in edge-id order, ``ins[v]`` the tails of its
-    in-edges in declaration order.
-
-    ``GameGraph.index`` builds it on first use, as loading never needs it;
-    built with every graph it added 13% to loading 40 desk-scale games. It
-    is no ``functools.cached_property``, whose write to the instance
-    ``__dict__`` slows every attribute read of the graph on CPython 3.11:
-    ``enumerate_paths`` over 96 document-game players ran 12-17% slower
-    (both timed on a 2-vCPU Xeon).
-    """
-
-    def __init__(self, graph: GameGraph):
-        self.node_position = pos = {nid: i for i, nid in enumerate(graph.topo_order)}
-        self.edge_position = index = {edge.edge_id: i for i, edge in enumerate(graph.edges)}
-        self.edge_ids = tuple(index)
-        self.costs = tuple([edge.cost for edge in graph.edges])
-        self.heads = tuple([pos[edge.dst] for edge in graph.edges])
-        self.outs = tuple([tuple([index[e.edge_id] for e in graph.out_edges(n)]) for n in pos])
-        ins: list[list[int]] = [[] for _ in pos]
-        for edge in graph.edges:
-            ins[pos[edge.dst]].append(pos[edge.src])
-        self.ins = tuple(map(tuple, ins))
-
-    def positions(self, path: Iterable[str]) -> tuple[int, ...]:
-        """Declaration positions of a path's edges."""
-        try:
-            return tuple(map(self.edge_position.__getitem__, path))
-        except KeyError as exc:
-            raise GraphError(f"unknown edge id {exc.args[0]!r}") from None
+#: roots that reach it, by position (``GameGraph.root_masks``).
+_Masks = tuple[dict[str, int], list[int]]
 
 
 class GameGraph:
@@ -133,6 +101,13 @@ class GameGraph:
 
     Parallel edges between the same node pair are allowed and are told apart
     by their edge ids. Nodes and edges never change once constructed.
+
+    Construction numbers the nodes by topological position (``topo_order``,
+    ``node_position``) and the edges by declaration position (``edges``,
+    ``edge_position``, ``edge_ids``, ``costs``): ``heads[e]`` is edge ``e``'s
+    head, ``outs[v]`` node ``v``'s out-edges in edge-id order, which fixes
+    the traversal order everywhere, and ``ins[v]`` the tails of its in-edges
+    in declaration order.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
@@ -144,57 +119,84 @@ class GameGraph:
                 raise GraphError(f"node id {node.node_id!r} declared more than once")
             node_map[node.node_id] = node
 
-        edge_map: dict[str, Edge] = {}
-        out: dict[str, list[Edge]] = {nid: [] for nid in node_map}
-        indegree: dict[str, int] = {nid: 0 for nid in node_map}
+        # Nodes by declaration position until the topological order is known.
+        declared = {nid: v for v, nid in enumerate(node_map)}
+        edge_position: dict[str, int] = {}
+        edge_list: list[Edge] = []
+        tails: list[int] = []
+        heads: list[int] = []
         total = 0.0
         for edge in edges:
-            if edge.edge_id in edge_map:
+            if edge.edge_id in edge_position:
                 raise DuplicateEdgeId(edge.edge_id)
-            if edge.src not in node_map:
+            if edge.src not in declared:
                 raise DanglingEndpoint(edge.edge_id, edge.src)
-            if edge.dst not in node_map:
+            if edge.dst not in declared:
                 raise DanglingEndpoint(edge.edge_id, edge.dst)
             if not (0.0 <= edge.cost < math.inf):
                 raise NegativeCost(edge.edge_id, edge.cost)
-            edge_map[edge.edge_id] = edge
-            out[edge.src].append(edge)
-            indegree[edge.dst] += 1
+            edge_position[edge.edge_id] = len(edge_list)
+            edge_list.append(edge)
+            tails.append(declared[edge.src])
+            heads.append(declared[edge.dst])
             total += edge.cost
         # Past the float range, best responses and the oracle find no path.
         if math.isinf(total):
             raise GraphError("edge costs too large: their total overflows")
 
-        self._nodes = node_map
-        self._edges = edge_map
-        self._edge_order = tuple(edge_map.values())
-        # Outgoing edges sorted by id fix the traversal order everywhere.
-        self._out = {nid: tuple(sorted(es, key=lambda e: e.edge_id)) for nid, es in out.items()}
-        self._topo = self._toposort(indegree)
-        self._index: GraphIndex | None = None
-        self._masks: _Masks = ({}, {})
+        self.nodes: Mapping[str, Node] = node_map
+        self.edges = tuple(edge_list)
+        self.edge_position = edge_position
+        self.edge_ids = tuple(edge_position)
+        self.costs = tuple([edge.cost for edge in edge_list])
+        outs: list[list[int]] = [[] for _ in declared]
+        for edge_id in sorted(edge_position):
+            e = edge_position[edge_id]
+            outs[tails[e]].append(e)
+        order = self._toposort(outs, heads)
+        position = [0] * len(order)
+        for p, v in enumerate(order):
+            position[v] = p
+        names = tuple(node_map)
+        self.topo_order = tuple([names[v] for v in order])
+        self.node_position = {nid: p for p, nid in enumerate(self.topo_order)}
+        self.heads = tuple([position[v] for v in heads])
+        self.outs = tuple([tuple(outs[v]) for v in order])
+        ins: list[list[int]] = [[] for _ in order]
+        for tail, head in zip(tails, self.heads):
+            ins[head].append(position[tail])
+        self.ins = tuple(map(tuple, ins))
+        self._masks: _Masks = ({}, [])
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
 
-    def _toposort(self, indegree: dict[str, int]) -> tuple[str, ...]:
-        pending = dict(indegree)
-        queue = [nid for nid in self._nodes if pending[nid] == 0]
-        order: list[str] = []
-        while queue:
-            nid = queue.pop()
-            order.append(nid)
-            for edge in self._out[nid]:
-                pending[edge.dst] -= 1
-                if pending[edge.dst] == 0:
-                    queue.append(edge.dst)
-        if len(order) < len(self._nodes):
-            raise CycleDetected(self._find_cycle({n for n, d in pending.items() if d > 0}))
-        return tuple(order)
+    def _toposort(self, outs: list[list[int]], heads: list[int]) -> list[int]:
+        """Declaration positions in Kahn's order: the sources stacked in
+        declaration order and popped last first, each node's out-edges taken
+        in edge-id order."""
+        pending = [0] * len(outs)
+        for head in heads:
+            pending[head] += 1
+        stack = [v for v, count in enumerate(pending) if not count]
+        order: list[int] = []
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for e in outs[v]:
+                head = heads[e]
+                pending[head] -= 1
+                if not pending[head]:
+                    stack.append(head)
+        if len(order) < len(outs):
+            names = tuple(self.nodes)
+            raise CycleDetected(self._find_cycle(
+                {names[v] for v, count in enumerate(pending) if count}))
+        return order
 
     def _find_cycle(self, candidates: set[str]) -> list[str]:
         # Every leftover node keeps an in-edge from another leftover node, so
         # walking backward must revisit some node; that loop is a cycle.
         preds = {nid: [] for nid in candidates}
-        for edge in self._edges.values():
+        for edge in self.edges:
             if edge.src in candidates and edge.dst in candidates:
                 preds[edge.dst].append(edge.src)
         seen: list[str] = []
@@ -206,33 +208,22 @@ class GameGraph:
         cycle.reverse()
         return cycle
 
-    @property
-    def nodes(self) -> Mapping[str, Node]:
-        return self._nodes
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self._edge_order
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        return self._topo
-
-    @property
-    def index(self) -> GraphIndex:
-        """The integer index, built on first use; a racing build is equal."""
-        if self._index is None:
-            self._index = GraphIndex(self)
-        return self._index
+    def positions(self, path: Iterable[str]) -> tuple[int, ...]:
+        """Declaration positions of a path's edges."""
+        try:
+            return tuple(map(self.edge_position.__getitem__, path))
+        except KeyError as exc:
+            raise GraphError(f"unknown edge id {exc.args[0]!r}") from None
 
     def root_masks(self, roots: Iterable[str]) -> _Masks:
-        """Each registered root's bit and each node's mask of the bits of the
-        roots that reach it (its own included), after registering those of
-        ``roots`` in the graph. New roots rerun the one pass (``_extend``),
-        stored with their bits as one snapshot: a racing store can only drop
-        the other call's new roots, which their next lookup registers again."""
+        """Each registered root's bit and each node position's mask of the
+        bits of the roots that reach it (its own included), after registering
+        those of ``roots`` in the graph. New roots rerun the one pass
+        (``_extend``), stored with their bits as one snapshot: a racing store
+        can only drop the other call's new roots, which their next lookup
+        registers again."""
         snapshot = self._masks
-        new = [root for root in roots if root not in snapshot[0] and root in self._nodes]
+        new = [root for root in roots if root not in snapshot[0] and root in self.node_position]
         if new:
             snapshot = self._masks = self._extend(snapshot, new)
         return snapshot
@@ -244,32 +235,35 @@ class GameGraph:
         bits = dict(snapshot[0])
         for root in roots:
             bits.setdefault(root, 1 << len(bits))
-        masks = dict.fromkeys(self._topo, 0)
-        masks.update(bits)
-        out = self._out
-        for node in self._topo:
-            mask = masks[node]
+        masks = [0] * len(self.outs)
+        position = self.node_position
+        for root, bit in bits.items():
+            masks[position[root]] = bit
+        heads = self.heads
+        for v, out in enumerate(self.outs):
+            mask = masks[v]
             if mask:
-                for edge in out[node]:
-                    masks[edge.dst] |= mask
+                for e in out:
+                    masks[heads[e]] |= mask
         return bits, masks
 
     def between(self, root: str, leaf: str) -> tuple[int, ...]:
-        """Index positions of the nodes on some ``root``-``leaf`` path, leaf
+        """Positions of the nodes on some ``root``-``leaf`` path, leaf
         excluded, in reversed topological order; empty when there is no path
         or an endpoint is not in the graph. Searched once per pair and graph:
         back from the leaf over in-edges, through the nodes whose mask
         (``root_masks``) holds the root's bit."""
         key = (root, leaf)
-        if key not in self._plans and root in self._nodes and leaf in self._nodes:
+        position = self.node_position
+        if key not in self._plans and root in position and leaf in position:
             bits, masks = self.root_masks((root,))
-            bit, order, index = bits[root], self._topo, self.index
-            target = index.node_position[leaf]
+            bit, ins = bits[root], self.ins
+            target = position[leaf]
             live = {target}
-            stack = [target] if masks[leaf] & bit else []
+            stack = [target] if masks[target] & bit else []
             while stack:
-                for node in index.ins[stack.pop()]:
-                    if node not in live and masks[order[node]] & bit:
+                for node in ins[stack.pop()]:
+                    if node not in live and masks[node] & bit:
                         live.add(node)
                         stack.append(node)
             live.discard(target)
@@ -278,15 +272,16 @@ class GameGraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edges[edge_id]
+            return self.edges[self.edge_position[edge_id]]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return self._out[node_id]
+        edges = self.edges
+        return tuple([edges[e] for e in self.outs[self.node_position[node_id]]])
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self.node_position
 
 
 def build_graph(nodes: Iterable, edges: Iterable) -> GameGraph:
@@ -385,9 +380,8 @@ class Tally:
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float = 0.0):
         self.graph = graph
         self.delta = delta
-        self.index = index = graph.index
-        self.loads = loads = [0] * len(index.costs)
-        self.paths = {pid: index.positions(path) for pid, path in profile.items()}
+        self.loads = loads = [0] * len(graph.costs)
+        self.paths = {pid: graph.positions(path) for pid, path in profile.items()}
         for path in self.paths.values():
             for e in path:
                 loads[e] += 1
@@ -396,7 +390,7 @@ class Tally:
 
     def place(self, player_id: int, path: Sequence[str]) -> None:
         """Move a player from its current path (if any) onto ``path``."""
-        self.move(player_id, self.index.positions(path))
+        self.move(player_id, self.graph.positions(path))
 
     def move(self, player_id: int, new: tuple[int, ...]) -> None:
         """``place`` by declaration positions; ``()`` takes the player off."""
@@ -414,19 +408,19 @@ class Tally:
         self.paths[player_id] = new
 
     def profile(self) -> StrategyProfile:
-        ids = self.index.edge_ids
+        ids = self.graph.edge_ids
         return StrategyProfile({pid: [ids[e] for e in path] for pid, path in self.paths.items()})
 
     def page(self) -> float:
         """Total cost of the loaded edges, each counted once."""
         if self._page is None:
-            costs = self.index.costs
+            costs = self.graph.costs
             self._page = ordered_sum([costs[e] for e in self.used])
         return self._page
 
     def cost(self, player_id: int) -> float:
         """The player's Shapley shares plus ``delta`` times the page cost."""
-        costs, loads = self.index.costs, self.loads
+        costs, loads = self.graph.costs, self.loads
         own = ordered_sum([costs[e] / loads[e] for e in self.paths[player_id]])
         return own + self.delta * self.page() if self.delta else own
 
@@ -434,7 +428,7 @@ class Tally:
         """Exact potential: each ``cost / x`` for ``x`` up to an edge's load,
         added into one running total, plus ``delta`` times the page cost. A
         unilateral path change moves it by exactly the mover's cost change."""
-        costs, loads = self.index.costs, self.loads
+        costs, loads = self.graph.costs, self.loads
         total = 0.0
         for e in self.used:
             cost = costs[e]
@@ -473,7 +467,7 @@ def cost_report(
 ) -> CostReport:
     """Page cost, edge shares, player costs and potential of one profile."""
     tally = Tally(graph, profile, delta)
-    ids, costs, loads = tally.index.edge_ids, tally.index.costs, tally.loads
+    ids, costs, loads = graph.edge_ids, graph.costs, tally.loads
     return CostReport(
         page_cost=tally.page(),
         player_costs={pid: tally.cost(pid) for pid in tally.paths},
@@ -487,6 +481,7 @@ def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
     """Check player invariants: distinct ids, real endpoints, a path exists.
     The first player in order that breaks one decides the error."""
     bits, masks = graph.root_masks([player.root for player in players])
+    position = graph.node_position
     seen_ids: set[int] = set()
     for player in players:
         if player.player_id in seen_ids:
@@ -498,7 +493,7 @@ def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
             raise InvalidProfile(player.player_id, f"unknown leaf node {player.leaf!r}")
         if player.root == player.leaf:
             raise InvalidProfile(player.player_id, "root and leaf must differ")
-        if not masks[player.leaf] & bits[player.root]:
+        if not masks[position[player.leaf]] & bits[player.root]:
             raise NoPath(player.player_id, player.root, player.leaf)
 
 

@@ -91,8 +91,8 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
     plan = graph.between(root, leaf)
     if not plan:
         return []
-    heads, outs, ids = graph.index.heads, graph.index.outs, graph.index.edge_ids
-    target, live = graph.index.node_position[leaf], set(plan)
+    heads, outs, ids = graph.heads, graph.outs, graph.edge_ids
+    target, live = graph.node_position[leaf], set(plan)
     paths: list[tuple[str, ...]] = []
     # frames[d] runs over the out-edges of the node that prefix[:d] reaches.
     frames: list = [None] * len(plan)
@@ -124,7 +124,7 @@ def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
     the leaf is unreachable or an endpoint is not in the graph.
     """
     graph.root_masks([player.root for player in players])
-    position, ins = graph.index.node_position, graph.index.ins
+    position, ins = graph.node_position, graph.ins
     counts = []
     for player in players:
         plan = graph.between(player.root, player.leaf)
@@ -191,7 +191,7 @@ def _stability_flags(
     player's paths save one endpoint (counted here by edge heads), plus,
     with ``delta``, one per edge the profile uses.
     """
-    costs, positions, heads = graph.index.costs, graph.index.positions, graph.index.heads
+    costs, positions, heads = graph.costs, graph.positions, graph.heads
     indexed = [[positions(path) for path in paths] for paths in path_sets]
     strides = [1] * len(indexed)
     for i in range(len(indexed) - 1, 0, -1):
@@ -294,7 +294,7 @@ def social_optimum(
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
-    costs, positions = graph.index.costs, graph.index.positions
+    costs, positions = graph.costs, graph.positions
     indexed = [[positions(path) for path in paths] for paths in path_sets]
     margin = 2 * len(costs)
     loads = [0] * len(costs)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import time
 from pathlib import Path
 
@@ -215,6 +217,29 @@ def test_check_names_a_near_tie_deviation_by_the_move_test(tmp_path, capsys):
     )
 
 
+def test_check_sums_its_printed_totals_left_to_right(tmp_path, capsys, monkeypatch):
+    # Both totals FAIL (a negative slack) so that check prints them. The
+    # left-to-right fold of 0.1, 0.2 and 0.3 is 0.6000000000000001; the
+    # compensated sum() of Python 3.12+ would print 0.6.
+    from pagegame import cli
+
+    costs = (0.1, 0.2, 0.3)
+    instance = _edited(D1_INSTANCE, lambda o: o.update(
+        edges=[{"id": eid, "src": "r", "dst": "l", "cost": c} for eid, c in zip("abc", costs)],
+        players=[{"id": pid, "root": "r", "leaf": "l"} for pid in (1, 2, 3)]))
+    report = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+              "final_profile": {"1": ["a"], "2": ["b"], "3": ["c"]}}
+    monkeypatch.setattr(cli, "slack", lambda value, terms: -1.0)
+    argv = ["check", "--instance", str(_write(tmp_path, "inst.json", instance)),
+            "--report", str(_write(tmp_path, "abc.json", report))]
+    assert main(argv) == 5
+    total = functools.reduce(operator.add, costs, 0)
+    assert total != math.fsum(costs)
+    out = capsys.readouterr().out
+    assert f"FAIL budget-balance: shares sum to {total}, page cost {total}\n" in out
+    assert f"FAIL cost-aggregation: player costs sum to {total}, expected {total}\n" in out
+
+
 def test_check_unknown_edge_fails_validation(d1_file, tmp_path):
     report = {
         "format_version": 1,
@@ -364,36 +389,46 @@ def test_check_plans_each_root_leaf_pair_once(tmp_path, monkeypatch):
     assert sorted(planned) == sorted(set(pairs))
 
 
-def test_commands_build_the_graph_index_at_most_once(d1_file, tmp_path, monkeypatch):
+def test_commands_construct_one_graph(d1_file, tmp_path, monkeypatch):
+    # Loading builds the integer view with the graph; no command builds a
+    # second graph, also where --delta or a report's delta replaces the
+    # instance (dataclasses.replace keeps its graph).
     from gamegen import instance_to_json, random_instance
     from pagegame import game
     from pagegame.instance import load_instance
 
-    # Generated first: listing paths while generating builds an index.
-    inst = _write(tmp_path, "inst.json", instance_to_json(random_instance(2001)))
+    instance = random_instance(2001)
+    assert instance.delta != 0.25
+    inst = _write(tmp_path, "inst.json", instance_to_json(instance))
     builds = []
+    construct = game.GameGraph.__init__
 
-    class CountedIndex(game.GraphIndex):
-        def __init__(self, graph):
-            builds.append(graph)
-            super().__init__(graph)
+    def counted(graph, nodes, edges):
+        builds.append(graph)
+        construct(graph, nodes, edges)
 
-    monkeypatch.setattr(game, "GraphIndex", CountedIndex)
+    monkeypatch.setattr(game.GameGraph, "__init__", counted)
     load_instance(str(inst))
-    assert builds == []
+    assert len(builds) == 1
     unstable = _write(tmp_path, "bb.json", {
         "format_version": 1, "kind": "run-report", "final_profile": {"1": ["b"], "2": ["b"]}})
-    report = tmp_path / "report.json"
+    report, quarter = tmp_path / "report.json", tmp_path / "quarter.json"
     runs = [
         (["solve", "--instance", str(inst), "--output", str(report)], 0),
+        (["solve", "--instance", str(inst), "--delta", "0.25", "--output", str(quarter)], 0),
         (["check", "--instance", str(inst), "--report", str(report), "--delta", "1"], 0),
+        (["check", "--instance", str(inst), "--report", str(quarter)], 0),
         (["check", "--instance", str(d1_file), "--report", str(unstable)], 5),
         (["enumerate", "--instance", str(inst), "--output", str(tmp_path / "cat.json")], 0),
+        (["report", "--instance", str(inst), "--report", str(quarter), "--format", "json",
+          "--output", str(tmp_path / "summary.json")], 0),
+        (["report", "--instance", str(inst), "--report", str(report), "--format", "dot",
+          "--delta", "1", "--output", str(tmp_path / "tree.dot")], 0),
     ]
     for argv, code in runs:
         builds.clear()
-        assert main(argv) == code
-        assert len(builds) <= 1, argv[0]
+        assert main(argv) == code, argv
+        assert len(builds) == 1, argv
 
 
 def test_loads_and_commands_run_with_the_collector_paused(d1_file, tmp_path, monkeypatch):

@@ -119,6 +119,62 @@ def test_cycle_rejected_with_node_list():
     assert set(err.value.nodes) >= {"x", "y", "z"}
 
 
+def test_cycle_error_names_one_cycle_exactly():
+    # An acyclic prefix (p, q) feeds two cycles, m-n-o and d-e-f, and c hangs
+    # below both. The walk back starts at the least leftover node, c, and
+    # always steps to the least predecessor: c, e, d, f, then e again.
+    nodes = [(n, "abstract") for n in "pqmnodefc"]
+    edges = [
+        ("pm", "p", "m", 1.0), ("mn", "m", "n", 1.0), ("no", "n", "o", 1.0),
+        ("om", "o", "m", 1.0), ("qd", "q", "d", 1.0), ("de", "d", "e", 1.0),
+        ("ef", "e", "f", 1.0), ("fd", "f", "d", 1.0), ("nc", "n", "c", 1.0),
+        ("ec", "e", "c", 1.0), ("pq", "p", "q", 1.0),
+    ]
+    with pytest.raises(CycleDetected) as err:
+        build_graph(nodes, edges)
+    assert err.value.nodes == ["e", "f", "d", "e"]
+    assert str(err.value) == "directed cycle through nodes: e -> f -> d -> e"
+
+
+def test_duplicate_edge_id_wins_over_a_dangling_endpoint():
+    nodes = [("r", "abstract"), ("l", "abstract")]
+    with pytest.raises(DuplicateEdgeId) as err:
+        build_graph(nodes, [("a", "r", "l", 1.0), ("a", "r", "ghost", 1.0)])
+    assert str(err.value) == "edge id 'a' declared more than once"
+    # The source is checked before the head.
+    with pytest.raises(DanglingEndpoint) as err:
+        build_graph(nodes, [("a", "ghost", "phantom", 1.0)])
+    assert str(err.value) == "edge 'a' references unknown node 'ghost'"
+    # A dangling edge wins over a negative cost, on it or on a later edge.
+    with pytest.raises(DanglingEndpoint):
+        build_graph(nodes, [("a", "r", "ghost", -1.0), ("b", "r", "l", -1.0)])
+
+
+def test_unknown_kind_wins_over_a_duplicate_node():
+    with pytest.raises(GraphError) as err:
+        build_graph([("r", "abstract"), ("r", "mystery")], [])
+    assert str(err.value) == "node 'r' has unknown kind 'mystery'"
+    with pytest.raises(GraphError) as err:
+        build_graph([("r", "abstract"), ("r", "element"), ("s", "mystery")], [])
+    assert str(err.value) == "node id 'r' declared more than once"
+    # Node errors win over edge errors.
+    with pytest.raises(GraphError) as err:
+        build_graph([("r", "mystery")], [("a", "r", "ghost", -1.0)])
+    assert str(err.value) == "node 'r' has unknown kind 'mystery'"
+
+
+def test_total_overflow_is_checked_after_every_edge_and_before_cycles():
+    nodes = [("a", "abstract"), ("b", "abstract")]
+    big = [("x", "a", "b", 1e308), ("y", "b", "a", 1e308)]
+    with pytest.raises(GraphError) as err:
+        build_graph(nodes, big)
+    assert type(err.value) is GraphError
+    assert str(err.value) == "edge costs too large: their total overflows"
+    with pytest.raises(NegativeCost) as err:
+        build_graph(nodes, big + [("z", "a", "b", -1.0)])
+    assert str(err.value) == "edge 'z' has negative cost -1.0"
+
+
 def test_unknown_node_kind_rejected():
     with pytest.raises(GraphError):
         build_graph([("r", "mystery")], [])
@@ -144,27 +200,33 @@ def _index_graphs():
 
 
 def test_index_agrees_with_graph():
+    # Against a plain scan of graph.edges, not out_edges: out_edges reads
+    # outs, and the reference searches in the tests read out_edges.
     for name, graph in _index_graphs():
-        index = graph.index
-        assert index is graph.index, name
         order = graph.topo_order
-        assert list(index.node_position) == list(order), name
-        assert index.edge_ids == tuple(e.edge_id for e in graph.edges), name
-        assert index.costs == tuple(e.cost for e in graph.edges), name
-        assert [order[v] for v in index.heads] == [e.dst for e in graph.edges], name
+        assert list(graph.node_position) == list(order), name
+        assert graph.node_position == {node: v for v, node in enumerate(order)}, name
+        assert graph.edge_ids == tuple(e.edge_id for e in graph.edges), name
+        assert graph.edge_position == {e.edge_id: i for i, e in enumerate(graph.edges)}, name
+        assert graph.costs == tuple(e.cost for e in graph.edges), name
+        assert [order[v] for v in graph.heads] == [e.dst for e in graph.edges], name
         for v, node in enumerate(order):
-            outs = [index.edge_ids[e] for e in index.outs[v]]
-            assert outs == sorted(outs) == [e.edge_id for e in graph.out_edges(node)], name
-            ins = [order[u] for u in index.ins[v]]
+            scanned = sorted(e.edge_id for e in graph.edges if e.src == node)
+            assert [graph.edge_ids[e] for e in graph.outs[v]] == scanned, name
+            assert [e.edge_id for e in graph.out_edges(node)] == scanned, name
+            ins = [order[u] for u in graph.ins[v]]
             assert ins == [e.src for e in graph.edges if e.dst == node], name
-        assert index.positions(index.edge_ids) == tuple(range(len(graph.edges))), name
+        for edge in graph.edges:
+            assert graph.edge(edge.edge_id) is edge, name
+            assert order.index(edge.src) < order.index(edge.dst), name
+        assert graph.positions(graph.edge_ids) == tuple(range(len(graph.edges))), name
         with pytest.raises(GraphError, match="'no-such-edge'"):
-            index.positions([index.edge_ids[0], "no-such-edge"])
+            graph.positions([graph.edge_ids[0], "no-such-edge"])
 
 
 def _plan_by_search(graph, reach, root, leaf):
     """``between``'s plan from ``reach``, each node's plain forward search."""
-    position = graph.index.node_position
+    position = graph.node_position
     return tuple(sorted(
         (position[u] for u in reach[root] if u != leaf and leaf in reach[u]), reverse=True))
 
@@ -499,8 +561,8 @@ def _assert_masks_agree(graph, snapshot, name):
     assert len(set(bits.values())) == len(bits), name
     for root, bit in bits.items():
         reach = reachable_from(graph, root)
-        for node in graph.topo_order:
-            assert bool(masks[node] & bit) == (node in reach), (name, root, node)
+        for v, node in enumerate(graph.topo_order):
+            assert bool(masks[v] & bit) == (node in reach), (name, root, node)
 
 
 def _layered_graph(seed, layers, width):
