@@ -45,6 +45,25 @@ def number(value: Any, message: str, *args) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+class _Strings:
+    """Field kind: a list of strings, read as a tuple."""
+
+
+#: Default of a field that must be present.
+_REQUIRED = object()
+
+# Each record section's fields as ``(key, kind, default)``, in reading order.
+# A missing cost_factor reads as None, since its default depends on the class.
+_NODE_FIELDS = (("id", str, _REQUIRED), ("kind", str, _REQUIRED))
+_EDGE_FIELDS = (("id", str, _REQUIRED), ("src", str, _REQUIRED), ("dst", str, _REQUIRED),
+                ("cost", float, _REQUIRED))
+_PLAYER_FIELDS = (("id", int, _REQUIRED), ("root", str, _REQUIRED), ("leaf", str, _REQUIRED),
+                  ("label", str, ""))
+_DEVICE_FIELDS = (("class", str, _REQUIRED), ("cost_factor", float, None),
+                  ("required_components", _Strings, _REQUIRED), ("id", str, _REQUIRED),
+                  ("orientation", str, "landscape"))
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise MalformedInstance(f"{where}: missing key {key!r}")
@@ -55,15 +74,30 @@ def _require(obj: dict, key: str, kind, where: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise MalformedInstance(f"{where}: {key!r} must be an integer")
         return value
+    if kind is _Strings and isinstance(value, list):
+        if not all(isinstance(item, str) for item in value):
+            raise MalformedInstance(f"{where}: {key} must be strings")
+        return tuple(value)
     if not isinstance(value, kind):
         raise MalformedInstance(f"{where}: {key!r} has wrong type")
     return value
 
 
-def _optional(obj: dict, key: str, kind, where: str, default):
-    if key not in obj:
-        return default
-    return _require(obj, key, kind, where)
+def _records(obj: dict, section: str, fields):
+    """The records of ``obj[section]`` one at a time, in file order, each as
+    the list of its field values in table order. A value of the field's
+    exact type is taken as is, and so is a missing field's default; anything
+    else goes through ``_require``, which converts or rejects it."""
+    for i, rec in enumerate(_require(obj, section, list, "instance")):
+        if not isinstance(rec, dict):
+            raise MalformedInstance(f"{section}[{i}] must be an object")
+        values = []
+        for key, kind, default in fields:
+            value = rec.get(key, default)
+            if type(value) is not kind and (default is _REQUIRED or key in rec):
+                value = _require(rec, key, kind, f"{section}[{i}]")
+            values.append(value)
+        yield values
 
 
 def parse_instance(obj: Any) -> GameInstance:
@@ -73,7 +107,7 @@ def parse_instance(obj: Any) -> GameInstance:
     version = _require(obj, "format_version", int, "instance")
     if version != FORMAT_VERSION:
         raise MalformedInstance(f"unsupported format_version {version}")
-    delta = _optional(obj, "delta", float, "instance", 0.0)
+    delta = _require(obj, "delta", float, "instance") if "delta" in obj else 0.0
 
     explicit = any(key in obj for key in _EXPLICIT_KEYS)
     document = any(key in obj for key in _DOCUMENT_KEYS)
@@ -94,40 +128,9 @@ def _parse_explicit(obj: dict, delta: float) -> GameInstance:
     if "cost_model" in obj:
         raise MalformedInstance("cost_model is only valid in the document form")
 
-    nodes = []
-    for i, rec in enumerate(_require(obj, "nodes", list, "instance")):
-        if not isinstance(rec, dict):
-            raise MalformedInstance(f"nodes[{i}] must be an object")
-        nodes.append(
-            Node(
-                _require(rec, "id", str, f"nodes[{i}]"),
-                _require(rec, "kind", str, f"nodes[{i}]"),
-            )
-        )
-    edges = []
-    for i, rec in enumerate(_require(obj, "edges", list, "instance")):
-        if not isinstance(rec, dict):
-            raise MalformedInstance(f"edges[{i}] must be an object")
-        edges.append(
-            Edge(
-                _require(rec, "id", str, f"edges[{i}]"),
-                _require(rec, "src", str, f"edges[{i}]"),
-                _require(rec, "dst", str, f"edges[{i}]"),
-                _require(rec, "cost", float, f"edges[{i}]"),
-            )
-        )
-    players = []
-    for i, rec in enumerate(_require(obj, "players", list, "instance")):
-        if not isinstance(rec, dict):
-            raise MalformedInstance(f"players[{i}] must be an object")
-        players.append(
-            Player(
-                _require(rec, "id", int, f"players[{i}]"),
-                _require(rec, "root", str, f"players[{i}]"),
-                _require(rec, "leaf", str, f"players[{i}]"),
-                _optional(rec, "label", str, f"players[{i}]", ""),
-            )
-        )
+    nodes = [Node(*values) for values in _records(obj, "nodes", _NODE_FIELDS)]
+    edges = [Edge(*values) for values in _records(obj, "edges", _EDGE_FIELDS)]
+    players = [Player(*values) for values in _records(obj, "players", _PLAYER_FIELDS)]
     graph = build_graph(nodes, edges)
     return GameInstance(graph=graph, players=tuple(players), delta=delta)
 
@@ -137,29 +140,14 @@ def _parse_document_form(obj: dict, delta: float) -> GameInstance:
         if key not in obj:
             raise MalformedInstance(f"document instance is missing {key!r}")
     text = _require(obj, "document", str, "instance")
-    devices = []
-    for i, rec in enumerate(_require(obj, "devices", list, "instance")):
-        if not isinstance(rec, dict):
-            raise MalformedInstance(f"devices[{i}] must be an object")
-        device_class = _require(rec, "class", str, f"devices[{i}]")
-        factor = _optional(
-            rec, "cost_factor", float, f"devices[{i}]",
-            DEVICE_CLASS_FACTORS.get(device_class, 0.0),
-        )
-        components = _require(rec, "required_components", list, f"devices[{i}]")
-        if not all(isinstance(c, str) for c in components):
-            raise MalformedInstance(f"devices[{i}]: required_components must be strings")
-        devices.append(
-            DeviceProfile(
-                device_id=_require(rec, "id", str, f"devices[{i}]"),
-                device_class=device_class,
-                cost_factor=factor,
-                required_components=tuple(components),
-                orientation=_optional(
-                    rec, "orientation", str, f"devices[{i}]", "landscape"
-                ),
-            )
-        )
+    # Each device is built, and so checked, before the next one is read.
+    devices = [
+        DeviceProfile(device_id, device_class,
+                      DEVICE_CLASS_FACTORS.get(device_class, 0.0) if factor is None else factor,
+                      components, orientation)
+        for device_class, factor, components, device_id, orientation
+        in _records(obj, "devices", _DEVICE_FIELDS)
+    ]
 
     model = default_cost_model()
     if "cost_model" in obj:

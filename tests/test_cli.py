@@ -240,6 +240,35 @@ def test_check_sums_its_printed_totals_left_to_right(tmp_path, capsys, monkeypat
     assert f"FAIL cost-aggregation: player costs sum to {total}, expected {total}\n" in out
 
 
+def test_check_names_a_potential_identity_mismatch(d1_file, tmp_path, capsys, monkeypatch):
+    # The tally reads every moved profile's potential 1 too high, so the
+    # first deviation swept (player 1 onto b) breaks the identity.
+    from pagegame import cli
+
+    class Skewed(cli.Tally):
+        skew = 0.0
+
+        def place(self, player_id, path):
+            super().place(player_id, path)
+            self.skew = 1.0
+
+        def potential(self):
+            return super().potential() + self.skew
+
+    monkeypatch.setattr(cli, "Tally", Skewed)
+    report = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+              "final_profile": {"1": ["a"], "2": ["a"]}}
+    argv = ["check", "--instance", str(d1_file),
+            "--report", str(_write(tmp_path, "aa.json", report))]
+    assert main(argv) == 5
+    assert capsys.readouterr().out == (
+        "PASS nash-stability\n"
+        "PASS budget-balance\n"
+        "PASS cost-aggregation\n"
+        "FAIL potential-identity: player 1 via [b]: potential moved -3.5, cost moved -2.5\n"
+    )
+
+
 def test_check_unknown_edge_fails_validation(d1_file, tmp_path):
     report = {
         "format_version": 1,
@@ -699,6 +728,134 @@ _DOC_INSTANCE = {
     "document": "<html><p>x</p></html>",
     "devices": [{"id": "d", "class": "pc", "required_components": ["3:#text"]}],
 }
+
+
+def _d1(edit):
+    return _edited(D1_INSTANCE, edit)
+
+
+def _doc(edit):
+    return _edited(_DOC_INSTANCE, edit)
+
+
+# Each way an instance file is refused: (id, file, exit code, stderr line).
+# A file with several defects is refused for the first one read: sections
+# in file order (nodes, edges, players; devices), records in order, fields
+# in order, each device checked before the next one is read.
+INSTANCE_REJECTIONS = [
+    ("top-level-list", [D1_INSTANCE], 1, "instance file must hold a JSON object"),
+    ("format-version-missing", _d1(lambda o: o.pop("format_version")), 1,
+     "instance: missing key 'format_version'"),
+    ("format-version-string", _d1(lambda o: o.update(format_version="1")), 1,
+     "instance: 'format_version' must be an integer"),
+    ("format-version-2", _d1(lambda o: o.update(format_version=2)), 1,
+     "unsupported format_version 2"),
+    ("delta-string", _d1(lambda o: o.update(delta="0")), 1, "instance: 'delta' must be a number"),
+    ("neither-form", {"format_version": 1, "delta": 0.0}, 1,
+     "instance has neither graph nor document sections"),
+    ("mixed-forms", _d1(lambda o: o.update(devices=[])), 1,
+     "instance mixes explicit graph and document forms"),
+    ("explicit-missing-edges", _d1(lambda o: o.pop("edges")), 1,
+     "explicit instance is missing 'edges'"),
+    ("explicit-cost-model", _d1(lambda o: o.update(cost_model={"base_costs": {}})), 1,
+     "cost_model is only valid in the document form"),
+    ("nodes-not-list", _d1(lambda o: o.update(nodes={})), 1, "instance: 'nodes' has wrong type"),
+    ("node-not-object", _d1(lambda o: o.update(nodes=[o["nodes"][0], "l"])), 1,
+     "nodes[1] must be an object"),
+    ("node-missing-kind", _d1(lambda o: o["nodes"][0].pop("kind")), 1,
+     "nodes[0]: missing key 'kind'"),
+    ("edge-missing-dst", _d1(lambda o: o["edges"][1].pop("dst")), 1,
+     "edges[1]: missing key 'dst'"),
+    ("edge-cost-string", _d1(lambda o: o["edges"][0].update(cost="1")), 1,
+     "edges[0]: 'cost' must be a number"),
+    ("player-not-object", _d1(lambda o: o.update(players=[o["players"][0], 2])), 1,
+     "players[1] must be an object"),
+    ("player-id-bool", _d1(lambda o: o["players"][0].update(id=True)), 1,
+     "players[0]: 'id' must be an integer"),
+    ("player-label-number", _d1(lambda o: o["players"][1].update(label=1)), 1,
+     "players[1]: 'label' has wrong type"),
+    ("document-missing-devices", _doc(lambda o: o.pop("devices")), 1,
+     "document instance is missing 'devices'"),
+    ("document-not-string", _doc(lambda o: o.update(document=[])), 1,
+     "instance: 'document' has wrong type"),
+    ("device-not-object", _doc(lambda o: o["devices"].append("m")), 1,
+     "devices[1] must be an object"),
+    ("component-not-string", _doc(lambda o: o["devices"][0]["required_components"].append(3)),
+     1, "devices[0]: required_components must be strings"),
+    ("components-not-list", _doc(lambda o: o["devices"][0].update(required_components="3")), 1,
+     "devices[0]: 'required_components' has wrong type"),
+    ("cost-factor-string", _doc(lambda o: o["devices"][0].update(cost_factor="1")), 1,
+     "devices[0]: 'cost_factor' must be a number"),
+    ("orientation-number", _doc(lambda o: o["devices"][0].update(orientation=0)), 1,
+     "devices[0]: 'orientation' has wrong type"),
+    ("base-costs-list", _doc(lambda o: o.update(cost_model={"base_costs": []})), 1,
+     "cost_model: 'base_costs' has wrong type"),
+    ("base-cost-string", _doc(lambda o: o.update(cost_model={"base_costs": {"text": "1"}})), 1,
+     "cost_model: base cost for 'text' must be a number"),
+    ("markup-invalid-tag", _doc(lambda o: o.update(document="<html><1x></1x></html>")), 1,
+     "malformed markup at offset 6: invalid tag '1x'"),
+    # Which defect wins.
+    ("first-field-in-record", _d1(lambda o: o["edges"][0].update(id=5, cost="x")), 1,
+     "edges[0]: 'id' has wrong type"),
+    ("first-field-in-device",
+     _doc(lambda o: (o["devices"][0].pop("class"), o["devices"][0].update(id=5))), 1,
+     "devices[0]: missing key 'class'"),
+    ("earlier-record",
+     _d1(lambda o: (o["edges"][0].update(cost="x"), o["edges"][1].pop("src"))), 1,
+     "edges[0]: 'cost' must be a number"),
+    ("earlier-section", _d1(lambda o: o.update(nodes=[o["nodes"][0], "l"], edges=[1])), 1,
+     "nodes[1] must be an object"),
+    ("cycle", _d1(lambda o: o["edges"].append({"id": "c", "src": "l", "dst": "r", "cost": 1})),
+     2, "directed cycle through nodes: l -> r -> l"),
+    ("players-before-cycle",
+     _d1(lambda o: (o["edges"].append({"id": "c", "src": "l", "dst": "r", "cost": 1}),
+                    o["players"][1].update(root=5))), 1,
+     "players[1]: 'root' has wrong type"),
+    ("device-class-before-next-device",
+     _doc(lambda o: (o["devices"][0].update({"class": "watch"}), o["devices"].append("m"))), 2,
+     "unknown device class 'watch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, code, message",
+    [entry[1:] for entry in INSTANCE_REJECTIONS],
+    ids=[entry[0] for entry in INSTANCE_REJECTIONS],
+)
+def test_instance_file_rejections(tmp_path, capsys, instance, code, message):
+    path = _write(tmp_path, "inst.json", instance)
+    assert main(["solve", "--instance", str(path)]) == code
+    assert capsys.readouterr().err == f"pagegame: error: {message}\n"
+
+
+_REPORT = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+           "final_profile": {"1": ["a"], "2": ["a"]}}
+
+
+@pytest.mark.parametrize(
+    "report, code, message",
+    [
+        (_edited(_REPORT, lambda o: o.update(final_profile=[["a"], ["a"]])), 1,
+         "profile must be an object of player -> edge list"),
+        (_edited(_REPORT, lambda o: o.update(format_version=2)), 1,
+         "unsupported report format_version"),
+        (_edited(_REPORT, lambda o: o["final_profile"].update({"1": []})), 2,
+         "invalid path for player 1: path is empty"),
+    ],
+    ids=["profile-list", "format-version-2", "empty-path"],
+)
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "dot"]], ids=["check", "report"]
+)
+def test_report_file_rejections(d1_file, tmp_path, capsys, command, report, code, message):
+    path = _write(tmp_path, "report.json", report)
+    assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == code
+    assert capsys.readouterr() == ("", f"pagegame: error: {message}\n")
+
+
+def test_negative_seed_is_usage_error(d1_file, capsys):
+    assert main(["solve", "--instance", str(d1_file), "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "pagegame: error: --seed must be >= 0\n")
 
 
 @pytest.mark.parametrize(
