@@ -13,9 +13,25 @@ others' paths: it tallies their loads and page cost once, scores every
 candidate path of the player once, and clears the stability flag of each
 profile in that combination that some candidate beats. The flags are one
 byte per profile, indexed by the profile's rank in product order; only the
-profiles left standing get a cost report. Paths are held as tuples of edge
-declaration positions, so the extra memory is one byte per profile. A
-player with one path cannot improve and is not swept.
+profiles left standing get a cost report. A profile's flag is the AND of
+one verdict per player and combination, and no verdict reads the flags, so
+the sweep order is free:
+- Players go widest first (most paths; declaration order on ties), and the
+  sweep stops at the first player with one path, who cannot improve. The
+  widest player's sweep has the fewest combinations and refutes the most
+  profiles, so later sweeps skip more.
+- A sweep scores only the combinations with a profile still standing. It
+  finds them in bulk: the flags read as one integer are ORed with shifts
+  of themselves in ``ceil(log2 n)`` doubling steps (``n`` the player's path
+  count), masked to each combination's first profile, and walked with
+  ``itertools.compress``.
+- Each sweep builds a share table for its player's candidate edges only:
+  ``shares[k] == cost / (k + 1)``, the same float as the division, for
+  each load ``k`` another player can bring to the edge.
+
+Paths are held as tuples of edge declaration positions. Memory beyond the
+flags is a few integers and byte strings of one byte per profile and a
+share table no larger than the player's edges times the players.
 
 The social optimum is a depth-first walk over the same product, player 0
 outermost, that places one path per level and moves one ``loads`` list in
@@ -153,27 +169,26 @@ def _candidate_paths(
 
 
 def _deviation_costs(
-    candidates: list[tuple[int, ...]],
+    candidates: list[tuple[tuple[int, float, tuple[float, ...]], ...]],
     loads: list[int],
-    costs: Sequence[float],
     others_cost: float,
     delta: float,
 ) -> list[float]:
     """Cost of each candidate path straight from the sharing definitions.
 
-    Joining an edge already used by ``k`` others makes its load ``k + 1``;
-    the page cost is the others' page cost plus every newly used edge.
-    Paths and ``loads`` are indexed by edge declaration position.
+    Each candidate edge is ``(position, cost, shares)`` with ``shares[k] ==
+    cost / (k + 1)``: joining an edge already used by ``k`` others makes its
+    load ``k + 1``. The page cost is the others' page cost plus every newly
+    used edge. Positions index ``loads`` by edge declaration order.
     """
     scores = []
     for candidate in candidates:
         shared = 0.0
         added = 0.0
-        for position in candidate:
+        for position, cost, shares in candidate:
             k = loads[position]
-            cost = costs[position]
-            shared += cost / (k + 1)
-            if k == 0:
+            shared += shares[k]
+            if not k:
                 added += cost
         scores.append(shared + delta * (others_cost + added))
     return scores
@@ -186,42 +201,71 @@ def _stability_flags(
 
     Player ``i``'s index contributes ``index * strides[i]`` to a profile's
     rank, so the profiles that differ only in player ``i``'s path sit
-    ``strides[i]`` apart. An improvement must beat ``game.slack`` of the
-    current cost over the terms the README counts: one per node on the
-    player's paths save one endpoint (counted here by edge heads), plus,
-    with ``delta``, one per edge the profile uses.
+    ``strides[i]`` apart; the one with index 0 (its base) stands for that
+    combination of the others' paths. Players are swept widest first, and
+    each sweep scores only the combinations with a profile still standing,
+    found by folding the flags as one integer. Candidate edges are scored
+    from a share table holding, per edge of the swept player, one share
+    per load another player can bring. Beyond the flags the sweep holds a
+    few integers and byte strings of one byte per profile.
+
+    An improvement must beat ``game.slack`` of the current cost over the
+    terms the README counts: one per node on the player's paths save one
+    endpoint (counted here by edge heads), plus, with ``delta``, one per
+    edge the profile uses.
     """
     costs, positions, heads = graph.costs, graph.positions, graph.heads
     indexed = [[positions(path) for path in paths] for paths in path_sets]
+    sizes = [len(paths) for paths in indexed]
     strides = [1] * len(indexed)
     for i in range(len(indexed) - 1, 0, -1):
-        strides[i - 1] = strides[i] * len(indexed[i])
-    flags = bytearray(b"\x01") * math.prod(len(paths) for paths in indexed)
+        strides[i - 1] = strides[i] * sizes[i]
+    total = math.prod(sizes)
+    flags = bytearray(b"\x01") * total
+    # edges[i]: player i's candidate edges; users[e]: the players with e
+    # among theirs, so no one joining e finds more than users[e] - 1 there.
+    edges = [set().union(*paths) for paths in indexed]
+    users = [0] * len(costs)
+    for own in edges:
+        for e in own:
+            users[e] += 1
     # Scores stay below 2 * (1 + delta) times the total edge cost. Where
     # the most terms a player can count times that bound's ulp is within
     # TOLERANCE, slack() is TOLERANCE and the terms need no counting.
     top_ulp = math.ulp(2 * (1 + delta) * math.fsum(costs))
-    for i, candidates in enumerate(indexed):
-        if len(candidates) == 1:
-            continue
-        nodes = len({heads[e] for path in candidates for e in path})
+    for i in sorted(range(len(indexed)), key=sizes.__getitem__, reverse=True):
+        size, stride, candidates = sizes[i], strides[i], indexed[i]
+        if size == 1:
+            break
+        nodes = len({heads[e] for e in edges[i]})
         tolerance_only = (nodes + (len(costs) if delta else 0)) * top_ulp <= TOLERANCE
-        stride = strides[i]
-        span = len(candidates) * stride
-        others = [j for j in range(len(indexed)) if j != i]
-        offsets = [[k * strides[j] for k in range(len(indexed[j]))] for j in others]
-        for combo_offsets, combo in zip(
-            itertools.product(*offsets), itertools.product(*(indexed[j] for j in others))
-        ):
-            base = sum(combo_offsets)
-            if 1 not in flags[base : base + span : stride]:
-                continue
+        table = {
+            e: (e, costs[e], tuple(costs[e] / (k + 1) for k in range(users[e])))
+            for e in edges[i]
+        }
+        scored = [tuple(map(table.__getitem__, path)) for path in candidates]
+        others = [(indexed[j], strides[j], sizes[j]) for j in range(len(indexed)) if j != i]
+        # Each byte of live holds the OR of span flags, stride apart from
+        # its own; a shift by step <= span strides extends that to
+        # span + step. Masked to the bases, a byte is 1 when its
+        # combination has a profile standing.
+        live = int.from_bytes(flags, "little")
+        span = 1
+        while span < size:
+            step = min(span, size - span)
+            live |= live >> (8 * step * stride)
+            span += step
+        block = size * stride
+        live &= int.from_bytes(
+            (b"\x01" * stride + bytes(block - stride)) * (total // block), "little"
+        )
+        for base in itertools.compress(range(total), live.to_bytes(total, "little")):
             loads = [0] * len(costs)
-            for path in combo:
-                for e in path:
+            for paths, s, n in others:
+                for e in paths[base // s % n]:
                     loads[e] += 1
             others_cost = ordered_sum(itertools.compress(costs, loads))
-            scores = _deviation_costs(candidates, loads, costs, others_cost, delta)
+            scores = _deviation_costs(scored, loads, others_cost, delta)
             best = min(scores)
             for c, score in enumerate(scores):
                 if best < score - TOLERANCE:  # slack() is never below it
@@ -271,7 +315,15 @@ def brute_force_equilibria(
 ) -> tuple[EquilibriumEntry, ...]:
     """Every pure equilibrium, in product-enumeration order."""
     players = tuple(players)
-    path_sets = _candidate_paths(graph, players, cap)
+    return _equilibria(graph, players, _candidate_paths(graph, players, cap), delta)
+
+
+def _equilibria(
+    graph: GameGraph,
+    players: tuple[Player, ...],
+    path_sets: list[list[tuple[str, ...]]],
+    delta: float,
+) -> tuple[EquilibriumEntry, ...]:
     flags = _stability_flags(graph, path_sets, delta)
     entries: list[EquilibriumEntry] = []
     for combo in itertools.compress(itertools.product(*path_sets), flags):
@@ -293,7 +345,12 @@ def social_optimum(
 ) -> StrategyProfile:
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
-    path_sets = _candidate_paths(graph, players, cap)
+    return _optimum(graph, players, _candidate_paths(graph, players, cap))
+
+
+def _optimum(
+    graph: GameGraph, players: tuple[Player, ...], path_sets: list[list[tuple[str, ...]]]
+) -> StrategyProfile:
     costs, positions = graph.costs, graph.positions
     indexed = [[positions(path) for path in paths] for paths in path_sets]
     margin = 2 * len(costs)
@@ -359,8 +416,10 @@ def analyze(
     cap: int = DEFAULT_CAP,
 ) -> EquilibriumCatalog:
     """Full catalog: equilibria, social optimum, and efficiency ratios."""
-    entries = brute_force_equilibria(graph, players, delta, cap)
-    optimum = social_optimum(graph, players, cap)
+    players = tuple(players)
+    path_sets = _candidate_paths(graph, players, cap)
+    entries = _equilibria(graph, players, path_sets, delta)
+    optimum = _optimum(graph, players, path_sets)
     catalog = EquilibriumCatalog(
         equilibria=entries,
         optimum=optimum,

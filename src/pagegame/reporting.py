@@ -1,13 +1,16 @@
 """Run report and trace serialization plus the DOT rendering of a profile.
 
 Reports and traces are plain JSON with sorted keys and a fixed layout, so
-identical inputs produce byte-identical files. Player ids become string
-keys in JSON; on load only the spelling ``str(id)`` parses back.
+identical inputs produce byte-identical files. Output is standard JSON: an
+unbounded price ratio (a zero-cost optimum) is written as ``null``. Player
+ids become string keys in JSON; on load only the spelling ``str(id)``
+parses back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .dynamics import DynamicsTrace, Step
@@ -67,9 +70,14 @@ def catalog_to_json(catalog: EquilibriumCatalog) -> dict[str, Any]:
             "profile": profile_to_json(catalog.optimum),
             "page_cost": catalog.optimum_cost,
         },
-        "poa": catalog.poa,
-        "pos": catalog.pos,
+        "poa": _ratio(catalog.poa),
+        "pos": _ratio(catalog.pos),
     }
+
+
+def _ratio(value: float) -> float | None:
+    """An unbounded price ratio (``math.inf``) is written as JSON ``null``."""
+    return None if value == math.inf else value
 
 
 def step_to_json(step: Step) -> dict[str, Any]:

@@ -170,6 +170,31 @@ def test_enumerate_validation_failure(tmp_path):
     assert main(["enumerate", "--instance", str(path)]) == 2
 
 
+def test_enumerate_writes_unbounded_ratio_as_null(tmp_path):
+    # The free path x costs 0; q and the detour p, y cost 1e-10, below the
+    # tolerance, so they are equilibria too while the optimum costs 0.
+    obj = {
+        "format_version": 1, "delta": 0.0,
+        "nodes": [{"id": n, "kind": "abstract"} for n in ("r", "s", "l")],
+        "edges": [{"id": "x", "src": "r", "dst": "l", "cost": 0.0},
+                  {"id": "y", "src": "s", "dst": "l", "cost": 0.0},
+                  {"id": "p", "src": "r", "dst": "s", "cost": 1e-10},
+                  {"id": "q", "src": "r", "dst": "l", "cost": 1e-10}],
+        "players": [{"id": 1, "root": "r", "leaf": "l"}],
+    }
+    out = tmp_path / "catalog.json"
+    path = _write(tmp_path, "tiny.json", obj)
+    assert main(["enumerate", "--instance", str(path), "--output", str(out)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    catalog = json.loads(out.read_text(), parse_constant=refuse)["catalog"]
+    assert len(catalog["equilibria"]) == 3
+    assert catalog["optimum"]["page_cost"] == 0.0
+    assert (catalog["poa"], catalog["pos"]) == (None, 1.0)
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_passes_on_solver_output(d1_file, tmp_path, capsys):

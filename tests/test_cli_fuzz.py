@@ -141,8 +141,9 @@ def test_mutated_files_exit_with_documented_codes(tmp_path, capsys):
         solved = tmp_path / "solved.json"
         if _run(["solve", *given, "--output", str(solved)], capsys)[0] == 0:
             _strict_json(solved.read_text(encoding="utf-8"))
-        # enumerate's poa and pos may be infinite: not checked here.
-        _run(["enumerate", *given], capsys)
+        code, out = _run(["enumerate", *given], capsys)
+        if code == 0:
+            _strict_json(out)
         _run(["check", *given, "--report", str(report)], capsys)
         _run(["report", *given, "--report", str(report), "--format", "dot"], capsys)
         code, out = _run(["report", *given, "--report", str(report), "--format", "json"], capsys)

@@ -13,6 +13,7 @@ from pagegame import (
     efficiency_metrics,
     enumerate_paths,
     is_nash,
+    oracle,
     page_cost,
     run_dynamics,
     social_optimum,
@@ -76,7 +77,7 @@ def test_enumerate_count_matches_memoized_oracle():
 
 
 def test_analyze_on_an_unvalidated_graph_makes_one_pass():
-    # Both product walks count paths first, and the first count registers
+    # analyze counts paths before listing them, and the count registers
     # every player's root in one pass.
     graph, players, delta = layered_game(4150, 0.5, count=3)
     roots = {p.root for p in players}
@@ -84,6 +85,20 @@ def test_analyze_on_an_unvalidated_graph_makes_one_pass():
     passes = search_log(graph)
     analyze(graph, players, delta)
     assert passes == [roots]
+
+
+def test_analyze_lists_each_players_paths_once(monkeypatch):
+    inst = random_instance(2150)
+    listed = []
+    real = oracle.enumerate_paths
+
+    def counting(graph, root, leaf):
+        listed.append((root, leaf))
+        return real(graph, root, leaf)
+
+    monkeypatch.setattr(oracle, "enumerate_paths", counting)
+    analyze(inst.graph, inst.players, inst.delta)
+    assert listed == [(p.root, p.leaf) for p in inst.players]
 
 
 # ---------------------------------------------------------------- equilibria

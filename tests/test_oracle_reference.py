@@ -235,6 +235,138 @@ def test_sweep_skips_players_with_one_path(monkeypatch):
     assert [e.profile.path(1) for e in entries] == [("a",)]
 
 
+def _fan_game(counts):
+    """Player ``p`` has ``counts[p]`` paths: from its own root ``s{p}`` to a
+    hub ``m{j}`` (``j < counts[p]``), then over the hub's edge, shared by
+    every player reaching it, to the sink. Costs repeat, so shares tie."""
+    hubs = (3.0, 1.0, 2.0, 1.0, 4.0, 2.5, 1.5)
+    nodes = [f"s{p}" for p in range(len(counts))] + [f"m{j}" for j in range(7)] + ["t"]
+    edges = [(f"h{j}", f"m{j}", "t", cost) for j, cost in enumerate(hubs)]
+    edges += [(f"p{p}{j}", f"s{p}", f"m{j}", (p + 2 * j) % 4 * 0.5)
+              for p, n in enumerate(counts) for j in range(n)]
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    players = tuple(Player(p + 1, f"s{p}", "t") for p in range(len(counts)))
+    assert oracle.path_counts(graph, players) == list(counts)
+    return graph, players
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("counts", [
+    (7, 3, 2), (2, 7, 3), (3, 2, 7),  # the widest player first, in the middle, last
+    (3, 5, 7), (7, 5, 3), (5, 3, 2, 3),  # widths 3, 5 and 7 fold in uneven steps
+    (3, 1, 5, 1, 2), (1, 2, 1, 3, 1),  # single-path players between choosers
+    (5, 2, 5, 3), (3, 3, 3, 2),  # tied widest players
+])
+def test_sweep_matches_reference_on_uneven_widths(counts, delta):
+    _assert_same_catalog(*_fan_game(counts), delta)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_permuted_players_permute_the_flags(delta):
+    graph, players = _fan_game((3, 1, 5, 2))
+    sizes = oracle.path_counts(graph, players)
+
+    def flags_by_choice(order):
+        ordered = [players[p] for p in order]
+        flags = oracle._stability_flags(graph, oracle._candidate_paths(graph, ordered, 100), delta)
+        choices = itertools.product(*(range(sizes[p]) for p in order))
+        # Key each profile by every player's path index in declaration order.
+        return {tuple(dict(zip(order, choice))[p] for p in range(len(players))): flag
+                for choice, flag in zip(choices, flags)}
+
+    expected = flags_by_choice(range(len(players)))
+    assert sum(expected.values()) == len(reference.brute_force_equilibria(graph, players, delta))
+    for order in itertools.permutations(range(len(players))):
+        assert flags_by_choice(order) == expected
+
+
+def test_sweep_scores_only_standing_combinations_widest_first(monkeypatch):
+    # Three players on separate parallel edges; only the cheapest edge is
+    # stable for each. Player 2 (three paths, first of the widest) scores
+    # all six combinations of the others; player 3 then scores the two
+    # with player 2 on x, and player 1 the one with players 2 and 3 on x
+    # and u. Declaration order would score 9 + 3 + 1 combinations.
+    graph = build_graph(
+        [(n, "abstract") for n in ("r1", "l1", "r2", "l2", "r3", "l3")],
+        [("a", "r1", "l1", 1.0), ("b", "r1", "l1", 2.0),
+         ("x", "r2", "l2", 1.0), ("y", "r2", "l2", 2.0), ("z", "r2", "l2", 3.0),
+         ("u", "r3", "l3", 1.0), ("v", "r3", "l3", 2.0), ("w", "r3", "l3", 3.0)],
+    )
+    players = (Player(1, "r1", "l1"), Player(2, "r2", "l2"), Player(3, "r3", "l3"))
+    scored = []
+    real = oracle._deviation_costs
+
+    def counting(candidates, *args):
+        scored.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", counting)
+    entries = oracle.brute_force_equilibria(graph, players, 0.0)
+    assert scored == [3] * 6 + [3] * 2 + [2]
+    assert [e.profile.paths for e in entries] == [{1: ("a",), 2: ("x",), 3: ("u",)}]
+
+
+def test_share_tables_cover_only_the_swept_players_edges(monkeypatch):
+    graph, players = _fan_game((3, 1, 5, 2))
+    path_sets = oracle._candidate_paths(graph, players, 100)
+    edges = [{graph.edge_position[e] for path in paths for e in path} for paths in path_sets]
+    users = [sum(e in own for own in edges) for e in range(len(graph.costs))]
+    seen = []
+    real = oracle._deviation_costs
+
+    def checking(candidates, loads, *args):
+        # The widths differ, so the candidate count names the swept player.
+        (swept,) = (p for p, paths in enumerate(path_sets) if len(paths) == len(candidates))
+        table = {edge for candidate in candidates for edge in candidate}
+        assert {position for position, _, _ in table} == edges[swept]
+        for position, cost, shares in table:
+            assert cost == graph.costs[position]
+            assert loads[position] < len(shares) <= users[position]
+            assert [s.hex() for s in shares] == [
+                (cost / (k + 1)).hex() for k in range(len(shares))]
+        seen.append(swept)
+        return real(candidates, loads, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", checking)
+    oracle.brute_force_equilibria(graph, players, 0.5)
+    assert seen[0] == 2 and set(seen) <= {0, 2, 3}
+
+
+def test_sweep_memory_stays_a_few_bytes_per_profile(monkeypatch):
+    # Twelve players on the same three parallel edges: 3**12 profiles. The
+    # only equilibria put everyone on one edge.
+    graph = build_graph([("r", "abstract"), ("l", "abstract")],
+                        [("a", "r", "l", 1.0), ("b", "r", "l", 2.0), ("c", "r", "l", 3.0)])
+    players = tuple(Player(i, "r", "l") for i in range(1, 13))
+    path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
+    size = 3**12
+    flags = oracle._stability_flags(graph, path_sets, 0.5)
+    assert len(flags) == size
+    assert list(itertools.compress(range(size), flags)) == [0, size // 2, size - 1]
+
+    # A sweep allocates its largest objects, the folded flags and the share
+    # table, before its first scoring; the scoring loop frees what it
+    # allocates for each combination. Tracing every allocation of the full
+    # run takes over a minute on a 2-vCPU host, so trace up to the first
+    # scoring.
+    class Scored(Exception):
+        pass
+
+    def stop(*args):
+        raise Scored
+
+    tracemalloc = pytest.importorskip("tracemalloc")
+    monkeypatch.setattr(oracle, "_deviation_costs", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Scored):
+            oracle._stability_flags(graph, path_sets, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * size
+
+
 def test_improvement_must_exceed_tolerance():
     # One player on the dear edge b; its only alternative a is cheaper by
     # exactly TOLERANCE (as floats) in the first game, and by one ulp more
