@@ -32,17 +32,20 @@ over the whole graph with freshly tallied loads. A path ties when the weight
 accumulated from the root along it, plus the distance left, stays within the
 bound at every edge. Whether an edge is taken therefore depends only on the
 node and that accumulated float, so the number of tied completions is a
-function of the pair ``(node, acc)``. An explicit-stack post-order counts
-the tied paths, exactly, into a memo on that pair; an unrank then walks
-down from the root to the drawn rank (rank 0 when one path ties),
-subtracting each tied subtree's count until the rank falls inside one.
-When tied prefixes reach each node with bit-equal weights, as equal costs
-do, both walks are linear in the plan however many paths tie. Near-ties
-can give a node many accumulated weights, so the memo stops growing at
-``_MEMO_PER_NODE`` entries per graph node; the unrank counts a subtree
-missing from it again with the same walk. Distances, tie counts,
-accumulated weights, RNG draws and traces are therefore bit-identical to
-rebuilding everything and listing the tied paths for each best response.
+function of the pair ``(node, acc)``. One walk goes down from the root: a
+node with one out-edge within the bound passes it on uncounted, so a unique
+best response is neither counted nor drawn. Where two or more out-edges tie,
+an explicit-stack post-order counts each one's completions, exactly, into a
+memo on that pair. The first such node draws the rank when two or more paths
+tie; each later one subtracts counts until the rank falls inside one branch.
+A forced prefix multiplies the count by one, so the draw is over all paths
+that tie from the root. When tied prefixes reach each node with bit-equal
+weights, as equal costs do, the counts are linear in the plan however many
+paths tie. Near-ties can give a node many accumulated weights, so the memo
+stops growing at ``_MEMO_PER_NODE`` entries per graph node; a count missing
+from it is made again. Distances, tie counts, accumulated weights, RNG draws
+and traces are therefore bit-identical to rebuilding everything and listing
+the tied paths for each best response.
 
 Sums from the root and sums from the leaf round differently, by more than
 ``TOLERANCE`` once costs are large. The tie bound and the move and
@@ -140,14 +143,11 @@ class _State(Tally):
         self.dist = [math.inf] * len(graph.nodes)
         self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
 
-    def _relax(self, root: str, leaf: str) -> tuple[tuple[int, ...], int]:
-        """Cheapest weight to ``leaf`` from every node between ``root`` and
-        it, into ``dist``, and the weights of their out-edges into
-        ``weights``. Returns the plan and the leaf's position."""
-        plan = self.graph.between(root, leaf)
+    def _relax(self, plan: tuple[int, ...], target: int) -> None:
+        """Cheapest weight to ``target`` from every node of ``plan``, into
+        ``dist``, and the weights of their out-edges into ``weights``."""
         loads, fresh, weights, dist = self.loads, self.fresh, self.weights, self.dist
         costs, heads, outs = self.graph.costs, self.graph.heads, self.graph.outs
-        target = self.graph.node_position[leaf]
         dist[target] = 0.0
         for node in plan:
             best = math.inf
@@ -158,7 +158,6 @@ class _State(Tally):
                 if through < best:
                     best = through
             dist[node] = best
-        return plan, target
 
     def _clear(self, plan: tuple[int, ...], target: int) -> None:
         dist = self.dist
@@ -168,9 +167,15 @@ class _State(Tally):
 
     def _count(self, start: int, start_acc: float, target: int, bound: float, memo: dict) -> int:
         """Number of ``start``-target paths that stay within ``bound`` after
-        ``start_acc`` has been accumulated to ``start``. Every subtree it
-        finishes goes into ``memo`` under its ``(node, acc)`` while the memo
-        is below its cap."""
+        ``start_acc`` has been accumulated to ``start``: 1 at the target, else
+        read from ``memo`` under ``(start, start_acc)`` or, past its cap,
+        counted again. Each subtree a count finishes goes into ``memo`` while
+        the memo is below its cap."""
+        if start == target:
+            return 1
+        total = memo.get((start, start_acc))
+        if total is not None:
+            return total
         heads, outs = self.graph.heads, self.graph.outs
         weights, dist = self.weights, self.dist
         cap = self.memo_cap
@@ -202,46 +207,38 @@ class _State(Tally):
                     memo[key] = total
                 total += above
 
-    def _unrank(
-        self, root: int, target: int, bound: float, index: int, memo: dict
-    ) -> tuple[tuple[str, ...], float]:
-        """The ``index``-th root-target path within ``bound`` in lexicographic
-        edge-id order, and its accumulated weight. Subtrees missing from
-        ``memo`` are counted again."""
-        heads, outs, ids = self.graph.heads, self.graph.outs, self.graph.edge_ids
-        weights, dist = self.weights, self.dist
-        path: list[str] = []
-        node, acc = root, 0.0
-        while True:
-            for e in outs[node]:
-                through = acc + weights[e]
-                head = heads[e]
-                if through + dist[head] <= bound:
-                    if head == target:
-                        below = 1
-                    else:
-                        below = memo.get((head, through))
-                        if below is None:
-                            below = self._count(head, through, target, bound, memo)
-                    if index < below:
-                        path.append(ids[e])
-                        if head == target:
-                            return tuple(path), through
-                        node, acc = head, through
-                        break
-                    index -= below
-
     def _ties(
         self, root: int, target: int, bound: float, rng: SplitMix64
     ) -> tuple[tuple[str, ...], float] | None:
         """One root-target path within ``bound``, drawn uniformly by its
         lexicographic rank, with its accumulated weight; ``None`` if there is
         none. The RNG is consulted only when two or more tie."""
+        heads, outs, ids = self.graph.heads, self.graph.outs, self.graph.edge_ids
+        weights, dist = self.weights, self.dist
         memo: dict = {}
-        count = self._count(root, 0.0, target, bound, memo)
-        if not count:
-            return None
-        return self._unrank(root, target, bound, rng.randrange(count) if count > 1 else 0, memo)
+        path: list[str] = []
+        node, acc, rank = root, 0.0, None
+        while node != target:
+            tied = [e for e in outs[node] if acc + weights[e] + dist[heads[e]] <= bound]
+            if not tied:
+                return None
+            e = tied[0]
+            if len(tied) > 1:
+                counts = (self._count(heads[e], acc + weights[e], target, bound, memo)
+                          for e in tied)
+                if rank is None:
+                    counts = list(counts)
+                    total = sum(counts)
+                    if not total:
+                        return None
+                    rank = rng.randrange(total) if total > 1 else 0
+                for e, below in zip(tied, counts):
+                    if rank < below:
+                        break
+                    rank -= below
+            path.append(ids[e])
+            node, acc = heads[e], acc + weights[e]
+        return tuple(path), acc
 
     def respond(
         self, player_id: int, root: str, leaf: str, rng: SplitMix64 | None = None
@@ -253,13 +250,15 @@ class _State(Tally):
         cheapest weight tie. The RNG is consulted only when two or more tie,
         to draw one by its lexicographic rank. The tally ends as it started.
         """
-        if not self.graph.between(root, leaf):
+        plan = self.graph.between(root, leaf)
+        if not plan:
             raise NoPath(player_id, root, leaf)
         page, own = self._page, self.paths.get(player_id)
         if own:
             self.move(player_id, ())
-        plan, target = self._relax(root, leaf)
-        start = self.graph.node_position[root]
+        position = self.graph.node_position
+        start, target = position[root], position[leaf]
+        self._relax(plan, target)
         best = self.dist[start]
         chosen = None
         if rng is not None and not math.isinf(best):

@@ -15,7 +15,7 @@ from typing import Any
 
 from .dynamics import DynamicsTrace, Step
 from .errors import MalformedInstance
-from .game import CostReport, GameGraph, StrategyProfile, load_map
+from .game import CostReport, GameGraph, StrategyProfile, Tally
 from .oracle import EquilibriumCatalog
 
 FORMAT_VERSION = 1
@@ -142,12 +142,13 @@ def load_report(path: str) -> dict[str, Any]:
 
 
 def _used_edges(graph: GameGraph, profile: StrategyProfile):
-    """``(edge, load, share)`` for each edge some player uses, by edge id."""
-    loads = load_map(profile)
-    for edge in sorted(graph.edges, key=lambda e: e.edge_id):
-        count = loads.get(edge.edge_id, 0)
-        if count:
-            yield edge, count, edge.cost / count
+    """``(edge, load, share)`` for each edge some player uses, by edge id;
+    an unknown edge id raises ``GraphError``."""
+    tally = Tally(graph, profile)
+    edges, loads = graph.edges, tally.loads
+    for e in sorted(tally.used, key=graph.edge_ids.__getitem__):
+        edge = edges[e]
+        yield edge, loads[e], edge.cost / loads[e]
 
 
 def render_dot(graph: GameGraph, profile: StrategyProfile) -> str:

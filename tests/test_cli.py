@@ -2,13 +2,23 @@ import functools
 import json
 import math
 import operator
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from pagegame import GameInstance, Player
+from pagegame import (
+    GameInstance,
+    Player,
+    StrategyProfile,
+    build_graph,
+    cost_report,
+    load_map,
+)
 from pagegame.cli import main
+from pagegame.errors import GraphError
+from pagegame.reporting import profile_summary, render_dot
 
 from gamegen import build_d1, diamond_chain, instance_to_json
 
@@ -361,6 +371,30 @@ def test_report_json_summary(d1_file, tmp_path):
     assert obj["edges"] == [
         {"id": "a", "src": "r", "dst": "l", "cost": 1.0, "load": 2, "share": 0.5}
     ]
+
+
+def test_report_lists_used_edges_by_id_with_their_loads():
+    # Declared out of id order; the unused "aa" is left out.
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("b", "r", "m", 2.0), ("a", "m", "l", 1.0), ("c", "r", "l", 3.0),
+         ("aa", "r", "m", 1.0)],
+    )
+    profile = StrategyProfile({1: ("b", "a"), 2: ("b", "a"), 3: ("c",)})
+    loads = load_map(profile)
+    summary = profile_summary(graph, profile, cost_report(graph, profile))
+    assert [(edge["id"], edge["load"], edge["share"]) for edge in summary["edges"]] == [
+        (edge_id, loads[edge_id], graph.edge(edge_id).cost / loads[edge_id])
+        for edge_id in sorted(loads)
+    ]
+    labels = re.findall(r'label="(\S+)', render_dot(graph, profile))
+    assert labels == sorted(loads)
+
+
+def test_render_dot_rejects_an_unknown_edge_id():
+    graph = build_d1().graph
+    with pytest.raises(GraphError, match="unknown edge id 'zz'"):
+        render_dot(graph, StrategyProfile({1: ("a",), 2: ("zz",)}))
 
 
 # ---------------------------------------------------------------- determinism

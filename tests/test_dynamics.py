@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -510,10 +511,7 @@ def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
 
 # ---------------------------------------------------------------- tie counting
 
-@pytest.mark.parametrize("diamonds", (60, 70))
-def test_solve_counts_and_draws_exponential_ties_exactly(tmp_path, monkeypatch, diamonds):
-    # 2**diamonds equal paths: the count is exact, and the drawn index picks
-    # its path by lexicographic rank, the first diamond's branch first.
+def _recorded_draws(monkeypatch) -> list:
     draws = []
     randrange = SplitMix64.randrange
 
@@ -522,6 +520,14 @@ def test_solve_counts_and_draws_exponential_ties_exactly(tmp_path, monkeypatch, 
         return draws[-1][1]
 
     monkeypatch.setattr(SplitMix64, "randrange", recorded)
+    return draws
+
+
+@pytest.mark.parametrize("diamonds", (60, 70))
+def test_solve_counts_and_draws_exponential_ties_exactly(tmp_path, monkeypatch, diamonds):
+    # 2**diamonds equal paths: the count is exact, and the drawn index picks
+    # its path by lexicographic rank, the first diamond's branch first.
+    draws = _recorded_draws(monkeypatch)
     graph = diamond_chain(diamonds)
     instance = GameInstance(graph, (Player(1, "v0", f"v{diamonds}"),), 0.0)
     path = tmp_path / "diamonds.json"
@@ -538,3 +544,82 @@ def test_solve_counts_and_draws_exponential_ties_exactly(tmp_path, monkeypatch, 
     sides = [rank >> (diamonds - 1 - i) & 1 for i in range(diamonds)]
     expected = [f"e{i:02d}{'ab'[side]}{k}" for i, side in enumerate(sides) for k in (1, 2)]
     assert json.loads(out.read_text())["final_profile"] == {"1": expected}
+
+
+def _count_starts(monkeypatch) -> list:
+    starts = []
+    original = dynamics._State._count
+
+    def counted(self, start, *args):
+        starts.append(self.graph.topo_order[start])
+        return original(self, start, *args)
+
+    monkeypatch.setattr(dynamics._State, "_count", counted)
+    return starts
+
+
+def _solve(tmp_path, instance, seed=0):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(path), "--seed", str(seed),
+                 "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("diamonds, seed", [(1, 0), (5, 3), (6, 11)])
+def test_ties_are_counted_only_below_the_first_branch(tmp_path, monkeypatch, diamonds, seed):
+    # A chain of single edges, then equal diamonds, then a forced tail: the
+    # walk passes the chain uncounted, counts from the first diamond's two
+    # middles on, and draws the same rank over the same 2**diamonds paths.
+    chain = diamond_chain(diamonds)
+    nodes = [(v.node_id, v.kind) for v in chain.nodes.values()]
+    nodes += [(f"s{i}", "abstract") for i in range(3)] + [("t0", "abstract"),
+                                                          ("t1", "abstract")]
+    edges = [(e.edge_id, e.src, e.dst, e.cost) for e in chain.edges]
+    edges += [("c0", "s0", "s1", 1.0), ("c1", "s1", "s2", 2.0), ("c2", "s2", "v0", 0.5),
+              ("z0", f"v{diamonds}", "t0", 1.5), ("z1", "t0", "t1", 1.0)]
+    instance = GameInstance(build_graph(nodes, edges), (Player(1, "s0", "t1"),), 0.0)
+    draws = _recorded_draws(monkeypatch)
+    starts = _count_starts(monkeypatch)
+    final = _solve(tmp_path, instance, seed)["final_profile"]
+    # One draw per best response: the greedy start and the quiet pass.
+    assert [n for n, _ in draws] == [2**diamonds, 2**diamonds]
+    assert starts[:2] == ["m0a", "m0b"]
+    assert not {"s0", "s1", "s2", "v0", "t0", "t1"} & set(starts)
+    rank = draws[0][1]
+    sides = [rank >> (diamonds - 1 - i) & 1 for i in range(diamonds)]
+    middle = [f"e{i:02d}{'ab'[side]}{k}" for i, side in enumerate(sides) for k in (1, 2)]
+    assert final == {"1": ["c0", "c1", "c2"] + middle + ["z0", "z1"]}
+    engine_draws = list(draws)
+    draws.clear()
+    trace = reference.run_dynamics(instance.graph, instance.players, 0.0,
+                                   Schedule("round-robin", seed))
+    assert draws == engine_draws
+    assert {str(pid): list(p) for pid, p in trace.final_profile.items()} == final
+
+
+def _distinct_cost_layers(seed: int) -> GameInstance:
+    """Four full layers of three nodes with real-valued costs, so every best
+    response has one cheapest path, and six players."""
+    rng = random.Random(seed)
+    layers = [[f"L{l}.{i}" for i in range(3)] for l in range(4)]
+    nodes = [(n, "abstract") for layer in layers for n in layer]
+    edges = [(f"e{l}{i}{j}", src, dst, rng.uniform(1.0, 10.0))
+             for l in range(3) for i, src in enumerate(layers[l])
+             for j, dst in enumerate(layers[l + 1])]
+    players = tuple(Player(k + 1, rng.choice(layers[0]), rng.choice(layers[3]))
+                    for k in range(6))
+    return GameInstance(build_graph(nodes, edges), players, 0.5)
+
+
+@pytest.mark.parametrize("instance", [build_d1(), _distinct_cost_layers(7)],
+                         ids=["d1", "distinct-cost-layers"])
+def test_unique_best_responses_are_neither_counted_nor_drawn(tmp_path, monkeypatch, instance):
+    draws = _recorded_draws(monkeypatch)
+    starts = _count_starts(monkeypatch)
+    for seed in (0, 5):
+        report = _solve(tmp_path, instance, seed)
+    assert report["converged"]
+    assert starts == []
+    assert draws == []
