@@ -23,9 +23,10 @@ one private state for all its best responses; only the graph's memos outlive it:
   new one. Each costs O(path length), plus one page sum when an edge of the
   player's empties. The costs and potentials of the trace are read from it:
   the floats of ``cost_report``;
-* the graph's plan of each root-leaf pair (``GameGraph.between``). A best
-  response relaxes only its plan, weighing each out-edge inline in edge-id
-  order; distances stay infinite outside it.
+* each edge's weight, by the rule above, at its load: a move reweighs its
+  two paths' edges, so with the player off they weigh against the others;
+* the graph's plan of each root-leaf pair (``GameGraph.between``), all that
+  a best response relaxes, in edge-id order; distances stay infinite outside.
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
@@ -71,7 +72,6 @@ from .game import (
     Player,
     StrategyProfile,
     Tally,
-    load_map,
     slack,
     validate_profile,
 )
@@ -122,39 +122,45 @@ def reweight(
     """Per-edge weights seen by one player given everyone else's paths."""
     if player_id not in profile.paths:
         raise UnknownPlayer(player_id)
-    loads = load_map(profile.without(player_id))
-    weights: dict[str, float] = {}
-    for edge in graph.edges:
-        k = loads.get(edge.edge_id, 0)
-        weights[edge.edge_id] = edge.cost / (k + 1) if k else edge.cost * (delta + 1.0)
-    return weights
+    state = _State(graph, profile, delta)
+    state.move(player_id, ())
+    return dict(zip(graph.edge_ids, state.weights))
 
 
 class _State(Tally):
-    """The per-call best-response state described in the module docstring:
-    a tally with the distance, weight and tie-memo scratch of ``respond``."""
+    """The per-call best-response state of the module docstring: a tally,
+    ``respond``'s distance and tie-memo scratch, and ``weights``, each
+    edge's weight at its load, which a move keeps in O(path length)."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
-        self.fresh = [cost * (delta + 1.0) for cost in self.graph.costs]
         self.weights = [0.0] * len(self.loads)
+        self._weigh(range(len(self.loads)))
         # All infinite between best responses: a relaxation writes only its
         # plan, so every edge leaving the plan reads an infinite distance.
         self.dist = [math.inf] * len(graph.nodes)
         self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
 
+    def _weigh(self, edges) -> None:
+        loads, costs, weights, fresh = self.loads, self.graph.costs, self.weights, self.delta + 1.0
+        for e in edges:
+            k = loads[e]
+            weights[e] = costs[e] / (k + 1) if k else costs[e] * fresh
+
+    def move(self, player_id: int, new: tuple[int, ...]) -> None:
+        old = self.paths.get(player_id, ())
+        super().move(player_id, new)
+        self._weigh(old)
+        self._weigh(new)
+
     def _relax(self, plan: tuple[int, ...], target: int) -> None:
-        """Cheapest weight to ``target`` from every node of ``plan``, into
-        ``dist``, and the weights of their out-edges into ``weights``."""
-        loads, fresh, weights, dist = self.loads, self.fresh, self.weights, self.dist
-        costs, heads, outs = self.graph.costs, self.graph.heads, self.graph.outs
+        """Cheapest weight to ``target`` from every node of ``plan``, into ``dist``."""
+        weights, dist, heads, outs = self.weights, self.dist, self.graph.heads, self.graph.outs
         dist[target] = 0.0
         for node in plan:
             best = math.inf
             for e in outs[node]:
-                k = loads[e]
-                weight = weights[e] = costs[e] / (k + 1) if k else fresh[e]
-                through = weight + dist[heads[e]]
+                through = weights[e] + dist[heads[e]]
                 if through < best:
                     best = through
             dist[node] = best

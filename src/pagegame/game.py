@@ -322,12 +322,6 @@ class StrategyProfile:
         updated[player_id] = tuple(path)
         return StrategyProfile(updated)
 
-    def without(self, player_id: int) -> StrategyProfile:
-        """The paths of every player except ``player_id``."""
-        return StrategyProfile(
-            {pid: path for pid, path in self.paths.items() if pid != player_id}
-        )
-
 
 @dataclass(frozen=True)
 class CostReport:

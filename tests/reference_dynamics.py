@@ -30,6 +30,11 @@ from pagegame.game import (
 from pagegame.rng import SplitMix64
 
 
+def without(profile, player_id):
+    """The paths of every player except ``player_id``."""
+    return StrategyProfile({pid: path for pid, path in profile.items() if pid != player_id})
+
+
 def weights_from_loads(graph, other_loads, delta):
     weights = {}
     for edge in graph.edges:
@@ -98,7 +103,7 @@ def cheapest_paths(graph, weights, root, leaf):
 
 
 def respond(graph, profile, player, delta, rng):
-    others = profile.without(player.player_id)
+    others = without(profile, player.player_id)
     weights = weights_from_loads(graph, load_map(others), delta)
     best, ties = cheapest_paths(graph, weights, player.root, player.leaf)
     if not ties:
@@ -118,7 +123,7 @@ def best_response(graph, profile, player_id, delta=0.0, seed=0):
 def is_nash(graph, profile, delta=0.0):
     costs = cost_report(graph, profile, delta).player_costs
     for pid, path in profile.items():
-        others = profile.without(pid)
+        others = without(profile, pid)
         weights = weights_from_loads(graph, load_map(others), delta)
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
         best = distance_to(graph, weights, leaf)[root]

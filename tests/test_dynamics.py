@@ -23,7 +23,7 @@ from pagegame import (
 )
 from pagegame import SplitMix64, dynamics, game
 from pagegame.cli import main
-from pagegame.errors import UnknownPlayer
+from pagegame.errors import GraphError, UnknownPlayer
 
 import reference_dynamics as reference
 from gamegen import (
@@ -69,6 +69,12 @@ def test_reweight_edge_with_three_other_users():
 def test_reweight_unknown_player(d1):
     with pytest.raises(UnknownPlayer):
         reweight(d1.graph, StrategyProfile({1: ("a",)}), 5, 0.0)
+
+
+def test_reweight_rejects_an_unknown_edge_in_the_profile(d1):
+    profile = StrategyProfile({1: ("a",), 2: ("a", "zz")})
+    with pytest.raises(GraphError, match="unknown edge id 'zz'"):
+        reweight(d1.graph, profile, 1, 0.0)
 
 
 def test_reweight_bounds_hold():
@@ -450,9 +456,10 @@ def test_tally_moved_in_place_reads_what_a_fresh_tally_reads():
     assert moves == {False, True}
 
 
-def _snapshot(tally):
-    page = tally._page
-    return tally.loads[:], tally.used[:], dict(tally.paths), None if page is None else page.hex()
+def _snapshot(state):
+    page = state._page
+    return (state.loads[:], state.used[:], dict(state.paths),
+            None if page is None else page.hex(), [w.hex() for w in state.weights])
 
 
 def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
@@ -507,6 +514,40 @@ def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
     assert {(False, False), (False, True), (True, False), (True, True)} <= {
         (key[0], key[2]) for key in seen}
     assert {(True, False), (True, True)} <= {key[:2] for key in seen}
+
+
+def _assert_weights_follow_loads(state, name):
+    expected = reference.weights_from_loads(
+        state.graph, game.load_map(state.profile()), state.delta)
+    assert [w.hex() for w in state.weights] == [
+        expected[edge_id].hex() for edge_id in state.graph.edge_ids], name
+
+
+def test_state_weights_follow_the_loads_after_every_change():
+    # The state's weights are each edge's weight to a player joining it at
+    # its current load, the reference's floats bit for bit: after
+    # construction, after every placement and after every best response.
+    moves = set()
+    for name, inst in _golden_and_gamegen_games():
+        graph, delta = inst.graph, inst.delta
+        rng = SplitMix64(11)
+        for profile in (StrategyProfile({}), first_path_profile(inst)):
+            state = dynamics._State(graph, profile, delta)
+            _assert_weights_follow_loads(state, name)
+        for player in inst.players:
+            pid, root, leaf = player.player_id, player.root, player.leaf
+            drawn = state.respond(pid, root, leaf, rng)[0]
+            _assert_weights_follow_loads(state, name)
+            for path in (enumerate_paths(graph, root, leaf)[-1], (), drawn):
+                old, new = state.paths[pid], graph.positions(path)
+                moves.add((delta > 0,
+                           any(state.loads[e] == 1 for e in old if e not in new),
+                           any(state.loads[e] == 0 for e in new)))
+                state.place(pid, path)
+                _assert_weights_follow_loads(state, name)
+    # Moves that empty an edge and moves that fill one, at both kinds of delta.
+    assert {(d, True, f) for d in (False, True) for f in (False, True)} <= moves
+    assert {(d, e, True) for d in (False, True) for e in (False, True)} <= moves
 
 
 # ---------------------------------------------------------------- tie counting
