@@ -236,12 +236,13 @@ def _cmd_check(args) -> int:
     identity_detail = ""
     for player in instance.players:
         pid = player.player_id
-        own = profile.path(pid)
+        own = tally.paths[pid]
         paths = oracle.enumerate_paths(graph, player.root, player.leaf)
         for alt in paths:
-            if alt == own:
+            deviation = graph.positions(alt)
+            if deviation == own:
                 continue
-            tally.place(pid, alt)
+            tally.move(pid, deviation)
             moved = tally.potential()
             d_phi = phi - moved
             d_cost = player_costs[pid] - tally.cost(pid)
@@ -256,7 +257,7 @@ def _cmd_check(args) -> int:
         if identity_detail:
             break
         if len(paths) > 1:
-            tally.place(pid, own)
+            tally.move(pid, own)
     results.append(("potential-identity", not identity_detail, identity_detail))
 
     lines = [f"PASS {name}\n" if ok else f"FAIL {name}: {info}\n" for name, ok, info in results]

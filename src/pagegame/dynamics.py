@@ -16,17 +16,17 @@ Each ``run_dynamics``, ``best_response`` or ``improving_move`` call registers
 its players' roots (``GameGraph.root_masks``) before its first plan and keeps
 one private state for all its best responses; only the graph's memos outlive it:
 
-* the current profile's ``game.Tally``: edge loads, loaded edges and page
-  cost. A best response takes the player off with ``Tally.move``, reads the
-  others' loads and page cost from the tally, and moves the same path back,
-  restoring the page sum cached before; a move swaps the old path for the
-  new one. Each costs O(path length), plus one page sum when an edge of the
-  player's empties. The costs and potentials of the trace are read from it:
-  the floats of ``cost_report``;
+* the current profile's ``game.Tally``, changed only by ``Tally.move``. A
+  best response takes the player off, reads the others' loads and page cost
+  from the tally, and moves the same path back, restoring the page sum cached
+  before; a move swaps the old path for the new one. Each costs O(path
+  length), plus one page sum when an edge of the player's empties. The costs
+  and potentials of the trace are read from it: the floats of ``cost_report``;
 * each edge's weight, by the rule above, at its load: a move reweighs its
   two paths' edges, so with the player off they weigh against the others;
-* the graph's plan of each root-leaf pair (``GameGraph.between``), all that
-  a best response relaxes, in edge-id order; distances stay infinite outside.
+* no distances between best responses: each relaxes the plan of its root-leaf
+  pair (``GameGraph.between``), in edge-id order, into fresh ones, infinite
+  off the plan, and returns a path of edge positions.
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
@@ -128,18 +128,14 @@ def reweight(
 
 
 class _State(Tally):
-    """The per-call best-response state of the module docstring: a tally,
-    ``respond``'s distance and tie-memo scratch, and ``weights``, each
-    edge's weight at its load, which a move keeps in O(path length)."""
+    """The per-call best-response state of the module docstring: a tally and
+    ``weights``, each edge's weight at its load, which a move keeps in
+    O(path length). No distances are kept between best responses."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
         self.weights = [0.0] * len(self.loads)
         self._weigh(range(len(self.loads)))
-        # All infinite between best responses: a relaxation writes only its
-        # plan, so every edge leaving the plan reads an infinite distance.
-        self.dist = [math.inf] * len(graph.nodes)
-        self.memo_cap = _MEMO_PER_NODE * len(graph.nodes)
 
     def _weigh(self, edges) -> None:
         loads, costs, weights, fresh = self.loads, self.graph.costs, self.weights, self.delta + 1.0
@@ -153,9 +149,10 @@ class _State(Tally):
         self._weigh(old)
         self._weigh(new)
 
-    def _relax(self, plan: tuple[int, ...], target: int) -> None:
-        """Cheapest weight to ``target`` from every node of ``plan``, into ``dist``."""
-        weights, dist, heads, outs = self.weights, self.dist, self.graph.heads, self.graph.outs
+    def _relax(self, plan: tuple[int, ...], target: int) -> list[float]:
+        """Cheapest weight to ``target`` from each node of ``plan``; infinite off it."""
+        weights, heads, outs = self.weights, self.graph.heads, self.graph.outs
+        dist = [math.inf] * len(outs)
         dist[target] = 0.0
         for node in plan:
             best = math.inf
@@ -164,14 +161,9 @@ class _State(Tally):
                 if through < best:
                     best = through
             dist[node] = best
+        return dist
 
-    def _clear(self, plan: tuple[int, ...], target: int) -> None:
-        dist = self.dist
-        dist[target] = math.inf
-        for node in plan:
-            dist[node] = math.inf
-
-    def _count(self, start: int, start_acc: float, target: int, bound: float, memo: dict) -> int:
+    def _count(self, start: int, start_acc: float, target: int, bound: float, dist, memo) -> int:
         """Number of ``start``-target paths that stay within ``bound`` after
         ``start_acc`` has been accumulated to ``start``: 1 at the target, else
         read from ``memo`` under ``(start, start_acc)`` or, past its cap,
@@ -182,9 +174,8 @@ class _State(Tally):
         total = memo.get((start, start_acc))
         if total is not None:
             return total
-        heads, outs = self.graph.heads, self.graph.outs
-        weights, dist = self.weights, self.dist
-        cap = self.memo_cap
+        heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
+        cap = _MEMO_PER_NODE * len(outs)
         # One entry per node above the current one: its out-edge iterator,
         # accumulated weight and count so far, and the memo key of the node
         # its edge down reaches.
@@ -214,15 +205,14 @@ class _State(Tally):
                 total += above
 
     def _ties(
-        self, root: int, target: int, bound: float, rng: SplitMix64
-    ) -> tuple[tuple[str, ...], float] | None:
-        """One root-target path within ``bound``, drawn uniformly by its
-        lexicographic rank, with its accumulated weight; ``None`` if there is
-        none. The RNG is consulted only when two or more tie."""
-        heads, outs, ids = self.graph.heads, self.graph.outs, self.graph.edge_ids
-        weights, dist = self.weights, self.dist
+        self, root: int, target: int, bound: float, dist: list, rng: SplitMix64
+    ) -> tuple[tuple[int, ...], float] | None:
+        """One root-target path of edge positions within ``bound``, drawn
+        uniformly by its lexicographic rank, with its accumulated weight; ``None``
+        if there is none. The RNG is consulted only when two or more tie."""
+        heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
         memo: dict = {}
-        path: list[str] = []
+        path: list[int] = []
         node, acc, rank = root, 0.0, None
         while node != target:
             tied = [e for e in outs[node] if acc + weights[e] + dist[heads[e]] <= bound]
@@ -230,7 +220,7 @@ class _State(Tally):
                 return None
             e = tied[0]
             if len(tied) > 1:
-                counts = (self._count(heads[e], acc + weights[e], target, bound, memo)
+                counts = (self._count(heads[e], acc + weights[e], target, bound, dist, memo)
                           for e in tied)
                 if rank is None:
                     counts = list(counts)
@@ -242,15 +232,15 @@ class _State(Tally):
                     if rank < below:
                         break
                     rank -= below
-            path.append(ids[e])
+            path.append(e)
             node, acc = heads[e], acc + weights[e]
         return tuple(path), acc
 
     def respond(
         self, player_id: int, root: str, leaf: str, rng: SplitMix64 | None = None
-    ) -> tuple[tuple[str, ...] | None, float | None, float]:
-        """Chosen path, its cost, and the least attainable cost for the
-        player against the others' paths; without ``rng``, only the last.
+    ) -> tuple[tuple[int, ...] | None, float | None, float]:
+        """Chosen path (edge positions), its cost, and the least attainable cost
+        for the player against the others' paths; without ``rng``, only the last.
 
         Paths within the slack (``TOLERANCE`` for moderate costs) of the
         cheapest weight tie. The RNG is consulted only when two or more tie,
@@ -264,12 +254,11 @@ class _State(Tally):
             self.move(player_id, ())
         position = self.graph.node_position
         start, target = position[root], position[leaf]
-        self._relax(plan, target)
-        best = self.dist[start]
+        dist = self._relax(plan, target)
+        best = dist[start]
         chosen = None
         if rng is not None and not math.isinf(best):
-            chosen = self._ties(start, target, best + slack(best, len(plan)), rng)
-        self._clear(plan, target)
+            chosen = self._ties(start, target, best + slack(best, len(plan)), dist, rng)
         others = self.delta * self.page() if self.delta else 0.0
         if own:
             self.move(player_id, own)
@@ -304,7 +293,8 @@ def best_response(
     """
     current = profile.path(player_id)
     root, leaf = graph.edge(current[0]).src, graph.edge(current[-1]).dst
-    return _State(graph, profile, delta).respond(player_id, root, leaf, SplitMix64(seed))[0]
+    path = _State(graph, profile, delta).respond(player_id, root, leaf, SplitMix64(seed))[0]
+    return tuple([graph.edge_ids[e] for e in path])
 
 
 def improving_move(
@@ -318,7 +308,8 @@ def improving_move(
     for pid, path in profile.items():
         root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
         if state.improves(root, leaf, state.respond(pid, root, leaf)[2], state.cost(pid)):
-            return pid, state.respond(pid, root, leaf, SplitMix64(0))[0]
+            chosen = state.respond(pid, root, leaf, SplitMix64(0))[0]
+            return pid, tuple([graph.edge_ids[e] for e in chosen])
     return None
 
 
@@ -357,12 +348,13 @@ def run_dynamics(
         state = _State(graph, StrategyProfile({}), delta)
         for player in players:
             pid = player.player_id
-            state.place(pid, state.respond(pid, player.root, player.leaf, rng)[0])
+            state.move(pid, state.respond(pid, player.root, player.leaf, rng)[0])
         initial = state.profile()
     else:
         validate_profile(graph, players, initial)
         state = _State(graph, initial, delta)
 
+    ids = graph.edge_ids
     steps: list[Step] = []
     potential = state.potential()
     for passes in range(1, max_iters + 1):
@@ -375,9 +367,10 @@ def run_dynamics(
             previous = state.cost(pid)
             path, new_cost, attainable = state.respond(pid, player.root, player.leaf, rng)
             if state.improves(player.root, player.leaf, attainable, previous):
-                state.place(pid, path)
+                state.move(pid, path)
                 potential = state.potential()
-                steps.append(Step(passes, pid, previous, new_cost, potential, True, path))
+                steps.append(Step(passes, pid, previous, new_cost, potential, True,
+                                  tuple([ids[e] for e in path])))
                 moved = True
             else:
                 steps.append(Step(passes, pid, previous, previous, potential, False, None))

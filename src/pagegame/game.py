@@ -366,9 +366,9 @@ def load_map(profile: StrategyProfile) -> dict[str, int]:
 class Tally:
     """A profile's edge loads and page cost, all by declaration position:
     ``loads[e]``, each player's path in ``paths`` and the loaded edges in
-    ``used``, in order. The page cost is summed on first use after a change.
-    With ``delta == 0`` the social terms are skipped entirely, so player
-    costs equal the pure shared-path costs bit for bit.
+    ``used``, in order; only ``move`` changes them. The page cost is summed
+    on first use after a change. With ``delta == 0`` the social terms are
+    skipped, so player costs equal the pure shared-path costs bit for bit.
     """
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float = 0.0):
@@ -382,12 +382,9 @@ class Tally:
         self.used = list(itertools.compress(range(len(loads)), loads))
         self._page: float | None = None
 
-    def place(self, player_id: int, path: Sequence[str]) -> None:
-        """Move a player from its current path (if any) onto ``path``."""
-        self.move(player_id, self.graph.positions(path))
-
     def move(self, player_id: int, new: tuple[int, ...]) -> None:
-        """``place`` by declaration positions; ``()`` takes the player off."""
+        """Move a player from its current path (if any) onto the edges at
+        positions ``new``; ``()`` takes the player off. The only mutation."""
         loads, used = self.loads, self.used
         for e in self.paths.get(player_id, ()):
             loads[e] -= 1

@@ -230,15 +230,15 @@ def _stability_flags(
         for e in own:
             users[e] += 1
     # Scores stay below 2 * (1 + delta) times the total edge cost. Where
-    # the most terms a player can count times that bound's ulp is within
-    # TOLERANCE, slack() is TOLERANCE and the terms need no counting.
-    top_ulp = math.ulp(2 * (1 + delta) * math.fsum(costs))
+    # slack() of that bound over the most terms a player can count is
+    # TOLERANCE, it is TOLERANCE for every score and the terms need no counting.
+    top = 2 * (1 + delta) * math.fsum(costs)
     for i in sorted(range(len(indexed)), key=sizes.__getitem__, reverse=True):
         size, stride, candidates = sizes[i], strides[i], indexed[i]
         if size == 1:
             break
         nodes = len({heads[e] for e in edges[i]})
-        tolerance_only = (nodes + (len(costs) if delta else 0)) * top_ulp <= TOLERANCE
+        tolerance_only = slack(top, nodes + (len(costs) if delta else 0)) == TOLERANCE
         table = {
             e: (e, costs[e], tuple(costs[e] / (k + 1) for k in range(users[e])))
             for e in edges[i]

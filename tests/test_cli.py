@@ -283,8 +283,8 @@ def test_check_names_a_potential_identity_mismatch(d1_file, tmp_path, capsys, mo
     class Skewed(cli.Tally):
         skew = 0.0
 
-        def place(self, player_id, path):
-            super().place(player_id, path)
+        def move(self, player_id, new):
+            super().move(player_id, new)
             self.skew = 1.0
 
         def potential(self):

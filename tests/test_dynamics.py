@@ -364,6 +364,37 @@ def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, i
     assert passes == [{p.root for p in inst.players}]
 
 
+def test_dynamics_from_the_greedy_start_moves_by_positions(monkeypatch):
+    # Best responses hand back edge positions and the tally moves by them:
+    # from the greedy start no path is translated from edge ids, neither at
+    # a placement nor on a move. Only a moving step's trace path is ids.
+    from golden_corpus import games
+    from pagegame.instance import load_instance
+
+    corpus = games()
+    shipped = [load_instance(str(corpus[name])) for name in ("d1", "ties")]
+    lookups = []
+    positions = game.GameGraph.positions
+
+    def counted(self, path):
+        lookups.append(path)
+        return positions(self, path)
+
+    monkeypatch.setattr(game.GameGraph, "positions", counted)
+    moves = set()
+    for delta in (0.0, 0.5):
+        generated = random_instance(4000, delta)
+        played = [(inst.graph, inst.players) for inst in shipped + [generated]]
+        for graph, players in played + [layered_game(3107, delta)[:2]]:
+            trace = run_dynamics(graph, players, delta)
+            for step in trace.steps:
+                if step.path_changed:
+                    assert set(step.path) <= set(graph.edge_ids)
+                    moves.add(delta > 0)
+    assert lookups == []
+    assert moves == {False, True}
+
+
 def test_commands_on_an_unvalidated_graph_make_one_pass():
     # A graph straight from build_graph has no root masks yet: each command
     # registers its players' roots in one pass before its first plan.
@@ -440,10 +471,10 @@ def test_tally_moved_in_place_reads_what_a_fresh_tally_reads():
                 own = profile.path(pid)
                 for alt in enumerate_paths(graph, player.root, player.leaf):
                     if alt != own:
-                        tally.place(pid, alt)
+                        tally.move(pid, graph.positions(alt))
                         fresh = game.Tally(graph, profile.replace(pid, alt), delta)
                         assert _numbers(tally, pid) == _numbers(fresh, pid), (name, pid, alt)
-                tally.place(pid, own)
+                tally.move(pid, graph.positions(own))
                 assert tally.loads == original.loads, name
                 assert tally.used == original.used, name
                 assert _numbers(tally, pid) == _numbers(original, pid), name
@@ -490,7 +521,7 @@ def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
         assert _snapshot(state) == before, name
         expected = reference.respond(state.graph, state.profile(), player, state.delta,
                                      SplitMix64(7))
-        assert drawn[0] == expected[0], name
+        assert tuple([state.graph.edge_ids[e] for e in drawn[0]]) == expected[0], name
         assert drawn[1].hex() == expected[1].hex(), name
         assert attainable.hex() == drawn[2].hex() == expected[2].hex(), name
 
@@ -501,7 +532,7 @@ def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
         for player in inst.players:
             check(greedy, player, name)
             pid = player.player_id
-            greedy.place(pid, greedy.respond(pid, player.root, player.leaf, rng)[0])
+            greedy.move(pid, greedy.respond(pid, player.root, player.leaf, rng)[0])
         final = run_dynamics(graph, inst.players, delta).final_profile
         for profile in (first_path_profile(inst), final):
             state = dynamics._State(graph, profile, delta)
@@ -538,12 +569,12 @@ def test_state_weights_follow_the_loads_after_every_change():
             pid, root, leaf = player.player_id, player.root, player.leaf
             drawn = state.respond(pid, root, leaf, rng)[0]
             _assert_weights_follow_loads(state, name)
-            for path in (enumerate_paths(graph, root, leaf)[-1], (), drawn):
-                old, new = state.paths[pid], graph.positions(path)
+            for new in (graph.positions(enumerate_paths(graph, root, leaf)[-1]), (), drawn):
+                old = state.paths[pid]
                 moves.add((delta > 0,
                            any(state.loads[e] == 1 for e in old if e not in new),
                            any(state.loads[e] == 0 for e in new)))
-                state.place(pid, path)
+                state.move(pid, new)
                 _assert_weights_follow_loads(state, name)
     # Moves that empty an edge and moves that fill one, at both kinds of delta.
     assert {(d, True, f) for d in (False, True) for f in (False, True)} <= moves
