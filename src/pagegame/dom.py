@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     EngineError,
@@ -44,8 +44,7 @@ DEVICE_CLASSES = frozenset(DEVICE_CLASS_FACTORS)
 ORIENTATIONS = frozenset({"landscape", "portrait"})
 
 
-@dataclass(frozen=True)
-class DomNode:
+class DomNode(NamedTuple):
     """One node of the parsed document tree."""
 
     node_id: str
@@ -63,13 +62,14 @@ class DomForest:
     nodes: dict[str, DomNode]
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        """Parent-child pairs in document order."""
-        root = self.document_root
-        stack = [(root.node_id, child) for child in reversed(root.children)]
-        while stack:
-            parent_id, node = stack.pop()
-            yield parent_id, node.node_id
-            stack.extend((node.node_id, child) for child in reversed(node.children))
+        """Parent-child pairs in document order: ``nodes`` holds the ids in
+        the pre-order they were reserved in, so each child follows its parent."""
+        parents: dict[str, str] = {}
+        for node_id, node in self.nodes.items():
+            if node_id in parents:
+                yield parents[node_id], node_id
+            for child in node.children:
+                parents[child.node_id] = node_id
 
     @property
     def node_count(self) -> int:
@@ -277,21 +277,21 @@ def build_game(
     nodes = [Node(n.node_id, n.kind) for n in forest.nodes.values()]
     nodes.extend(Node(device_root_id(d.device_id), "abstract") for d in devices)
 
-    def base(node_id: str) -> float:
-        return model.base(forest.nodes[node_id].kind)
+    tops = forest.document_root.children if devices else ()
+    below = [(src, forest.nodes[dst]) for src, dst in forest.edges() if src != doc_id]
+    # Each child kind priced once, in edge order: a missing one fails at its first edge.
+    price = {kind: model.base(kind) for kind in dict.fromkeys(
+        [top.kind for top in tops] + [child.kind for _, child in below])}
 
     edges: list[Edge] = []
     for device in devices:
         dev = device_root_id(device.device_id)
-        for top in forest.document_root.children:
-            edges.append(
-                Edge(f"{dev}>{top.node_id}", dev, top.node_id,
-                     base(top.node_id) * device.cost_factor)
-            )
+        for top in tops:
+            edges.append(Edge(f"{dev}>{top.node_id}", dev, top.node_id,
+                              price[top.kind] * device.cost_factor))
     factor = min((d.cost_factor for d in devices), default=1.0)
-    for src, dst in forest.edges():
-        if src != doc_id:
-            edges.append(Edge(f"{src}>{dst}", src, dst, base(dst) * factor))
+    edges.extend([Edge(f"{src}>{child.node_id}", src, child.node_id, price[child.kind] * factor)
+                  for src, child in below])
 
     players: list[Player] = []
     for device in devices:

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NoPath, UnknownPlayer
 from .game import (
@@ -94,8 +94,7 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One player activation inside the improvement loop."""
 
     iteration: int

@@ -28,7 +28,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -66,22 +66,19 @@ def _fold(values: Iterable[float]) -> float:
 ordered_sum = sum if sys.version_info < (3, 12) else _fold
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     node_id: str
     kind: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     edge_id: str
     src: str
     dst: str
     cost: float
 
 
-@dataclass(frozen=True)
-class Player:
+class Player(NamedTuple):
     """A browser/device instance routing one component, as a root-leaf pair."""
 
     player_id: int
@@ -113,42 +110,44 @@ class GameGraph:
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
         node_map: dict[str, Node] = {}
         for node in nodes:
-            if node.kind not in NODE_KINDS:
-                raise GraphError(f"node {node.node_id!r} has unknown kind {node.kind!r}")
-            if node.node_id in node_map:
-                raise GraphError(f"node id {node.node_id!r} declared more than once")
-            node_map[node.node_id] = node
+            node_id, kind = node
+            if kind not in NODE_KINDS:
+                raise GraphError(f"node {node_id!r} has unknown kind {kind!r}")
+            if node_id in node_map:
+                raise GraphError(f"node id {node_id!r} declared more than once")
+            node_map[node_id] = node
 
         # Nodes by declaration position until the topological order is known.
         declared = {nid: v for v, nid in enumerate(node_map)}
         edge_position: dict[str, int] = {}
         edge_list: list[Edge] = []
+        costs: list[float] = []
         tails: list[int] = []
         heads: list[int] = []
-        total = 0.0
         for edge in edges:
-            if edge.edge_id in edge_position:
-                raise DuplicateEdgeId(edge.edge_id)
-            if edge.src not in declared:
-                raise DanglingEndpoint(edge.edge_id, edge.src)
-            if edge.dst not in declared:
-                raise DanglingEndpoint(edge.edge_id, edge.dst)
-            if not (0.0 <= edge.cost < math.inf):
-                raise NegativeCost(edge.edge_id, edge.cost)
-            edge_position[edge.edge_id] = len(edge_list)
+            edge_id, src, dst, cost = edge
+            if edge_id in edge_position:
+                raise DuplicateEdgeId(edge_id)
+            if src not in declared:
+                raise DanglingEndpoint(edge_id, src)
+            if dst not in declared:
+                raise DanglingEndpoint(edge_id, dst)
+            if not (0.0 <= cost < math.inf):
+                raise NegativeCost(edge_id, cost)
+            edge_position[edge_id] = len(edge_list)
             edge_list.append(edge)
-            tails.append(declared[edge.src])
-            heads.append(declared[edge.dst])
-            total += edge.cost
+            costs.append(cost)
+            tails.append(declared[src])
+            heads.append(declared[dst])
         # Past the float range, best responses and the oracle find no path.
-        if math.isinf(total):
+        if math.isinf(ordered_sum(costs)):
             raise GraphError("edge costs too large: their total overflows")
 
         self.nodes: Mapping[str, Node] = node_map
         self.edges = tuple(edge_list)
         self.edge_position = edge_position
         self.edge_ids = tuple(edge_position)
-        self.costs = tuple([edge.cost for edge in edge_list])
+        self.costs = tuple(costs)
         outs: list[list[int]] = [[] for _ in declared]
         for edge_id in sorted(edge_position):
             e = edge_position[edge_id]
@@ -347,7 +346,7 @@ class GameInstance:
         if not (0.0 <= self.delta < math.inf):
             raise NegativeDelta(self.delta)
         # Every cost, potential and sum that check forms stays below this bound.
-        total = ordered_sum([edge.cost for edge in self.graph.edges])
+        total = ordered_sum(self.graph.costs)
         if math.isinf(total * (1.0 + self.delta) * (len(self.players) + 1)):
             raise GraphError(
                 f"edge costs too large: total {total} overflows at delta {self.delta}")

@@ -128,9 +128,9 @@ def _parse_explicit(obj: dict, delta: float) -> GameInstance:
     if "cost_model" in obj:
         raise MalformedInstance("cost_model is only valid in the document form")
 
-    nodes = [Node(*values) for values in _records(obj, "nodes", _NODE_FIELDS)]
-    edges = [Edge(*values) for values in _records(obj, "edges", _EDGE_FIELDS)]
-    players = [Player(*values) for values in _records(obj, "players", _PLAYER_FIELDS)]
+    nodes = [Node._make(values) for values in _records(obj, "nodes", _NODE_FIELDS)]
+    edges = [Edge._make(values) for values in _records(obj, "edges", _EDGE_FIELDS)]
+    players = [Player._make(values) for values in _records(obj, "players", _PLAYER_FIELDS)]
     graph = build_graph(nodes, edges)
     return GameInstance(graph=graph, players=tuple(players), delta=delta)
 

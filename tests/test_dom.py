@@ -14,6 +14,7 @@ from pagegame import (
     serialize_document,
     validate_profile,
 )
+from pagegame.dom import DEFAULT_BASE_COSTS
 from pagegame.errors import (
     EngineError,
     MalformedMarkup,
@@ -119,6 +120,19 @@ def _shape(node):
     return (node.kind, node.label, node.value, tuple(_shape(c) for c in node.children))
 
 
+def _preorder_edges(forest):
+    """Reference for ``DomForest.edges``: parent-child pairs from a stack
+    walk of the tree from the document root."""
+    root = forest.document_root
+    stack = [(root.node_id, child) for child in reversed(root.children)]
+    pairs = []
+    while stack:
+        parent_id, node = stack.pop()
+        pairs.append((parent_id, node.node_id))
+        stack.extend((node.node_id, child) for child in reversed(node.children))
+    return pairs
+
+
 def test_round_trip_is_isomorphic():
     for text in (
         SAMPLE_DOCUMENT,
@@ -162,6 +176,7 @@ def test_round_trip_property():
         again = parse_document(serialize_document(forest))
         assert _shape(again.document_root) == _shape(forest.document_root)
         assert list(again.nodes) == list(forest.nodes)
+        assert list(forest.edges()) == _preorder_edges(forest)
 
     check()
 
@@ -334,3 +349,32 @@ def test_custom_cost_model_applies():
     instance = build_game(forest, [DeviceProfile("d", "pc", 1.0, ("3:#text",))], model)
     assert instance.graph.edge("dev:d>1:main").cost == 2.0
     assert instance.graph.edge("2:p>3:#text").cost == 1.0
+
+
+def test_missing_base_cost_names_the_first_edge_child_kind():
+    # Device entry edges come first, then the document's edges in order.
+    without = {k: v for k, v in DEFAULT_BASE_COSTS.items() if k not in ("text", "attribute")}
+    model = CostModel(base_costs=without)
+    device = DeviceProfile("d", "pc", 1.0, ())
+    cases = [
+        ('top<a href="u">x</a>', [device], "text"),
+        ('top<a href="u">x</a>', [], "attribute"),
+        ('<a href="u">x</a>', [device], "attribute"),
+        ('<b>x</b><a href="u"></a>', [device], "text"),
+        ('<a href="u"></a>top', [device], "text"),
+        ('<a href="u"></a>top', [], "attribute"),
+    ]
+    for text, devices, kind in cases:
+        with pytest.raises(EngineError) as err:
+            build_game(parse_document(text), devices, model)
+        assert type(err.value) is EngineError
+        assert str(err.value) == f"cost model has no base cost for kind {kind!r}"
+
+
+def test_cost_model_needs_no_document_root_price():
+    forest = parse_document(SAMPLE_DOCUMENT)
+    devices = [DeviceProfile("d", "pc", 1.0, ("4:#text",)),
+               DeviceProfile("m", "mobile", 1.5, ("7:#text",))]
+    without = {k: v for k, v in DEFAULT_BASE_COSTS.items() if k != "document-root"}
+    built = build_game(forest, devices, CostModel(base_costs=without))
+    assert built.graph.edges == build_game(forest, devices).graph.edges

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import tracemalloc
@@ -38,7 +39,9 @@ from pagegame.errors import (
 )
 
 from pagegame import game
-from pagegame.game import ordered_sum
+from pagegame.dom import DomNode
+from pagegame.dynamics import Step
+from pagegame.game import Edge, Node, ordered_sum
 from pagegame.instance import load_instance
 
 import golden_corpus
@@ -242,6 +245,42 @@ def test_plan_is_the_nodes_on_some_root_leaf_path():
                 assert graph.between(root, leaf) is plan, name
         assert graph.between(order[0], "no-such-node") == ()
         assert graph.between("no-such-node", order[-1]) == ()
+
+
+# ---------------------------------------------------------------- records
+
+# The records built once per graph element or activation, with sample fields.
+RECORDS = [
+    (Node, ("a", "element")),
+    (Edge, ("e", "a", "b", 1.5)),
+    (Player, (1, "r", "l", "desk:l")),
+    (DomNode, ("1:p", "element", "p", "", (DomNode("2:#text", "text", "#text", "x"),))),
+    (Step, (1, 2, 3.0, 2.0, 5.0, True, ("e",))),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls,values", RECORDS, ids=RECORD_IDS)
+def test_records_are_immutable_values(cls, values):
+    fields = list(inspect.signature(cls).parameters)
+    record, twin = cls(*values), cls(*values)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(twin, field))
+    assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert [getattr(record, field) for field in fields] == list(values)
+    # A field named like a tuple method would shadow it on a named tuple.
+    assert not set(fields) & set(dir(tuple))
+
+
+@pytest.mark.parametrize("cls,values", RECORDS, ids=RECORD_IDS)
+def test_records_are_named_tuples(cls, values):
+    record = cls(*values)
+    assert record == values and tuple(record) == values
+    first, *rest = record
+    assert (first, *rest) == values
+    changed = record._replace(**{record._fields[0]: values[1]})
+    assert changed[0] == values[1] and changed[1:] == values[1:]
 
 
 # ---------------------------------------------------------------- load map
