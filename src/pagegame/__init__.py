@@ -39,7 +39,6 @@ from .game import (
     StrategyProfile,
     build_graph,
     cost_report,
-    load_map,
     page_cost,
     player_cost,
     potential,
@@ -88,7 +87,6 @@ __all__ = [
     "efficiency_metrics",
     "enumerate_paths",
     "is_nash",
-    "load_map",
     "page_cost",
     "parse_document",
     "player_cost",

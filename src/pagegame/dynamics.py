@@ -24,9 +24,17 @@ one private state for all its best responses; only the graph's memos outlive it:
   and potentials of the trace are read from it: the floats of ``cost_report``;
 * each edge's weight, by the rule above, at its load: a move reweighs its
   two paths' edges, so with the player off they weigh against the others;
-* no distances between best responses: each relaxes the plan of its root-leaf
-  pair (``GameGraph.between``), in edge-id order, into fresh ones, infinite
-  off the plan, and returns a path of edge positions.
+* a table of answers, keyed by root, leaf, current path and whether an RNG
+  was given, holding what ``respond`` returned. Players with the same root,
+  leaf and path see the same loads once taken off, hence the same weights,
+  distances and page sum, so a stored answer equals a recomputed one bit for
+  bit. Two rules keep it so: a move clears the table (``respond``'s own
+  take-off and put-back do not), and an answer that drew from the RNG, or
+  raised ``NoPath``, is never stored, so the stream advances as it would
+  without the table. No distances are kept: a best response not in the table
+  relaxes the plan of its root-leaf pair (``GameGraph.between``), in edge-id
+  order, into fresh ones, infinite off the plan, and returns a path of edge
+  positions.
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
@@ -127,14 +135,15 @@ def reweight(
 
 
 class _State(Tally):
-    """The per-call best-response state of the module docstring: a tally and
+    """The per-call best-response state of the module docstring: a tally,
     ``weights``, each edge's weight at its load, which a move keeps in
-    O(path length). No distances are kept between best responses."""
+    O(path length), and the answers ``respond`` gave since the last move."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
         self.weights = [0.0] * len(self.loads)
         self._weigh(range(len(self.loads)))
+        self._answers: dict = {}
 
     def _weigh(self, edges) -> None:
         loads, costs, weights, fresh = self.loads, self.graph.costs, self.weights, self.delta + 1.0
@@ -143,6 +152,12 @@ class _State(Tally):
             weights[e] = costs[e] / (k + 1) if k else costs[e] * fresh
 
     def move(self, player_id: int, new: tuple[int, ...]) -> None:
+        self._answers.clear()
+        self._shift(player_id, new)
+
+    def _shift(self, player_id: int, new: tuple[int, ...]) -> None:
+        """``move`` that keeps the answers: for ``respond``'s take-off and
+        put-back, which leave the profile as it was."""
         old = self.paths.get(player_id, ())
         super().move(player_id, new)
         self._weigh(old)
@@ -205,14 +220,15 @@ class _State(Tally):
 
     def _ties(
         self, root: int, target: int, bound: float, dist: list, rng: SplitMix64
-    ) -> tuple[tuple[int, ...], float] | None:
+    ) -> tuple[tuple[int, ...], float, bool] | None:
         """One root-target path of edge positions within ``bound``, drawn
-        uniformly by its lexicographic rank, with its accumulated weight; ``None``
-        if there is none. The RNG is consulted only when two or more tie."""
+        uniformly by its lexicographic rank, with its accumulated weight and
+        whether the RNG was consulted, which it is only when two or more tie;
+        ``None`` if there is none."""
         heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
         memo: dict = {}
         path: list[int] = []
-        node, acc, rank = root, 0.0, None
+        node, acc, rank, drew = root, 0.0, None, False
         while node != target:
             tied = [e for e in outs[node] if acc + weights[e] + dist[heads[e]] <= bound]
             if not tied:
@@ -226,14 +242,15 @@ class _State(Tally):
                     total = sum(counts)
                     if not total:
                         return None
-                    rank = rng.randrange(total) if total > 1 else 0
+                    drew = total > 1
+                    rank = rng.randrange(total) if drew else 0
                 for e, below in zip(tied, counts):
                     if rank < below:
                         break
                     rank -= below
             path.append(e)
             node, acc = heads[e], acc + weights[e]
-        return tuple(path), acc
+        return tuple(path), acc, drew
 
     def respond(
         self, player_id: int, root: str, leaf: str, rng: SplitMix64 | None = None
@@ -244,13 +261,19 @@ class _State(Tally):
         Paths within the slack (``TOLERANCE`` for moderate costs) of the
         cheapest weight tie. The RNG is consulted only when two or more tie,
         to draw one by its lexicographic rank. The tally ends as it started.
+        An answer from the table of answers is returned as stored.
         """
+        own = self.paths.get(player_id)
+        key = (root, leaf, own, rng is None)
+        answer = self._answers.get(key)
+        if answer is not None:
+            return answer
         plan = self.graph.between(root, leaf)
         if not plan:
             raise NoPath(player_id, root, leaf)
-        page, own = self._page, self.paths.get(player_id)
+        page = self._page
         if own:
-            self.move(player_id, ())
+            self._shift(player_id, ())
         position = self.graph.node_position
         start, target = position[root], position[leaf]
         dist = self._relax(plan, target)
@@ -260,14 +283,19 @@ class _State(Tally):
             chosen = self._ties(start, target, best + slack(best, len(plan)), dist, rng)
         others = self.delta * self.page() if self.delta else 0.0
         if own:
-            self.move(player_id, own)
+            self._shift(player_id, own)
         self._page = page
         if rng is None:
-            return None, None, best + others
-        if chosen is None:
+            answer = None, None, best + others
+        elif chosen is None:
             raise NoPath(player_id, root, leaf)
-        path, weight = chosen
-        return path, weight + others, best + others
+        else:
+            path, weight, drew = chosen
+            answer = path, weight + others, best + others
+            if drew:
+                return answer
+        self._answers[key] = answer
+        return answer
 
     def improves(self, root: str, leaf: str, attainable: float, current: float) -> bool:
         """True iff ``attainable`` undercuts ``current`` by more than the

@@ -198,12 +198,12 @@ class GameGraph:
         for edge in self.edges:
             if edge.src in candidates and edge.dst in candidates:
                 preds[edge.dst].append(edge.src)
-        seen: list[str] = []
+        seen: dict[str, int] = {}  # node -> its position in the walk
         current = min(candidates)
         while current not in seen:
-            seen.append(current)
+            seen[current] = len(seen)
             current = min(preds[current])
-        cycle = seen[seen.index(current):] + [current]
+        cycle = list(seen)[seen[current]:] + [current]
         cycle.reverse()
         return cycle
 
@@ -351,15 +351,6 @@ class GameInstance:
             raise GraphError(
                 f"edge costs too large: total {total} overflows at delta {self.delta}")
         validate_players(self.graph, self.players)
-
-
-def load_map(profile: StrategyProfile) -> dict[str, int]:
-    """Per-edge usage counts; edges outside every path are absent."""
-    loads: dict[str, int] = {}
-    for _, path in profile.items():
-        for edge_id in path:
-            loads[edge_id] = loads.get(edge_id, 0) + 1
-    return loads
 
 
 class Tally:

@@ -145,20 +145,19 @@ def _used_edges(graph: GameGraph, profile: StrategyProfile):
     """``(edge, load, share)`` for each edge some player uses, by edge id;
     an unknown edge id raises ``GraphError``."""
     tally = Tally(graph, profile)
-    edges, loads = graph.edges, tally.loads
+    edges, costs, loads = graph.edges, graph.costs, tally.loads
     for e in sorted(tally.used, key=graph.edge_ids.__getitem__):
-        edge = edges[e]
-        yield edge, loads[e], edge.cost / loads[e]
+        yield edges[e], loads[e], costs[e] / loads[e]
 
 
 def render_dot(graph: GameGraph, profile: StrategyProfile) -> str:
     """DOT rendering of the chosen tree, edges annotated with load and share."""
     used_nodes: set[str] = set()
     edge_lines: list[str] = []
-    for edge, count, share in _used_edges(graph, profile):
-        used_nodes.update((edge.src, edge.dst))
-        label = f"{edge.edge_id} c={edge.cost:g} x={count} share={share:g}"
-        edge_lines.append(f'  "{edge.src}" -> "{edge.dst}" [label="{label}"];')
+    for (edge_id, src, dst, cost), count, share in _used_edges(graph, profile):
+        used_nodes.update((src, dst))
+        label = f"{edge_id} c={cost:g} x={count} share={share:g}"
+        edge_lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
     node_lines = [f'  "{node_id}";' for node_id in sorted(used_nodes)]
     body = "\n".join(node_lines + edge_lines)
     if body:
@@ -171,9 +170,8 @@ def profile_summary(
 ) -> dict[str, Any]:
     """Machine-readable companion to the DOT rendering."""
     edges = [
-        {"id": edge.edge_id, "src": edge.src, "dst": edge.dst, "cost": edge.cost,
-         "load": count, "share": share}
-        for edge, count, share in _used_edges(graph, profile)
+        {"id": edge_id, "src": src, "dst": dst, "cost": cost, "load": count, "share": share}
+        for (edge_id, src, dst, cost), count, share in _used_edges(graph, profile)
     ]
     return {
         "format_version": FORMAT_VERSION,

@@ -22,12 +22,20 @@ from pagegame.game import (
     Player,
     StrategyProfile,
     cost_report,
-    load_map,
     page_cost,
     slack,
     validate_profile,
 )
 from pagegame.rng import SplitMix64
+
+
+def load_map(profile):
+    """Per-edge usage counts by edge id; edges outside every path are absent."""
+    loads = {}
+    for _, path in profile.items():
+        for edge_id in path:
+            loads[edge_id] = loads.get(edge_id, 0) + 1
+    return loads
 
 
 def without(profile, player_id):

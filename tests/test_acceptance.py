@@ -15,7 +15,6 @@ from pagegame import (
     best_response,
     enumerate_paths,
     is_nash,
-    load_map,
     page_cost,
     parse_document,
     player_cost,
@@ -33,6 +32,7 @@ from gamegen import (
     first_path_profile,
     instance_to_json,
 )
+from reference_dynamics import load_map
 
 TOL = 1e-9
 

@@ -14,13 +14,13 @@ from pagegame import (
     StrategyProfile,
     build_graph,
     cost_report,
-    load_map,
 )
 from pagegame.cli import main
 from pagegame.errors import GraphError
 from pagegame.reporting import profile_summary, render_dot
 
 from gamegen import build_d1, diamond_chain, instance_to_json
+from reference_dynamics import load_map
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

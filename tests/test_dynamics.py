@@ -3,9 +3,11 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+import pagegame
 from pagegame import (
     GameInstance,
     Player,
@@ -24,6 +26,7 @@ from pagegame import (
 from pagegame import SplitMix64, dynamics, game
 from pagegame.cli import main
 from pagegame.errors import GraphError, UnknownPlayer
+from pagegame.instance import parse_instance
 
 import reference_dynamics as reference
 from gamegen import (
@@ -349,18 +352,18 @@ def test_run_dynamics_reports_once_per_profile(monkeypatch, inst, start):
 
 @COUNTED_GAMES
 def test_dynamics_keeps_loads_and_reachability_across_activations(monkeypatch, inst, start):
-    # Loads are tallied only by the state's own tally, never into an id-keyed
-    # map, and the graph makes one reachability pass over the players'
-    # distinct roots: at load, then never again.
+    # Loads are tallied only by the state's own tally: the library has no
+    # id-keyed load map (the tests keep one in reference_dynamics). The graph
+    # makes one reachability pass over the players' distinct roots: at load,
+    # then never again.
     graph = build_graph(inst.graph.nodes.values(), inst.graph.edges)
     passes = search_log(graph)
     instance = GameInstance(graph, inst.players, inst.delta)
     dataclasses.replace(instance, delta=inst.delta + 0.5)
-    loads = _count_calls(monkeypatch, "load_map", game, dynamics)
     for initial in (None, start or first_path_profile(inst)):
         trace = run_dynamics(graph, inst.players, inst.delta, initial=initial)
     is_nash(graph, trace.final_profile, inst.delta)
-    assert loads == []
+    assert not any(hasattr(module, "load_map") for module in (pagegame, game, dynamics))
     assert passes == [{p.root for p in inst.players}]
 
 
@@ -549,7 +552,7 @@ def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
 
 def _assert_weights_follow_loads(state, name):
     expected = reference.weights_from_loads(
-        state.graph, game.load_map(state.profile()), state.delta)
+        state.graph, reference.load_map(state.profile()), state.delta)
     assert [w.hex() for w in state.weights] == [
         expected[edge_id].hex() for edge_id in state.graph.edge_ids], name
 
@@ -695,3 +698,99 @@ def test_unique_best_responses_are_neither_counted_nor_drawn(tmp_path, monkeypat
     assert report["converged"]
     assert starts == []
     assert draws == []
+
+
+# ---------------------------------------------------------------- answer reuse
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _count_relaxations(monkeypatch) -> list:
+    plans = []
+    original = dynamics._State._relax
+
+    def counted(self, plan, target):
+        plans.append(plan)
+        return original(self, plan, target)
+
+    monkeypatch.setattr(dynamics._State, "_relax", counted)
+    return plans
+
+
+def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
+    # The benchmark's layered game at seed 1: of its 900 best responses (300
+    # placements, then a moving pass and a quiet pass of 300 activations
+    # each) 411 repeat one answered since the last move, for a player with
+    # the same root, leaf and path.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inst = parse_instance(workloads.dag_dynamics_instance(1))
+    relaxed = _count_relaxations(monkeypatch)
+    trace = run_dynamics(inst.graph, inst.players, inst.delta, Schedule("round-robin", 1))
+    assert (len(inst.players), len(trace.steps), trace.passes) == (300, 600, 2)
+    assert sum(step.path_changed for step in trace.steps) == 50
+    assert len(relaxed) == 489
+
+
+def test_answers_are_keyed_by_the_players_path(monkeypatch):
+    # Players 1 and 2 share root and leaf but not paths, so each taken off
+    # sees the other on a different edge: the answers differ. Player 2 moves
+    # onto a at half its cost, as the reference finds.
+    relaxed = _count_relaxations(monkeypatch)
+    inst = build_d1(0.0)
+    initial = StrategyProfile({1: ("a",), 2: ("b",)})
+    state = dynamics._State(inst.graph, initial, 0.0)
+    assert [state.respond(pid, "r", "l")[2] for pid in (1, 2, 1, 2)] == [1.0, 0.5, 1.0, 0.5]
+    assert len(relaxed) == 2
+    trace = run_dynamics(inst.graph, inst.players, 0.0, initial=initial)
+    assert trace.steps[1][1:4] == (2, 3.0, 0.5)
+    assert trace == reference.run_dynamics(inst.graph, inst.players, 0.0, initial=initial)
+
+
+def test_a_move_clears_the_answers(monkeypatch):
+    relaxed = _count_relaxations(monkeypatch)
+    inst = build_d1(0.0, cost_a=5.0, cost_b=2.0)
+    state = dynamics._State(inst.graph, StrategyProfile({1: ("a",), 2: ("a",)}), 0.0)
+    first = state.respond(1, "r", "l", SplitMix64(0))
+    assert state.respond(2, "r", "l", SplitMix64(0)) == first
+    assert state.respond(2, "r", "l")[2] == first[2]
+    assert len(relaxed) == 2  # one per kind of answer
+    state.move(1, state.paths[1])  # even a move onto the same path
+    assert state.respond(2, "r", "l", SplitMix64(0)) == first
+    assert len(relaxed) == 3
+
+    # Both players start on a and want b. Player 1 moves; player 2 shares the
+    # key player 1 had, yet relaxes again and finds b at half its cost. The
+    # quiet pass relaxes once for the two.
+    relaxed.clear()
+    initial = StrategyProfile({1: ("a",), 2: ("a",)})
+    trace = run_dynamics(inst.graph, inst.players, 0.0, initial=initial)
+    assert [(s.player_id, s.new_cost, s.path) for s in trace.steps[:2]] == [
+        (1, 2.0, ("b",)), (2, 1.0, ("b",))]
+    assert len(relaxed) == 3
+    assert trace == reference.run_dynamics(inst.graph, inst.players, 0.0, initial=initial)
+
+
+@pytest.mark.parametrize("delta, cost_a", [(0.0, 2.0), (1.0, 4.0)])
+def test_drawn_answers_are_never_reused(monkeypatch, delta, cost_a):
+    # Two players on a, which weighs the same as b to either once it is
+    # taken off: each activation draws between them, and the draws and
+    # traces are the reference's, which has no table of answers.
+    inst = build_d1(delta, cost_a=cost_a, cost_b=1.0)
+    initial = StrategyProfile({1: ("a",), 2: ("a",)})
+    draws = _recorded_draws(monkeypatch)
+    relaxed = _count_relaxations(monkeypatch)
+    for seed in range(8):
+        schedule = Schedule("random", seed)
+        draws.clear()
+        relaxed.clear()
+        trace = run_dynamics(inst.graph, inst.players, delta, schedule, initial=initial)
+        engine_draws = list(draws)
+        draws.clear()
+        expected = reference.run_dynamics(inst.graph, inst.players, delta, schedule,
+                                          initial=initial)
+        assert [n for n, _ in engine_draws] == [2, 2, 2]  # the shuffle, then one per player
+        assert engine_draws == draws
+        assert len(relaxed) == 2
+        assert trace == expected

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from pagegame import GameInstance, Player, Schedule, StrategyProfile, build_graph
+from pagegame import (
+    GameInstance,
+    Player,
+    Schedule,
+    StrategyProfile,
+    build_graph,
+    enumerate_paths,
+)
 from pagegame import dynamics
 from pagegame.errors import NoPath
 
@@ -205,17 +212,27 @@ def test_random_dags_match_reference_property():
         ]
         hypothesis.assume(pairs)
         chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
+        # Duplicates (same root and leaf) share answers while their paths agree.
+        chosen = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(chosen),
+                                                             max_size=3))))
         players = tuple(Player(i + 1, r, l) for i, (r, l) in enumerate(chosen))
-        return graph, players, draw(st.sampled_from(DELTAS))
+        # The greedy start, or any paths: duplicates then also sit apart.
+        start = draw(st.none() | st.tuples(*[
+            st.sampled_from(enumerate_paths(graph, r, l)) for r, l in chosen]))
+        initial = None if start is None else StrategyProfile(
+            {p.player_id: path for p, path in zip(players, start)})
+        return graph, players, draw(st.sampled_from(DELTAS)), initial
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None,
                          suppress_health_check=list(hypothesis.HealthCheck))
     @hypothesis.given(games(), st.sampled_from(SCHEDULES), st.integers(0, 2**32))
     def check(game, kind, seed):
-        graph, players, delta = game
+        graph, players, delta, initial = game
         schedule = Schedule(kind, seed)
-        expected = reference.run_dynamics(graph, players, delta, schedule, max_iters=50)
-        actual = dynamics.run_dynamics(graph, players, delta, schedule, max_iters=50)
+        expected = reference.run_dynamics(graph, players, delta, schedule, max_iters=50,
+                                          initial=initial)
+        actual = dynamics.run_dynamics(graph, players, delta, schedule, max_iters=50,
+                                       initial=initial)
         assert _trace_bits(actual) == _trace_bits(expected)
         profile = expected.initial_profile
         assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(graph, profile, delta)

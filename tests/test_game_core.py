@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,6 @@ from pagegame import (
     build_graph,
     cost_report,
     enumerate_paths,
-    load_map,
     page_cost,
     parse_document,
     player_cost,
@@ -50,6 +50,7 @@ from gamegen import (
     SAMPLE_DOCUMENT, DELTAS, all_profiles, build_d1, corpus, first_path_profile,
     random_instance, reachable_from, search_log,
 )
+from reference_dynamics import load_map
 
 TOL = 1e-9
 
@@ -137,6 +138,25 @@ def test_cycle_error_names_one_cycle_exactly():
         build_graph(nodes, edges)
     assert err.value.nodes == ["e", "f", "d", "e"]
     assert str(err.value) == "directed cycle through nodes: e -> f -> d -> e"
+
+
+def test_long_cycle_is_found_in_linear_time():
+    # A 20,000-node cycle fed by an acyclic lead-in, with a 1,000-node tail
+    # hanging off it whose last node is the least leftover one: the walk back
+    # runs up the tail, enters the cycle at c05000 and goes once round it.
+    n = 20_000
+    cycle = [f"c{i:05d}" for i in range(n)]
+    tail = [f"a{k:05d}" for k in range(999, -1, -1)]
+    nodes = [(v, "abstract") for v in ["s0", "s1", *cycle, *tail]]
+    edges = [("s0s1", "s0", "s1", 1.0), ("s1c", "s1", "c00000", 1.0)]
+    edges += [(f"e{i}", cycle[i], cycle[(i + 1) % n], 1.0) for i in range(n)]
+    edges += [(f"t{k}", src, dst, 1.0)
+              for k, (src, dst) in enumerate(zip(["c05000", *tail], tail))]
+    started = time.perf_counter()
+    with pytest.raises(CycleDetected) as err:
+        build_graph(nodes, edges)
+    assert time.perf_counter() - started < 2.0  # a list-membership walk takes about 4 s
+    assert err.value.nodes == [cycle[(5000 + i) % n] for i in range(n + 1)]
 
 
 def test_duplicate_edge_id_wins_over_a_dangling_endpoint():
