@@ -38,9 +38,23 @@ class DanglingEndpoint(GraphError):
         self.node_id = node_id
 
 
+#: A cycle message names at most this many nodes in full.
+_CYCLE_NODES_NAMED = 10
+
+
 class CycleDetected(GraphError):
+    """``nodes`` runs once round the cycle and repeats its first node last.
+    A longer cycle's message names its first ``_CYCLE_NODES_NAMED`` nodes,
+    an ellipsis, the closing node and the cycle's length."""
+
     def __init__(self, nodes: list[str]):
-        super().__init__("directed cycle through nodes: " + " -> ".join(nodes))
+        length = len(nodes) - 1
+        if length > _CYCLE_NODES_NAMED:
+            named = " -> ".join([*nodes[:_CYCLE_NODES_NAMED], "...", nodes[-1]])
+            named += f" ({length} nodes)"
+        else:
+            named = " -> ".join(nodes)
+        super().__init__("directed cycle through nodes: " + named)
         self.nodes = list(nodes)
 
 

@@ -7,15 +7,15 @@ listed alternative path that beats its current cost. Sharing only graph
 data with :mod:`pagegame.dynamics`, not its reweighting shortcut, makes
 agreement between the two routes a real check, not a tautology.
 
-A player's deviation options depend only on the other players' paths, so
-the equilibrium search sweeps each player once per combination of the
-others' paths: it tallies their loads and page cost once, scores every
-candidate path of the player once, and clears the stability flag of each
-profile in that combination that some candidate beats. The flags are one
-byte per profile, indexed by the profile's rank in product order; only the
-profiles left standing get a cost report. A profile's flag is the AND of
-one verdict per player and combination, and no verdict reads the flags, so
-the sweep order is free:
+A player's deviation options depend only on the other players' loads, so
+the equilibrium search sweeps each player over the combinations of the
+others' paths: for each it tallies their loads and page cost, scores
+every candidate path of the player once, and clears the stability flag of
+each profile in that combination that some candidate beats. The flags are
+one byte per profile, indexed by the profile's rank in product order; only
+the profiles left standing get a cost report. A profile's flag is the AND
+of one verdict per player and combination, and no verdict reads the flags,
+so the sweep order is free:
 - Players go widest first (most paths; declaration order on ties), and the
   sweep stops at the first player with one path, who cannot improve. The
   widest player's sweep has the fewest combinations and refutes the most
@@ -25,13 +25,24 @@ the sweep order is free:
   of themselves in ``ceil(log2 n)`` doubling steps (``n`` the player's path
   count), masked to each combination's first profile, and walked with
   ``itertools.compress``.
+- A sweep scores each load pattern of the others once. Every path is
+  packed into one integer, a digit per candidate edge in base the player
+  count, so the sum of the others' packed paths is a key that fixes their
+  whole load vector and with it every input of a verdict. A combination
+  whose key the sweep has already scored reuses that verdict, the
+  candidates it beat as one byte each; players with the same root and
+  leaf give many such repeats.
 - Each sweep builds a share table for its player's candidate edges only:
   ``shares[k] == cost / (k + 1)``, the same float as the division, for
   each load ``k`` another player can bring to the edge.
 
 Paths are held as tuples of edge declaration positions. Memory beyond the
-flags is a few integers and byte strings of one byte per profile and a
-share table no larger than the player's edges times the players.
+flags is a few integers and byte strings of one byte per profile, a share
+table no larger than the player's edges times the players, one packed
+integer per path (smaller than the path's tuple), and a verdict table of
+at most one entry per 32 profiles (``_PROFILES_PER_VERDICT``), each a key
+of about ``log2 P`` bits per candidate edge (``P`` players) and one byte
+per candidate of the swept player.
 
 The social optimum is a depth-first walk over the same product, player 0
 outermost, that places one path per level and moves one ``loads`` list in
@@ -75,6 +86,10 @@ from .game import (
 )
 
 DEFAULT_CAP = 10**6
+
+#: A sweep keeps at most one verdict per this many profiles; combinations
+#: past it are scored again when their key comes back.
+_PROFILES_PER_VERDICT = 32
 
 
 @dataclass(frozen=True)
@@ -194,6 +209,24 @@ def _deviation_costs(
     return scores
 
 
+def _packed_paths(
+    indexed: list[list[tuple[int, ...]]], edges: list[set[int]]
+) -> list[list[int]]:
+    """Each path as one integer, ``sum(radix ** rank(e))`` over its edges.
+
+    ``rank`` numbers all candidate edges, and ``radix`` is the player
+    count: another player adds at most 1 to an edge, so the loads others
+    bring sum to digits below the radix that never carry. A sum of packed
+    paths therefore fixes the load of every candidate edge.
+    """
+    digit = {}
+    power = 1
+    for e in sorted(set().union(*edges)):
+        digit[e] = power
+        power *= len(indexed)
+    return [[sum(map(digit.__getitem__, path)) for path in paths] for paths in indexed]
+
+
 def _stability_flags(
     graph: GameGraph, path_sets: list[list[tuple[str, ...]]], delta: float
 ) -> bytearray:
@@ -206,8 +239,17 @@ def _stability_flags(
     each sweep scores only the combinations with a profile still standing,
     found by folding the flags as one integer. Candidate edges are scored
     from a share table holding, per edge of the swept player, one share
-    per load another player can bring. Beyond the flags the sweep holds a
-    few integers and byte strings of one byte per profile.
+    per load another player can bring.
+
+    A combination's key is the sum of the others' packed paths
+    (:func:`_packed_paths`). Equal keys mean equal loads on every edge, so
+    equal shares, page cost and used-edge count, and so the same verdict:
+    a sweep keeps the verdict of each key it scores, up to one per
+    ``_PROFILES_PER_VERDICT`` profiles, and reuses it. Beyond the flags the
+    sweep holds a few integers and byte strings of one byte per profile,
+    one packed integer per path and that table: at most ``total //
+    _PROFILES_PER_VERDICT`` keys of about ``log2 P`` bits per candidate
+    edge (``P`` players), each with one byte per candidate.
 
     An improvement must beat ``game.slack`` of the current cost over the
     terms the README counts: one per node on the player's paths save one
@@ -233,6 +275,7 @@ def _stability_flags(
     # slack() of that bound over the most terms a player can count is
     # TOLERANCE, it is TOLERANCE for every score and the terms need no counting.
     top = 2 * (1 + delta) * math.fsum(costs)
+    packed = None
     for i in sorted(range(len(indexed)), key=sizes.__getitem__, reverse=True):
         size, stride, candidates = sizes[i], strides[i], indexed[i]
         if size == 1:
@@ -244,7 +287,10 @@ def _stability_flags(
             for e in edges[i]
         }
         scored = [tuple(map(table.__getitem__, path)) for path in candidates]
+        if packed is None:
+            packed = _packed_paths(indexed, edges)
         others = [(indexed[j], strides[j], sizes[j]) for j in range(len(indexed)) if j != i]
+        keyed = [(packed[j], strides[j], sizes[j]) for j in range(len(indexed)) if j != i]
         # Each byte of live holds the OR of span flags, stride apart from
         # its own; a shift by step <= span strides extends that to
         # span + step. Masked to the bases, a byte is 1 when its
@@ -259,7 +305,19 @@ def _stability_flags(
         live &= int.from_bytes(
             (b"\x01" * stride + bytes(block - stride)) * (total // block), "little"
         )
+        # verdicts[key]: the candidates beaten, one byte each, under the
+        # others' loads that key packs; kept for this sweep only.
+        verdicts: dict[int, bytes] = {}
+        room = total // _PROFILES_PER_VERDICT
         for base in itertools.compress(range(total), live.to_bytes(total, "little")):
+            key = 0
+            for keys, s, n in keyed:
+                key += keys[base // s % n]
+            verdict = verdicts.get(key)
+            if verdict is not None:
+                for c in itertools.compress(range(size), verdict):
+                    flags[base + c * stride] = 0
+                continue
             loads = [0] * len(costs)
             for paths, s, n in others:
                 for e in paths[base // s % n]:
@@ -267,6 +325,7 @@ def _stability_flags(
             others_cost = ordered_sum(itertools.compress(costs, loads))
             scores = _deviation_costs(scored, loads, others_cost, delta)
             best = min(scores)
+            beaten = bytearray(size)
             for c, score in enumerate(scores):
                 if best < score - TOLERANCE:  # slack() is never below it
                     if not tolerance_only:
@@ -277,6 +336,9 @@ def _stability_flags(
                         if best >= score - slack(score, terms):
                             continue
                     flags[base + c * stride] = 0
+                    beaten[c] = 1
+            if len(verdicts) < room:
+                verdicts[key] = bytes(beaten)
     return flags
 
 

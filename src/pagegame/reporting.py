@@ -92,9 +92,13 @@ def step_to_json(step: Step) -> dict[str, Any]:
     }
 
 
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_STEP_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def trace_to_lines(trace: DynamicsTrace) -> str:
     """One JSON record per step, newline-delimited."""
-    lines = [json.dumps(step_to_json(step), sort_keys=True) for step in trace.steps]
+    lines = [_STEP_ENCODER.encode(step_to_json(step)) for step in trace.steps]
     return "".join(line + "\n" for line in lines)
 
 

@@ -7,10 +7,10 @@ cost and re-scoring every alternative path against its current one. An
 alternative must beat the current cost by ``game.slack`` over the terms the
 README counts, taken from this module's own path lists. Paths
 are listed by walking every node below the root, not the engine's plan. The
-engine sweeps the players widest first, each once per combination of the
-others' paths that still has a profile standing, and scores from a share
-table; the tests require both to produce the same catalogs, floats bit for
-bit.
+engine sweeps the players widest first over the combinations of the
+others' paths that still have a profile standing, scores each load pattern
+of the others once per sweep, and scores from a share table; the tests
+require both to produce the same catalogs, floats bit for bit.
 """
 
 from __future__ import annotations

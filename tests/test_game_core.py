@@ -159,6 +159,26 @@ def test_long_cycle_is_found_in_linear_time():
     assert err.value.nodes == [cycle[(5000 + i) % n] for i in range(n + 1)]
 
 
+def test_long_cycle_message_is_one_short_line():
+    n = 5_000
+    cycle = [f"c{i}" for i in range(n)]
+    edges = [(f"e{i}", cycle[i], cycle[(i + 1) % n], 1.0) for i in range(n)]
+    with pytest.raises(CycleDetected) as err:
+        build_graph([(v, "abstract") for v in cycle], edges)
+    assert err.value.nodes == [*cycle, "c0"]
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 1024
+    assert message == ("directed cycle through nodes: "
+                       "c0 -> c1 -> c2 -> c3 -> c4 -> c5 -> c6 -> c7 -> c8 -> c9"
+                       " -> ... -> c0 (5000 nodes)")
+    # Up to ten nodes the cycle is named in full.
+    ten = [f"c{i}" for i in range(10)]
+    with pytest.raises(CycleDetected) as err:
+        build_graph([(v, "abstract") for v in ten],
+                    [(f"e{i}", ten[i], ten[(i + 1) % 10], 1.0) for i in range(10)])
+    assert str(err.value) == "directed cycle through nodes: " + " -> ".join([*ten, "c0"])
+
+
 def test_duplicate_edge_id_wins_over_a_dangling_endpoint():
     nodes = [("r", "abstract"), ("l", "abstract")]
     with pytest.raises(DuplicateEdgeId) as err:

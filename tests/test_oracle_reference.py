@@ -3,17 +3,21 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
 from pagegame import Player, build_graph, oracle, page_cost
 from pagegame.errors import NoPath, SearchSpaceTooLarge
 from pagegame.game import TOLERANCE
+from pagegame.instance import parse_instance
 
 import reference_oracle as reference
 from gamegen import (
     DELTAS, diamond_chain, large_cost_game, layered_game, random_instance, reachable_from,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _bits(value):
@@ -77,6 +81,37 @@ def test_catalogs_match_reference_on_large_cost_games():
         )
         if _profile_space(inst.graph, inst.players) <= 2000:
             _assert_same_catalog(inst.graph, inst.players, inst.delta)
+
+
+def _with_twins(graph, players, copies):
+    """``players`` plus ``copies`` more on the root and leaf of the first
+    player with a choice of path, or ``None`` when no player has one."""
+    counts = oracle.path_counts(graph, players)
+    chooser = next((p for p, count in zip(players, counts) if count > 1), None)
+    if chooser is None:
+        return None
+    twins = (Player(len(players) + k + 1, chooser.root, chooser.leaf) for k in range(copies))
+    return (*players, *twins)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_catalogs_match_reference_with_duplicate_players(monkeypatch, delta):
+    # Players on the same root and leaf make the others' load patterns
+    # repeat, so many verdicts come from the sweeps' tables, here given
+    # room for every key: at the default bound games this small keep few.
+    monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", 1)
+    compared = 0
+    for seed in range(60):
+        inst = random_instance(4500 + seed, delta=delta, max_profiles=40)
+        games = [inst.graph]
+        if seed % 3 == 0:
+            games.append(large_cost_game(inst, seed).graph)
+        for graph in games:
+            players = _with_twins(graph, inst.players, 1 + seed % 2)
+            if players and _profile_space(graph, players) <= 3000:
+                _assert_same_catalog(graph, players, delta)
+                compared += 1
+    assert compared >= 40
 
 
 # ---------------------------------------------------------------- social optimum
@@ -344,11 +379,10 @@ def test_sweep_memory_stays_a_few_bytes_per_profile(monkeypatch):
     assert len(flags) == size
     assert list(itertools.compress(range(size), flags)) == [0, size // 2, size - 1]
 
-    # A sweep allocates its largest objects, the folded flags and the share
-    # table, before its first scoring; the scoring loop frees what it
-    # allocates for each combination. Tracing every allocation of the full
+    # A sweep allocates the folded flags, the share table and the packed
+    # paths before its first scoring. Tracing every allocation of the full
     # run takes over a minute on a 2-vCPU host, so trace up to the first
-    # scoring.
+    # scoring; the next test traces whole sweeps, verdict tables included.
     class Scored(Exception):
         pass
 
@@ -365,6 +399,100 @@ def test_sweep_memory_stays_a_few_bytes_per_profile(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6 * size
+
+
+def test_sweep_memory_with_verdict_tables_stays_under_32_bytes_per_profile():
+    # Five players choose among parallel 18-edge chains (8, 8, 8, 8 and 4
+    # of them) and eleven hold one edge each: 8**4 * 4 profiles over 659
+    # private edges, so no two combinations share a key, and 16 players
+    # make each key four bits per edge. The widest sweep scores 2,048 keys,
+    # four times what its table keeps; kept whole, the tables would take
+    # about 67 bytes per profile. Only the cheapest chains stand.
+    nodes, edges, players = [], [], []
+    for p, width in enumerate((8, 8, 8, 8, 4, *[1] * 11)):
+        root, leaf = f"r{p}", f"l{p}"
+        nodes += [root, leaf]
+        for j in range(width):
+            inner = [f"x{p}.{j}.{k}" for k in range(1, 18 if width > 1 else 1)]
+            nodes += inner
+            chain = [root, *inner, leaf]
+            edges += [(f"e{p}.{j}.{k}", tail, head, 1.0 + j * (k == 0))
+                      for k, (tail, head) in enumerate(zip(chain, chain[1:]))]
+        players.append(Player(p + 1, root, leaf))
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
+    assert (len(graph.costs), len(path_sets)) == (659, 16)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        flags = oracle._stability_flags(graph, path_sets, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(itertools.compress(range(len(flags)), flags)) == [0]
+    assert peak < 32 * len(flags)
+
+
+def _count_scorings(monkeypatch):
+    scored = []
+    real = oracle._deviation_costs
+
+    def counting(candidates, *args):
+        scored.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", counting)
+    return scored
+
+
+@pytest.mark.parametrize("twin, args, keyed, combinations", [
+    ("tie_lattice_twin", (), 370, 820),  # three players on one corner pair
+    ("dag_dynamics_twin", (1,), 87, 91),  # three players from s, few repeats
+])
+def test_sweeps_score_each_load_pattern_of_the_others_once(
+    monkeypatch, twin, args, keyed, combinations
+):
+    # The benchmark's desk-scale twins: with no room for verdicts every
+    # standing combination is scored, with the tables each load pattern
+    # once per sweep (up to the bound), and the flags are the same.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inst = parse_instance(getattr(workloads, twin)(*args))
+    path_sets = oracle._candidate_paths(inst.graph, inst.players, oracle.DEFAULT_CAP)
+    scored = _count_scorings(monkeypatch)
+    flags = oracle._stability_flags(inst.graph, path_sets, inst.delta)
+    assert len(scored) == keyed
+    scored.clear()
+    monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", len(flags) + 1)
+    assert oracle._stability_flags(inst.graph, path_sets, inst.delta) == flags
+    assert len(scored) == combinations
+
+
+def test_verdicts_key_on_loads_off_the_swept_players_edges(monkeypatch):
+    # Player 1's b costs 20 ulps (of 2**30) more than a, counting its page
+    # share. Player 2's two paths both cost 2**30: one edge c, or a chain
+    # of 32 edges d*. Player 1's loads are the same against both, but the
+    # used edges the slack counts are not: 3 terms against c, 34 against
+    # d. So b is beaten beside c only, and the verdict against c must not
+    # be reused against d. Four profiles leave no room for verdicts at the
+    # default bound.
+    monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", 1)
+    ulp = math.ulp(2.0**30)
+    chain = [f"m{k}" for k in range(31)]
+    nodes = ["r1", "l1", "r2", "l2", *chain]
+    hops = ["r2", *chain, "l2"]
+    edges = [("a", "r1", "l1", 1.0), ("b", "r1", "l1", 1.0 + 10 * ulp),
+             ("c", "r2", "l2", 2.0**30)]
+    edges += [(f"d{k:02d}", tail, head, 2.0**25)
+              for k, (tail, head) in enumerate(zip(hops, hops[1:]))]
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    players = (Player(1, "r1", "l1"), Player(2, "r2", "l2"))
+    scored = _count_scorings(monkeypatch)
+    catalog = _assert_same_catalog(graph, players, 1.0)
+    assert [(e.profile.path(1), e.profile.path(2)[0]) for e in catalog.equilibria] == [
+        (("a",), "c"), (("a",), "d00"), (("b",), "d00")]
+    assert scored == [2] * 4
 
 
 def test_improvement_must_exceed_tolerance():
