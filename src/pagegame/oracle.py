@@ -16,22 +16,24 @@ one byte per profile, indexed by the profile's rank in product order; only
 the profiles left standing get a cost report. A profile's flag is the AND
 of one verdict per player and combination, and no verdict reads the flags,
 so the sweep order is free:
-- Players go widest first (most paths; declaration order on ties), and the
-  sweep stops at the first player with one path, who cannot improve. The
-  widest player's sweep has the fewest combinations and refutes the most
-  profiles, so later sweeps skip more.
+- Players go widest first (most paths), and the sweep stops at the first
+  player with one path, who cannot improve. The widest player's sweep has
+  the fewest combinations and refutes the most profiles, so later sweeps
+  skip more. Interchangeable players, those with equal candidate lists
+  (the same root and leaf), go one after another: among equally wide
+  players, groups in the order of their first player's declaration.
 - A sweep scores only the combinations with a profile still standing. It
   finds them in bulk: the flags read as one integer are ORed with shifts
   of themselves in ``ceil(log2 n)`` doubling steps (``n`` the player's path
   count), masked to each combination's first profile, and walked with
   ``itertools.compress``.
-- A sweep scores each load pattern of the others once. Every path is
-  packed into one integer, a digit per candidate edge in base the player
-  count, so the sum of the others' packed paths is a key that fixes their
-  whole load vector and with it every input of a verdict. A combination
-  whose key the sweep has already scored reuses that verdict, the
-  candidates it beat as one byte each; players with the same root and
-  leaf give many such repeats.
+- A group's sweeps score each load pattern of the others once. Every
+  path is packed into one integer, a digit per candidate edge in base the
+  player count, so the sum of the others' packed paths is a key that fixes
+  their whole load vector and with it every input of a verdict. A
+  combination whose key the group has already scored reuses that verdict,
+  the candidates it beat as one byte each: the members have the same
+  candidates, and the key fixes the loads whichever of them is swept.
 - Each sweep builds a share table for its player's candidate edges only:
   ``shares[k] == cost / (k + 1)``, the same float as the division, for
   each load ``k`` another player can bring to the edge.
@@ -39,10 +41,12 @@ so the sweep order is free:
 Paths are held as tuples of edge declaration positions. Memory beyond the
 flags is a few integers and byte strings of one byte per profile, a share
 table no larger than the player's edges times the players, one packed
-integer per path (smaller than the path's tuple), and a verdict table of
-at most one entry per 32 profiles (``_PROFILES_PER_VERDICT``), each a key
-of about ``log2 P`` bits per candidate edge (``P`` players) and one byte
-per candidate of the swept player.
+integer per path (smaller than the path's tuple), and one verdict table
+at a time, made when a group's first sweep starts and dropped when the
+next group's does. It holds at most one entry per 32 profiles
+(``_PROFILES_PER_VERDICT``), each a key of about ``log2 P`` bits per
+candidate edge (``P`` players) and one byte per candidate of the swept
+player.
 
 The social optimum is a depth-first walk over the same product, player 0
 outermost, that places one path per level and moves one ``loads`` list in
@@ -58,6 +62,15 @@ same ``k <= E`` terms in two orders rounds at most about ``2 * (k - 1)``
 ulps apart (the recursive-summation error bound), which ``2 * E`` ulps
 cover. The walk keeps its own stack, so long player lists need no
 recursion.
+
+The walk visits only the profiles whose path indices never fall from one
+interchangeable player to the next: each player's paths start at the
+index of the last player above it with the same candidate list. That
+loses no first cheapest profile. Sorting the indices within each group
+permutes the chosen paths among players with the same candidates, so the
+loads, the union and its declaration-order sum stay the same, and the
+sorted profile comes no later in product order. The first cheapest
+profile is therefore sorted already.
 
 The product enumeration is capped (default one million profiles). Each
 player's paths are counted first (:func:`path_counts`), without listing
@@ -235,7 +248,8 @@ def _stability_flags(
     Player ``i``'s index contributes ``index * strides[i]`` to a profile's
     rank, so the profiles that differ only in player ``i``'s path sit
     ``strides[i]`` apart; the one with index 0 (its base) stands for that
-    combination of the others' paths. Players are swept widest first, and
+    combination of the others' paths. Players are swept widest first,
+    those with equal candidate lists (a group) one after another, and
     each sweep scores only the combinations with a profile still standing,
     found by folding the flags as one integer. Candidate edges are scored
     from a share table holding, per edge of the swept player, one share
@@ -243,13 +257,16 @@ def _stability_flags(
 
     A combination's key is the sum of the others' packed paths
     (:func:`_packed_paths`). Equal keys mean equal loads on every edge, so
-    equal shares, page cost and used-edge count, and so the same verdict:
-    a sweep keeps the verdict of each key it scores, up to one per
-    ``_PROFILES_PER_VERDICT`` profiles, and reuses it. Beyond the flags the
-    sweep holds a few integers and byte strings of one byte per profile,
-    one packed integer per path and that table: at most ``total //
-    _PROFILES_PER_VERDICT`` keys of about ``log2 P`` bits per candidate
-    edge (``P`` players), each with one byte per candidate.
+    equal shares, page cost and used-edge count, and, for players with the
+    same candidates, the same verdict. So one table serves a group's
+    sweeps: it keeps the verdict of each key scored, up to ``total //
+    _PROFILES_PER_VERDICT`` of them, and each sweep reuses them. Once the
+    table is full, a sweep's new verdicts replace an earlier sweep's,
+    oldest first. Beyond the flags the sweep holds a few integers and byte
+    strings of one byte per profile, one packed integer per path and that
+    one table, dropped when the next group starts: keys of about ``log2
+    P`` bits per candidate edge (``P`` players), each with one byte per
+    candidate.
 
     An improvement must beat ``game.slack`` of the current cost over the
     terms the README counts: one per node on the player's paths save one
@@ -276,10 +293,21 @@ def _stability_flags(
     # TOLERANCE, it is TOLERANCE for every score and the terms need no counting.
     top = 2 * (1 + delta) * math.fsum(costs)
     packed = None
-    for i in sorted(range(len(indexed)), key=sizes.__getitem__, reverse=True):
+    # group[i]: the first player with player i's candidate list.
+    firsts: dict[tuple, int] = {}
+    group = [firsts.setdefault(tuple(paths), i) for i, paths in enumerate(indexed)]
+    swept = None
+    for i in sorted(range(len(indexed)), key=lambda j: (-sizes[j], group[j])):
         size, stride, candidates = sizes[i], strides[i], indexed[i]
         if size == 1:
             break
+        # verdicts[key]: the candidates beaten, one byte each, under the
+        # others' loads that key packs, for this group's sweeps; older
+        # holds the earlier sweeps' keys, the oldest last, to give up when
+        # the table is full.
+        if group[i] != swept:
+            swept, verdicts = group[i], {}
+        older = list(reversed(verdicts))
         nodes = len({heads[e] for e in edges[i]})
         tolerance_only = slack(top, nodes + (len(costs) if delta else 0)) == TOLERANCE
         table = {
@@ -305,9 +333,6 @@ def _stability_flags(
         live &= int.from_bytes(
             (b"\x01" * stride + bytes(block - stride)) * (total // block), "little"
         )
-        # verdicts[key]: the candidates beaten, one byte each, under the
-        # others' loads that key packs; kept for this sweep only.
-        verdicts: dict[int, bytes] = {}
         room = total // _PROFILES_PER_VERDICT
         for base in itertools.compress(range(total), live.to_bytes(total, "little")):
             key = 0
@@ -337,6 +362,8 @@ def _stability_flags(
                             continue
                     flags[base + c * stride] = 0
                     beaten[c] = 1
+            if older and len(verdicts) == room:
+                del verdicts[older.pop()]
             if len(verdicts) < room:
                 verdicts[key] = bytes(beaten)
     return flags
@@ -413,13 +440,22 @@ def social_optimum(
 def _optimum(
     graph: GameGraph, players: tuple[Player, ...], path_sets: list[list[tuple[str, ...]]]
 ) -> StrategyProfile:
+    """The first cheapest profile in product order, by the pruned walk the
+    module docstring describes, over interchangeable players' paths in
+    nondecreasing index order only."""
     costs, positions = graph.costs, graph.positions
     indexed = [[positions(path) for path in paths] for paths in path_sets]
     margin = 2 * len(costs)
     loads = [0] * len(costs)
     # chosen[d] is the index of player d's placed path (-1: none placed);
     # totals[d] the running cost of the edges the players above d use.
-    chosen = [-1] * len(indexed)
+    # Player d's paths start at the index of previous[d], the last player
+    # above it with the same candidate list, or at the 0 that ends chosen.
+    chosen = [-1] * len(indexed) + [0]
+    previous, last = [], {}
+    for d, paths in enumerate(map(tuple, indexed)):
+        previous.append(last.get(paths, -1))
+        last[paths] = d
     totals = [0.0] * (len(indexed) + 1)
     best_cost, best = math.inf, []
     depth = 0
@@ -434,7 +470,9 @@ def _optimum(
         if k >= 0:
             for e in paths[k]:
                 loads[e] -= 1
-        k += 1
+            k += 1
+        else:
+            k = chosen[previous[depth]]
         if k == len(paths):
             chosen[depth] = -1
             depth -= 1

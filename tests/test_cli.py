@@ -357,6 +357,26 @@ def test_report_empty_profile_is_valid_dot(tmp_path, capsys):
     assert capsys.readouterr().out == "digraph chosen_tree {\n}\n"
 
 
+def test_empty_game_writes_its_page_cost_as_a_float(tmp_path):
+    # No players: every page cost is an empty sum, written as 0.0 like the
+    # potential beside it, never as the integer 0.
+    inst_path = _write(tmp_path, "empty.json", {
+        "format_version": 1,
+        "nodes": [{"id": "r", "kind": "abstract"}],
+        "edges": [],
+        "players": [],
+    })
+    report, catalog, summary = (tmp_path / name for name in ("run.json", "cat.json", "sum.json"))
+    assert main(["solve", "--instance", str(inst_path), "--output", str(report)]) == 0
+    assert main(["enumerate", "--instance", str(inst_path), "--output", str(catalog)]) == 0
+    assert main(["report", "--instance", str(inst_path), "--report", str(report),
+                 "--format", "json", "--output", str(summary)]) == 0
+    texts = [path.read_text() for path in (report, catalog, summary)]
+    assert [re.findall(r'"page_cost": (\S+?),?\n', text) for text in texts] == [
+        ["0.0"], ["0.0", "0.0"], ["0.0"]]
+    assert '"potential": 0.0' in texts[0]
+
+
 def test_report_json_summary(d1_file, tmp_path):
     report = tmp_path / "report.json"
     summary = tmp_path / "summary.json"

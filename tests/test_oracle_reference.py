@@ -83,15 +83,17 @@ def test_catalogs_match_reference_on_large_cost_games():
             _assert_same_catalog(inst.graph, inst.players, inst.delta)
 
 
-def _with_twins(graph, players, copies):
-    """``players`` plus ``copies`` more on the root and leaf of the first
-    player with a choice of path, or ``None`` when no player has one."""
+def _with_twins(graph, players, copies, at=None):
+    """``players`` with ``copies`` more on the root and leaf of the first
+    player with a choice of path, inserted at index ``at`` (default: the
+    end), or ``None`` when no player has a choice."""
     counts = oracle.path_counts(graph, players)
     chooser = next((p for p, count in zip(players, counts) if count > 1), None)
     if chooser is None:
         return None
     twins = (Player(len(players) + k + 1, chooser.root, chooser.leaf) for k in range(copies))
-    return (*players, *twins)
+    at = len(players) if at is None else at
+    return (*players[:at], *twins, *players[at:])
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -135,6 +137,49 @@ def test_optimum_matches_reference_on_gamegen_layered_and_large_cost_games():
             _assert_same_optimum(graph, players)
             compared += 1
     assert compared >= 10
+
+
+def test_optimum_matches_reference_with_twins_at_the_start_middle_and_end():
+    # The walk skips the profiles that permute interchangeable players'
+    # paths out of nondecreasing order; its optimum must not move.
+    compared = 0
+    for seed in range(30):
+        inst = random_instance(4600 + seed, max_profiles=60)
+        games = [inst.graph, large_cost_game(inst, seed).graph]
+        for graph, copies in itertools.product(games, (1, 2)):
+            for at in (0, len(inst.players) // 2, len(inst.players)):
+                players = _with_twins(graph, inst.players, copies, at)
+                if players and _profile_space(graph, players) <= 3000:
+                    _assert_same_optimum(graph, players)
+                    compared += 1
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("twins, width", [(2, 5), (3, 4), (4, 3)])
+def test_optimum_walk_sums_one_leaf_per_multiset_of_twin_paths(monkeypatch, twins, width):
+    # Free edges prune nothing. The twins (on ``width`` parallel edges)
+    # split by a lone player with two paths: C(width + twins - 1, twins)
+    # multisets of the twins' paths, each with both of the lone player's,
+    # where the whole product has width**twins * 2 profiles.
+    graph = build_graph(
+        [(n, "abstract") for n in ("r", "l", "m")],
+        [*((f"e{j}", "r", "l", 0.0) for j in range(width)),
+         ("a", "r", "m", 0.0), ("b", "r", "m", 0.0)],
+    )
+    players = [Player(i, "r", "l") for i in range(1, twins + 1)]
+    players.insert(1, Player(twins + 1, "r", "m"))
+    sums = []
+    real = oracle.ordered_sum
+
+    def counting(values):
+        sums.append(1)
+        return real(values)
+
+    monkeypatch.setattr(oracle, "ordered_sum", counting)
+    optimum = oracle.social_optimum(graph, players)
+    assert len(sums) == math.comb(width + twins - 1, twins) * 2
+    monkeypatch.undo()
+    assert optimum.paths == reference.social_optimum(graph, players).paths
 
 
 def test_optimum_exact_tie_keeps_first_in_product_order():
@@ -296,23 +341,28 @@ def test_sweep_matches_reference_on_uneven_widths(counts, delta):
     _assert_same_catalog(*_fan_game(counts), delta)
 
 
-@pytest.mark.parametrize("delta", DELTAS)
-def test_permuted_players_permute_the_flags(delta):
-    graph, players = _fan_game((3, 1, 5, 2))
+def _flags_by_choice(graph, players, order, delta):
+    """The flags with ``players`` declared in ``order``, each profile keyed
+    by every player's path index in the original declaration order."""
     sizes = oracle.path_counts(graph, players)
+    ordered = [players[p] for p in order]
+    path_sets = oracle._candidate_paths(graph, ordered, oracle.DEFAULT_CAP)
+    flags = oracle._stability_flags(graph, path_sets, delta)
+    choices = itertools.product(*(range(sizes[p]) for p in order))
+    return {tuple(dict(zip(order, choice))[p] for p in range(len(players))): flag
+            for choice, flag in zip(choices, flags)}
 
-    def flags_by_choice(order):
-        ordered = [players[p] for p in order]
-        flags = oracle._stability_flags(graph, oracle._candidate_paths(graph, ordered, 100), delta)
-        choices = itertools.product(*(range(sizes[p]) for p in order))
-        # Key each profile by every player's path index in declaration order.
-        return {tuple(dict(zip(order, choice))[p] for p in range(len(players))): flag
-                for choice, flag in zip(choices, flags)}
 
-    expected = flags_by_choice(range(len(players)))
+def _assert_flags_match_in_every_order(graph, players, delta):
+    expected = _flags_by_choice(graph, players, range(len(players)), delta)
     assert sum(expected.values()) == len(reference.brute_force_equilibria(graph, players, delta))
     for order in itertools.permutations(range(len(players))):
-        assert flags_by_choice(order) == expected
+        assert _flags_by_choice(graph, players, order, delta) == expected
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_permuted_players_permute_the_flags(delta):
+    _assert_flags_match_in_every_order(*_fan_game((3, 1, 5, 2)), delta)
 
 
 def test_sweep_scores_only_standing_combinations_widest_first(monkeypatch):
@@ -433,6 +483,39 @@ def test_sweep_memory_with_verdict_tables_stays_under_32_bytes_per_profile():
     assert peak < 32 * len(flags)
 
 
+def test_sweep_memory_with_alternating_groups_stays_under_32_bytes_per_profile():
+    # Two pairs of interchangeable players choose among eight free 18-edge
+    # chains each, one more player among four priced ones, and eleven hold
+    # one edge each: 8**4 * 4 profiles over 371 edges. Nothing beats a free
+    # chain, so every combination of the pairs stands and each pair's
+    # sweeps fill a table of 512 verdicts; the first pair's table must go
+    # before the second's fills (both kept read about 42 bytes per profile).
+    nodes, edges, players = [], [], []
+    for p, (width, twins) in enumerate(((8, 2), (8, 2), (4, 1), *[(1, 1)] * 11)):
+        root, leaf = f"r{p}", f"l{p}"
+        nodes += [root, leaf]
+        for j in range(width):
+            inner = [f"x{p}.{j}.{k}" for k in range(1, 18 if width > 1 else 1)]
+            nodes += inner
+            chain = [root, *inner, leaf]
+            edges += [(f"e{p}.{j}.{k}", tail, head, (1.0 + j * (k == 0)) * (width == 4))
+                      for k, (tail, head) in enumerate(zip(chain, chain[1:]))]
+        players += [Player(len(players) + 1, root, leaf) for _ in range(twins)]
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
+    assert (len(graph.costs), len(path_sets)) == (371, 16)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        flags = oracle._stability_flags(graph, path_sets, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stable profiles put the fifth player on its cheapest chain.
+    assert list(itertools.compress(range(len(flags)), flags)) == list(range(0, len(flags), 4))
+    assert peak < 32 * len(flags)
+
+
 def _count_scorings(monkeypatch):
     scored = []
     real = oracle._deviation_costs
@@ -446,7 +529,7 @@ def _count_scorings(monkeypatch):
 
 
 @pytest.mark.parametrize("twin, args, keyed, combinations", [
-    ("tie_lattice_twin", (), 370, 820),  # three players on one corner pair
+    ("tie_lattice_twin", (), 175, 820),  # three players on one corner pair
     ("dag_dynamics_twin", (1,), 87, 91),  # three players from s, few repeats
 ])
 def test_sweeps_score_each_load_pattern_of_the_others_once(
@@ -454,7 +537,8 @@ def test_sweeps_score_each_load_pattern_of_the_others_once(
 ):
     # The benchmark's desk-scale twins: with no room for verdicts every
     # standing combination is scored, with the tables each load pattern
-    # once per sweep (up to the bound), and the flags are the same.
+    # once per group of interchangeable players (up to the bound), and the
+    # flags are the same.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -467,6 +551,53 @@ def test_sweeps_score_each_load_pattern_of_the_others_once(
     monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", len(flags) + 1)
     assert oracle._stability_flags(inst.graph, path_sets, inst.delta) == flags
     assert len(scored) == combinations
+
+
+def _interleaved_groups_game():
+    """Players 1 and 4 from ``s`` (3 paths), 2 from ``v`` (3 paths), 3 and
+    5 from ``u`` (2 paths), all through hubs ``m*`` and their edges to ``t``.
+    Widest first alone sweeps 1, 2, 4, 3, 5; grouped, 1, 4, 2, 3, 5."""
+    hubs = (3.0, 1.0, 2.0)
+    entries = {"s": (0.0, 1.0, 0.5), "v": (0.5, 0.5, 0.0), "u": (1.0, 0.0)}
+    edges = [(f"h{j}", f"m{j}", "t", cost) for j, cost in enumerate(hubs)]
+    edges += [(f"{root}{j}", root, f"m{j}", cost)
+              for root, costs in entries.items() for j, cost in enumerate(costs)]
+    nodes = ["s", "u", "v", "m0", "m1", "m2", "t"]
+    graph = build_graph([(n, "abstract") for n in nodes], edges)
+    players = tuple(Player(i + 1, root, "t") for i, root in enumerate("svusu"))
+    assert oracle.path_counts(graph, players) == [3, 3, 2, 3, 2]
+    return graph, players
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_interleaved_groups_share_one_table_per_group(monkeypatch, delta):
+    graph, players = _interleaved_groups_game()
+    _assert_flags_match_in_every_order(graph, players, delta)
+    # The others' loads under which each group's candidates are scored,
+    # with room for every key and with none.
+    path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
+    roots = {frozenset(graph.edge_position[e] for path in paths for e in path): player.root
+             for player, paths in zip(players, path_sets)}
+    real = oracle._deviation_costs
+
+    def recording(candidates, loads, *args):
+        edges = frozenset(position for c in candidates for position, _, _ in c)
+        seen.setdefault(roots[edges], []).append(tuple(loads))
+        return real(candidates, loads, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", recording)
+    runs = []
+    for per_verdict in (1, math.prod(map(len, path_sets)) + 1):
+        monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", per_verdict)
+        seen = {}
+        runs.append((oracle._stability_flags(graph, path_sets, delta), seen))
+    (flags, kept), (same, rescored) = runs
+    assert flags == same
+    assert kept.keys() == rescored.keys() and "s" in kept
+    for root, loads in kept.items():
+        # Each distinct load pattern once, however many sweeps meet it.
+        assert len(loads) == len(set(loads)) == len(set(rescored[root]))
+    assert len(rescored["s"]) > len(set(rescored["s"]))
 
 
 def test_verdicts_key_on_loads_off_the_swept_players_edges(monkeypatch):
