@@ -19,34 +19,37 @@ so the sweep order is free:
 - Players go widest first (most paths), and the sweep stops at the first
   player with one path, who cannot improve. The widest player's sweep has
   the fewest combinations and refutes the most profiles, so later sweeps
-  skip more. Interchangeable players, those with equal candidate lists
-  (the same root and leaf), go one after another: among equally wide
-  players, groups in the order of their first player's declaration.
+  skip more. Interchangeable players go one after another: a group is a
+  root-leaf pair, whose players share one candidate list, and among
+  equally wide players groups go in the order of their first player's
+  declaration.
 - A sweep scores only the combinations with a profile still standing. It
   finds them in bulk: the flags read as one integer are ORed with shifts
   of themselves in ``ceil(log2 n)`` doubling steps (``n`` the player's path
   count), masked to each combination's first profile, and walked with
   ``itertools.compress``.
-- A group's sweeps score each load pattern of the others once. Every
+- A group's sweeps score each load pattern of the others once, as long
+  as the group's verdict table has room. Every
   path is packed into one integer, a digit per candidate edge in base the
   player count, so the sum of the others' packed paths is a key that fixes
   their whole load vector and with it every input of a verdict. A
   combination whose key the group has already scored reuses that verdict,
   the candidates it beat as one byte each: the members have the same
   candidates, and the key fixes the loads whichever of them is swept.
-- Each sweep builds a share table for its player's candidate edges only:
+- Each group builds one share table for its candidate edges only:
   ``shares[k] == cost / (k + 1)``, the same float as the division, for
   each load ``k`` another player can bring to the edge.
 
-Paths are held as tuples of edge declaration positions. Memory beyond the
-flags is a few integers and byte strings of one byte per profile, a share
-table no larger than the player's edges times the players, one packed
-integer per path (smaller than the path's tuple), and one verdict table
-at a time, made when a group's first sweep starts and dropped when the
-next group's does. It holds at most one entry per 32 profiles
-(``_PROFILES_PER_VERDICT``), each a key of about ``log2 P`` bits per
-candidate edge (``P`` players) and one byte per candidate of the swept
-player.
+Paths are held as tuples of edge declaration positions, listed once per
+root-leaf pair; only the profiles returned are named back in edge ids.
+Memory beyond the flags is a few integers and byte strings of one byte
+per profile, a share table no larger than the group's edges times the
+players, one packed integer per path (smaller than the path's tuple), and
+one verdict table at a time, made when a group's first sweep starts and
+dropped when the next group's does. It takes verdicts until it holds one
+per 32 profiles (``_PROFILES_PER_VERDICT``) and then keeps those; each is
+a key of about ``log2 P`` bits per candidate edge (``P`` players) and one
+byte per candidate of the group.
 
 The social optimum is a depth-first walk over the same product, player 0
 outermost, that places one path per level and moves one ``loads`` list in
@@ -100,8 +103,8 @@ from .game import (
 
 DEFAULT_CAP = 10**6
 
-#: A sweep keeps at most one verdict per this many profiles; combinations
-#: past it are scored again when their key comes back.
+#: A group's verdict table takes at most one verdict per this many
+#: profiles; a key that finds it full is scored each time it comes back.
 _PROFILES_PER_VERDICT = 32
 
 
@@ -185,7 +188,13 @@ def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
 
 def _candidate_paths(
     graph: GameGraph, players: Sequence[Player], cap: int
-) -> list[list[tuple[str, ...]]]:
+) -> list[list[tuple[int, ...]]]:
+    """Each player's root-leaf paths as tuples of edge positions, in
+    :func:`enumerate_paths` order, listed once per root-leaf pair: its
+    players share one list object, which is how the sweep and the optimum
+    walk tell interchangeable players. Before any path is listed, the first
+    player without one raises :class:`NoPath`, and a product of the path
+    counts above ``cap`` raises :class:`SearchSpaceTooLarge`."""
     size = 1
     for player, count in zip(players, path_counts(graph, players)):
         if not count:
@@ -193,7 +202,18 @@ def _candidate_paths(
         size *= count
     if size > cap:
         raise SearchSpaceTooLarge(size, cap)
-    return [enumerate_paths(graph, p.root, p.leaf) for p in players]
+    pairs: dict[tuple[str, str], list] = dict.fromkeys((p.root, p.leaf) for p in players)
+    for root, leaf in pairs:
+        pairs[root, leaf] = list(map(graph.positions, enumerate_paths(graph, root, leaf)))
+    return [pairs[p.root, p.leaf] for p in players]
+
+
+def _profile(graph: GameGraph, players: Sequence[Player], paths: Sequence) -> StrategyProfile:
+    """Each player's path of ``paths``, named back from positions to edge ids."""
+    name = graph.edge_ids.__getitem__
+    return StrategyProfile(
+        {player.player_id: tuple(map(name, path)) for player, path in zip(players, paths)}
+    )
 
 
 def _deviation_costs(
@@ -241,84 +261,68 @@ def _packed_paths(
 
 
 def _stability_flags(
-    graph: GameGraph, path_sets: list[list[tuple[str, ...]]], delta: float
+    graph: GameGraph, path_sets: list[list[tuple[int, ...]]], delta: float
 ) -> bytearray:
     """One byte per profile in product order: 1 when no player can improve.
 
-    Player ``i``'s index contributes ``index * strides[i]`` to a profile's
-    rank, so the profiles that differ only in player ``i``'s path sit
-    ``strides[i]`` apart; the one with index 0 (its base) stands for that
-    combination of the others' paths. Players are swept widest first,
-    those with equal candidate lists (a group) one after another, and
-    each sweep scores only the combinations with a profile still standing,
-    found by folding the flags as one integer. Candidate edges are scored
-    from a share table holding, per edge of the swept player, one share
-    per load another player can bring.
-
-    A combination's key is the sum of the others' packed paths
-    (:func:`_packed_paths`). Equal keys mean equal loads on every edge, so
-    equal shares, page cost and used-edge count, and, for players with the
-    same candidates, the same verdict. So one table serves a group's
-    sweeps: it keeps the verdict of each key scored, up to ``total //
-    _PROFILES_PER_VERDICT`` of them, and each sweep reuses them. Once the
-    table is full, a sweep's new verdicts replace an earlier sweep's,
-    oldest first. Beyond the flags the sweep holds a few integers and byte
-    strings of one byte per profile, one packed integer per path and that
-    one table, dropped when the next group starts: keys of about ``log2
-    P`` bits per candidate edge (``P`` players), each with one byte per
-    candidate.
+    ``path_sets`` is :func:`_candidate_paths`' output: players on one
+    root-leaf pair share one list. Player ``i``'s index contributes ``index
+    * strides[i]`` to a profile's rank, so the profiles that differ only in
+    player ``i``'s path sit ``strides[i]`` apart; the one with index 0 (its
+    base) stands for that combination of the others' paths. The module
+    docstring describes the sweep order, the keys, the verdict tables and
+    the memory.
 
     An improvement must beat ``game.slack`` of the current cost over the
     terms the README counts: one per node on the player's paths save one
     endpoint (counted here by edge heads), plus, with ``delta``, one per
     edge the profile uses.
     """
-    costs, positions, heads = graph.costs, graph.positions, graph.heads
-    indexed = [[positions(path) for path in paths] for paths in path_sets]
-    sizes = [len(paths) for paths in indexed]
-    strides = [1] * len(indexed)
-    for i in range(len(indexed) - 1, 0, -1):
+    costs, heads = graph.costs, graph.heads
+    sizes = [len(paths) for paths in path_sets]
+    strides = [1] * len(path_sets)
+    for i in range(len(path_sets) - 1, 0, -1):
         strides[i - 1] = strides[i] * sizes[i]
     total = math.prod(sizes)
+    room = total // _PROFILES_PER_VERDICT
     flags = bytearray(b"\x01") * total
-    # edges[i]: player i's candidate edges; users[e]: the players with e
-    # among theirs, so no one joining e finds more than users[e] - 1 there.
-    edges = [set().union(*paths) for paths in indexed]
-    users = [0] * len(costs)
-    for own in edges:
-        for e in own:
-            users[e] += 1
-    # Scores stay below 2 * (1 + delta) times the total edge cost. Where
-    # slack() of that bound over the most terms a player can count is
-    # TOLERANCE, it is TOLERANCE for every score and the terms need no counting.
-    top = 2 * (1 + delta) * math.fsum(costs)
-    packed = None
-    # group[i]: the first player with player i's candidate list.
-    firsts: dict[tuple, int] = {}
-    group = [firsts.setdefault(tuple(paths), i) for i, paths in enumerate(indexed)]
+    # group[i]: the first player sharing player i's candidate list.
+    firsts: dict[int, int] = {}
+    group = [firsts.setdefault(id(paths), i) for i, paths in enumerate(path_sets)]
     swept = None
-    for i in sorted(range(len(indexed)), key=lambda j: (-sizes[j], group[j])):
-        size, stride, candidates = sizes[i], strides[i], indexed[i]
+    for i in sorted(range(len(path_sets)), key=lambda j: (-sizes[j], group[j])):
+        size, stride, candidates = sizes[i], strides[i], path_sets[i]
         if size == 1:
             break
-        # verdicts[key]: the candidates beaten, one byte each, under the
-        # others' loads that key packs, for this group's sweeps; older
-        # holds the earlier sweeps' keys, the oldest last, to give up when
-        # the table is full.
+        if swept is None:
+            # Made at the first sweep, so a game where no one chooses skips it.
+            # edges[i]: player i's candidate edges; users[e]: the players with e
+            # among theirs, so no one joining e finds more than users[e] - 1 there.
+            edges = [set().union(*paths) for paths in path_sets]
+            users = [0] * len(costs)
+            for own in edges:
+                for e in own:
+                    users[e] += 1
+            # Scores stay below 2 * (1 + delta) times the total edge cost. Where
+            # slack() of that bound over the most terms a player can count is
+            # TOLERANCE, it is TOLERANCE for every score and the terms need no
+            # counting.
+            top = 2 * (1 + delta) * math.fsum(costs)
+            packed = _packed_paths(path_sets, edges)
         if group[i] != swept:
+            # The group's share table, scored candidates and slack terms, and
+            # verdicts[key]: the candidates beaten, one byte each, under the
+            # others' loads that key packs.
             swept, verdicts = group[i], {}
-        older = list(reversed(verdicts))
-        nodes = len({heads[e] for e in edges[i]})
-        tolerance_only = slack(top, nodes + (len(costs) if delta else 0)) == TOLERANCE
-        table = {
-            e: (e, costs[e], tuple(costs[e] / (k + 1) for k in range(users[e])))
-            for e in edges[i]
-        }
-        scored = [tuple(map(table.__getitem__, path)) for path in candidates]
-        if packed is None:
-            packed = _packed_paths(indexed, edges)
-        others = [(indexed[j], strides[j], sizes[j]) for j in range(len(indexed)) if j != i]
-        keyed = [(packed[j], strides[j], sizes[j]) for j in range(len(indexed)) if j != i]
+            nodes = len({heads[e] for e in edges[i]})
+            tolerance_only = slack(top, nodes + (len(costs) if delta else 0)) == TOLERANCE
+            table = {
+                e: (e, costs[e], tuple(costs[e] / (k + 1) for k in range(users[e])))
+                for e in edges[i]
+            }
+            scored = [tuple(map(table.__getitem__, path)) for path in candidates]
+        others = [(path_sets[j], strides[j], sizes[j]) for j in range(len(path_sets)) if j != i]
+        keyed = [(packed[j], strides[j], sizes[j]) for j in range(len(path_sets)) if j != i]
         # Each byte of live holds the OR of span flags, stride apart from
         # its own; a shift by step <= span strides extends that to
         # span + step. Masked to the bases, a byte is 1 when its
@@ -333,7 +337,6 @@ def _stability_flags(
         live &= int.from_bytes(
             (b"\x01" * stride + bytes(block - stride)) * (total // block), "little"
         )
-        room = total // _PROFILES_PER_VERDICT
         for base in itertools.compress(range(total), live.to_bytes(total, "little")):
             key = 0
             for keys, s, n in keyed:
@@ -362,8 +365,6 @@ def _stability_flags(
                             continue
                     flags[base + c * stride] = 0
                     beaten[c] = 1
-            if older and len(verdicts) == room:
-                del verdicts[older.pop()]
             if len(verdicts) < room:
                 verdicts[key] = bytes(beaten)
     return flags
@@ -410,15 +411,13 @@ def brute_force_equilibria(
 def _equilibria(
     graph: GameGraph,
     players: tuple[Player, ...],
-    path_sets: list[list[tuple[str, ...]]],
+    path_sets: list[list[tuple[int, ...]]],
     delta: float,
 ) -> tuple[EquilibriumEntry, ...]:
     flags = _stability_flags(graph, path_sets, delta)
     entries: list[EquilibriumEntry] = []
     for combo in itertools.compress(itertools.product(*path_sets), flags):
-        profile = StrategyProfile(
-            {player.player_id: path for player, path in zip(players, combo)}
-        )
+        profile = _profile(graph, players, combo)
         entries.append(
             EquilibriumEntry(
                 profile=profile,
@@ -438,35 +437,34 @@ def social_optimum(
 
 
 def _optimum(
-    graph: GameGraph, players: tuple[Player, ...], path_sets: list[list[tuple[str, ...]]]
+    graph: GameGraph, players: tuple[Player, ...], path_sets: list[list[tuple[int, ...]]]
 ) -> StrategyProfile:
     """The first cheapest profile in product order, by the pruned walk the
     module docstring describes, over interchangeable players' paths in
     nondecreasing index order only."""
-    costs, positions = graph.costs, graph.positions
-    indexed = [[positions(path) for path in paths] for paths in path_sets]
+    costs = graph.costs
     margin = 2 * len(costs)
     loads = [0] * len(costs)
     # chosen[d] is the index of player d's placed path (-1: none placed);
     # totals[d] the running cost of the edges the players above d use.
     # Player d's paths start at the index of previous[d], the last player
-    # above it with the same candidate list, or at the 0 that ends chosen.
-    chosen = [-1] * len(indexed) + [0]
+    # above it sharing its candidate list, or at the 0 that ends chosen.
+    chosen = [-1] * len(path_sets) + [0]
     previous, last = [], {}
-    for d, paths in enumerate(map(tuple, indexed)):
-        previous.append(last.get(paths, -1))
-        last[paths] = d
-    totals = [0.0] * (len(indexed) + 1)
+    for d, paths in enumerate(path_sets):
+        previous.append(last.get(id(paths), -1))
+        last[id(paths)] = d
+    totals = [0.0] * (len(path_sets) + 1)
     best_cost, best = math.inf, []
     depth = 0
     while depth >= 0:
-        if depth == len(indexed):
+        if depth == len(path_sets):
             cost = ordered_sum(itertools.compress(costs, loads))
             if cost < best_cost:
                 best_cost, best = cost, list(chosen)
             depth -= 1
             continue
-        paths, k = indexed[depth], chosen[depth]
+        paths, k = path_sets[depth], chosen[depth]
         if k >= 0:
             for e in paths[k]:
                 loads[e] -= 1
@@ -486,9 +484,7 @@ def _optimum(
         if total - slack(total, margin) < best_cost:
             totals[depth + 1] = total
             depth += 1
-    return StrategyProfile(
-        {player.player_id: paths[k] for player, paths, k in zip(players, path_sets, best)}
-    )
+    return _profile(graph, players, [paths[k] for paths, k in zip(path_sets, best)])
 
 
 def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:

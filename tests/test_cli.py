@@ -920,8 +920,10 @@ _REPORT = {"format_version": 1, "kind": "run-report", "delta": 0.0,
          "unsupported report format_version"),
         (_edited(_REPORT, lambda o: o["final_profile"].update({"1": []})), 2,
          "invalid path for player 1: path is empty"),
+        ([_REPORT], 1, "file is not a run report"),
+        (D1_INSTANCE, 1, "file is not a run report"),  # the instance file, byte for byte
     ],
-    ids=["profile-list", "format-version-2", "empty-path"],
+    ids=["profile-list", "format-version-2", "empty-path", "json-array", "instance-file"],
 )
 @pytest.mark.parametrize(
     "command", [["check"], ["report", "--format", "dot"]], ids=["check", "report"]

@@ -394,7 +394,7 @@ def test_sweep_scores_only_standing_combinations_widest_first(monkeypatch):
 def test_share_tables_cover_only_the_swept_players_edges(monkeypatch):
     graph, players = _fan_game((3, 1, 5, 2))
     path_sets = oracle._candidate_paths(graph, players, 100)
-    edges = [{graph.edge_position[e] for path in paths for e in path} for paths in path_sets]
+    edges = [set().union(*paths) for paths in path_sets]
     users = [sum(e in own for own in edges) for e in range(len(graph.costs))]
     seen = []
     real = oracle._deviation_costs
@@ -576,7 +576,7 @@ def test_interleaved_groups_share_one_table_per_group(monkeypatch, delta):
     # The others' loads under which each group's candidates are scored,
     # with room for every key and with none.
     path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
-    roots = {frozenset(graph.edge_position[e] for path in paths for e in path): player.root
+    roots = {frozenset().union(*paths): player.root
              for player, paths in zip(players, path_sets)}
     real = oracle._deviation_costs
 
@@ -598,6 +598,60 @@ def test_interleaved_groups_share_one_table_per_group(monkeypatch, delta):
         # Each distinct load pattern once, however many sweeps meet it.
         assert len(loads) == len(set(loads)) == len(set(rescored[root]))
     assert len(rescored["s"]) > len(set(rescored["s"]))
+
+
+def _kept_first(visits, room):
+    """The visits scored when each group's table keeps the verdicts of its
+    first ``room`` distinct load patterns and takes no more."""
+    scored, kept, swept = [], set(), None
+    for group, loads in visits:
+        if group != swept:
+            kept, swept = set(), group
+        if loads not in kept:
+            scored.append((group, loads))
+            if len(kept) < room:
+                kept.add(loads)
+    return scored
+
+
+@pytest.mark.parametrize("game, per_verdict, delta", [
+    ("twin", 60, None), ("twin", 80, None), ("twin", 200, None),  # one group of three
+    ("interleaved", 5, 0.5), ("interleaved", 10, 1.0),  # two groups, one lone player
+])
+def test_full_verdict_tables_keep_their_first_keys(monkeypatch, game, per_verdict, delta):
+    # With no room every visit is scored. The visits do not depend on the
+    # room: verdicts are the same whether kept or scored, so each sweep
+    # starts from the same flags. So the record with no room, replayed
+    # with each group keeping its first keys, gives the scorings at any
+    # room. These rooms fill mid-group.
+    if game == "twin":
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        inst = parse_instance(workloads.tie_lattice_twin())
+        graph, players, delta = inst.graph, inst.players, inst.delta
+    else:
+        graph, players = _interleaved_groups_game()
+    path_sets = oracle._candidate_paths(graph, players, oracle.DEFAULT_CAP)
+    total = math.prod(map(len, path_sets))
+    real = oracle._deviation_costs
+    visits = []
+
+    def recording(candidates, loads, *args):
+        edges = frozenset(position for c in candidates for position, _, _ in c)
+        visits.append((edges, tuple(loads)))
+        return real(candidates, loads, *args)
+
+    monkeypatch.setattr(oracle, "_deviation_costs", recording)
+    monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", total + 1)
+    flags = oracle._stability_flags(graph, path_sets, delta)
+    every = visits[:]
+    visits.clear()
+    monkeypatch.setattr(oracle, "_PROFILES_PER_VERDICT", per_verdict)
+    assert oracle._stability_flags(graph, path_sets, delta) == flags
+    expected = _kept_first(every, total // per_verdict)
+    assert visits == expected
+    assert len(_kept_first(every, total)) < len(expected) < len(every)
 
 
 def test_verdicts_key_on_loads_off_the_swept_players_edges(monkeypatch):
