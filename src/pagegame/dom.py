@@ -2,17 +2,20 @@
 
 The parser accepts a deliberately tiny grammar: nesting tags, at most one
 ``name="value"`` attribute per tag, and plain text. Comments, doctypes,
-self-closing tags, character entities, and multi-attribute tags are
-rejected as unsupported rather than guessed at.
+self-closing tags, character entities (named, decimal or hexadecimal, in
+text or in an attribute value), and multi-attribute tags are rejected as
+unsupported rather than guessed at.
 
 Node counting convention (fixed so a document maps to a predictable graph):
 the document root is a node, each element is a node, an attribute is a
 child node of its element, and each non-blank text run is a child node.
-A parsed document therefore has exactly nodes-minus-one edges.
+A parsed document therefore has exactly nodes-minus-one edges; the forest
+keeps them as parent-child id pairs in pre-order, as the parser met them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,9 +29,10 @@ from .errors import (
 )
 from .game import Edge, GameInstance, Node, Player, build_graph
 
+_TAG = re.compile(r"<([^>]*)>")
 _TAG_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*")
 _ATTRIBUTE = re.compile(r'([a-zA-Z][a-zA-Z0-9-]*)\s*=\s*"([^"]*)"')
-_ENTITY = re.compile(r"&[a-zA-Z][a-zA-Z0-9]*;|&#[0-9]+;")
+_ENTITY = re.compile(r"&[a-zA-Z][a-zA-Z0-9]*;|&#[0-9]+;|&#[xX][0-9a-fA-F]+;")
 
 DEFAULT_BASE_COSTS = {
     "document-root": 0.0,
@@ -56,20 +60,17 @@ class DomNode(NamedTuple):
 
 @dataclass(frozen=True)
 class DomForest:
-    """A parsed document: its root and every node by id, in document order."""
+    """A parsed document: its root, every node by id in document order, and
+    its parent-child id pairs in pre-order, as the parser met them, so
+    ``pairs[j]`` ends at the node after the ``j``-th in ``nodes``."""
 
     document_root: DomNode
     nodes: dict[str, DomNode]
+    pairs: tuple[tuple[str, str], ...]
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        """Parent-child pairs in document order: ``nodes`` holds the ids in
-        the pre-order they were reserved in, so each child follows its parent."""
-        parents: dict[str, str] = {}
-        for node_id, node in self.nodes.items():
-            if node_id in parents:
-                yield parents[node_id], node_id
-            for child in node.children:
-                parents[child.node_id] = node_id
+        """Parent-child pairs in document order: each child follows its parent."""
+        return iter(self.pairs)
 
     @property
     def node_count(self) -> int:
@@ -77,7 +78,7 @@ class DomForest:
 
     @property
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -127,97 +128,114 @@ def default_cost_model() -> CostModel:
     return CostModel(base_costs=dict(DEFAULT_BASE_COSTS))
 
 
-def _parse_open_tag(token: str, position: int) -> tuple[str, tuple[str, str] | None]:
+def _read_tag(token: str) -> tuple[bool, str, tuple[str, str] | None]:
+    """What a tag token, the text between ``<`` and ``>``, says wherever it
+    stands: ``(True, name, None)`` for a closing tag, ``(False, tag,
+    attribute)`` for an opening one. A malformed token raises
+    ``MalformedMarkup`` with position -1, for the caller to place."""
+    if token.startswith(("!", "?")):
+        raise UnsupportedConstruct(f"<{token}>")
+    if token.endswith("/") or not token.strip():
+        raise UnsupportedConstruct(f"<{token}>")
+    if token.startswith("/"):
+        return True, token[1:].strip(), None
     match = _TAG_NAME.match(token)
     if match is None:
-        raise MalformedMarkup(position, f"invalid tag {token!r}")
+        raise MalformedMarkup(-1, f"invalid tag {token!r}")
     tag = match.group(0)
     rest = token[match.end():].strip()
     if not rest:
-        return tag, None
+        return False, tag, None
     attr = _ATTRIBUTE.fullmatch(rest)
     if attr is not None:
-        return tag, (attr.group(1), attr.group(2))
+        entity = _ENTITY.search(attr.group(2))
+        if entity is not None:
+            raise UnsupportedConstruct(entity.group(0))
+        return False, tag, (attr.group(1), attr.group(2))
     if _ATTRIBUTE.match(rest):
         # A well-formed first attribute followed by more content means the
         # tag carries several attributes, which the grammar does not cover.
         raise UnsupportedConstruct(token)
-    raise MalformedMarkup(position, f"cannot parse attributes in {token!r}")
+    raise MalformedMarkup(-1, f"cannot parse attributes in {token!r}")
 
 
 def parse_document(text: str) -> DomForest:
     """Parse markup into a document tree rooted at a document-root node.
 
-    Ids follow document order: each is assigned, and its slot in ``nodes``
-    reserved, when its node is created; an element is frozen into its
-    ``DomNode`` when it closes.
+    One split of the markup alternates text runs and tag tokens. Ids follow
+    document order: each is assigned, its slot in ``nodes`` reserved and its
+    parent pair recorded when its node is created; an element is frozen into
+    its ``DomNode`` when it closes. Each distinct tag token is read once.
     """
-    nodes: dict[str, DomNode | None] = {}
+    pieces = _TAG.split(text)
+    last = pieces[-1]
+    unclosed = last.find("<")  # only the last run can hold a '<' no '>' follows
+    if unclosed != -1:
+        pieces[-1] = last[:unclosed]
+    pieces.append(None)  # past the last tag: the final run pairs with no token
 
-    def reserve(label: str) -> str:
-        node_id = f"{len(nodes)}:{label}"
-        nodes[node_id] = None
-        return node_id
+    def offset(k: int) -> int:
+        """Where the ``k``-th tag token's '<' stands in ``text``."""
+        return sum(map(len, pieces[: 2 * k + 1])) + 2 * k
 
-    def freeze(node: DomNode) -> DomNode:
-        nodes[node.node_id] = node
-        return node
-
-    # Open elements as (id, tag, children); the bottom entry is the document root.
-    stack: list[tuple[str, str, list[DomNode]]] = [(reserve("#document"), "#document", [])]
-    i = 0
-    length = len(text)
-    while i < length:
-        if text[i] == "<":
-            end = text.find(">", i + 1)
-            if end == -1:
-                raise MalformedMarkup(i, "tag never closed by '>'")
-            token = text[i + 1 : end]
-            if token.startswith(("!", "?")):
-                raise UnsupportedConstruct(f"<{token}>")
-            if token.endswith("/") or not token.strip():
-                raise UnsupportedConstruct(f"<{token}>")
-            if token.startswith("/"):
-                name = token[1:].strip()
-                if len(stack) == 1:
-                    raise MalformedMarkup(i, f"closing </{name}> with nothing open")
-                if stack[-1][1] != name:
-                    raise MalformedMarkup(
-                        i, f"closing </{name}> but <{stack[-1][1]}> is open"
-                    )
-                node_id, tag, children = stack.pop()
-                stack[-1][2].append(
-                    freeze(DomNode(node_id, "element", tag, "", tuple(children)))
-                )
-            else:
-                tag, attribute = _parse_open_tag(token, i)
-                children = []
-                stack.append((reserve(tag), tag, children))
-                if attribute is not None:
-                    name, value = attribute
-                    children.append(
-                        freeze(DomNode(reserve("@" + name), "attribute", name, value))
-                    )
-            i = end + 1
-        else:
-            nxt = text.find("<", i)
-            if nxt == -1:
-                nxt = length
-            run = text[i:nxt]
-            entity = _ENTITY.search(run)
-            if entity is not None:
-                raise UnsupportedConstruct(entity.group(0))
+    new = tuple.__new__
+    root_id = "0:#document"
+    nodes: dict[str, DomNode | None] = {root_id: None}
+    pairs: list[tuple[str, str]] = []
+    tags: dict[str, tuple[bool, str, tuple[str, str] | None]] = {}
+    # The open element as (id, tag, children), and the ones it sits in.
+    node_id, tag, children = root_id, "#document", []
+    stack: list[tuple[str, str, list[DomNode]]] = []
+    pieces_iter = iter(pieces)
+    for k, (run, token) in enumerate(zip(pieces_iter, pieces_iter)):
+        if run:
+            if "&" in run:
+                entity = _ENTITY.search(run)
+                if entity is not None:
+                    raise UnsupportedConstruct(entity.group(0))
             content = run.strip()
             if content:
-                stack[-1][2].append(
-                    freeze(DomNode(reserve("#text"), "text", "#text", content))
-                )
-            i = nxt
-    if len(stack) > 1:
-        raise MalformedMarkup(length, f"<{stack[-1][1]}> never closed")
-    node_id, label, children = stack.pop()
-    root = freeze(DomNode(node_id, "document-root", label, "", tuple(children)))
-    return DomForest(document_root=root, nodes=nodes)
+                text_id = f"{len(nodes)}:#text"
+                node = nodes[text_id] = new(DomNode, (text_id, "text", "#text", content, ()))
+                pairs.append((node_id, text_id))
+                children.append(node)
+        entry = tags.get(token)
+        if entry is None:
+            if token is None:
+                if unclosed != -1:
+                    raise MalformedMarkup(len(text) - len(last) + unclosed,
+                                          "tag never closed by '>'")
+                break
+            try:
+                entry = tags[token] = _read_tag(token)
+            except MalformedMarkup as exc:
+                raise MalformedMarkup(offset(k), exc.detail) from None
+        closing, name, attribute = entry
+        if closing:
+            if not stack:
+                raise MalformedMarkup(offset(k), f"closing </{name}> with nothing open")
+            if name != tag:
+                raise MalformedMarkup(offset(k), f"closing </{name}> but <{tag}> is open")
+            node = nodes[node_id] = new(DomNode, (node_id, "element", tag, "", tuple(children)))
+            node_id, tag, children = stack.pop()
+            children.append(node)
+        else:
+            element_id = f"{len(nodes)}:{name}"
+            nodes[element_id] = None
+            pairs.append((node_id, element_id))
+            stack.append((node_id, tag, children))
+            node_id, tag, children = element_id, name, []
+            if attribute is not None:
+                name, value = attribute
+                attribute_id = f"{len(nodes)}:@{name}"
+                node = nodes[attribute_id] = new(
+                    DomNode, (attribute_id, "attribute", name, value, ()))
+                pairs.append((element_id, attribute_id))
+                children.append(node)
+    if stack:
+        raise MalformedMarkup(len(text), f"<{tag}> never closed")
+    root = nodes[root_id] = new(DomNode, (root_id, "document-root", tag, "", tuple(children)))
+    return DomForest(document_root=root, nodes=nodes, pairs=tuple(pairs))
 
 
 def serialize_document(forest: DomForest) -> str:
@@ -274,24 +292,26 @@ def build_game(
             if component not in forest.nodes or component == doc_id:
                 raise UnreachableComponent(device.device_id, component)
 
-    nodes = [Node(n.node_id, n.kind) for n in forest.nodes.values()]
-    nodes.extend(Node(device_root_id(d.device_id), "abstract") for d in devices)
+    new = tuple.__new__
+    nodes = [new(Node, (n.node_id, n.kind)) for n in forest.nodes.values()]
+    nodes += [new(Node, (device_root_id(d.device_id), "abstract")) for d in devices]
 
     tops = forest.document_root.children if devices else ()
-    below = [(src, forest.nodes[dst]) for src, dst in forest.edges() if src != doc_id]
+    below = [(src, dst, node.kind) for (src, dst), node
+             in zip(forest.pairs, itertools.islice(forest.nodes.values(), 1, None))
+             if src != doc_id]
     # Each child kind priced once, in edge order: a missing one fails at its first edge.
     price = {kind: model.base(kind) for kind in dict.fromkeys(
-        [top.kind for top in tops] + [child.kind for _, child in below])}
+        [top.kind for top in tops] + [kind for _, _, kind in below])}
+    factor = min((d.cost_factor for d in devices), default=1.0)
+    shared = {kind: cost * factor for kind, cost in price.items()}
 
     edges: list[Edge] = []
     for device in devices:
         dev = device_root_id(device.device_id)
-        for top in tops:
-            edges.append(Edge(f"{dev}>{top.node_id}", dev, top.node_id,
-                              price[top.kind] * device.cost_factor))
-    factor = min((d.cost_factor for d in devices), default=1.0)
-    edges.extend([Edge(f"{src}>{child.node_id}", src, child.node_id, price[child.kind] * factor)
-                  for src, child in below])
+        edges += [new(Edge, (f"{dev}>{top.node_id}", dev, top.node_id,
+                             price[top.kind] * device.cost_factor)) for top in tops]
+    edges += [new(Edge, (f"{src}>{dst}", src, dst, shared[kind])) for src, dst, kind in below]
 
     players: list[Player] = []
     for device in devices:

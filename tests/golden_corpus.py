@@ -8,7 +8,8 @@ Traces are written under relative names, so a report's ``trace`` field
 does not depend on the directory the corpus runs in.
 
 The games are the two shipped instances plus the files in ``golden/``:
-a document game with four devices sharing components, 20 seeded random
+a document game with four devices sharing components, a storefront page
+of a few hundred nodes with five devices, 20 seeded random
 DAG games across every delta and both schedules, and a chain of equal-cost
 diamonds whose best responses are all ties. To rebuild the instances and
 the digests after a deliberate change of output, run
@@ -19,8 +20,10 @@ the digests after a deliberate change of output, run
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -137,6 +140,82 @@ def doc3_instance() -> dict:
     }
 
 
+_SHOP_WORDS = ("deal", "price", "cart", "offer", "stock", "ship", "gift", "sale")
+
+
+def shop_instance(sections: int = 24) -> dict:
+    """A storefront page of a few hundred nodes: sections of repeated tags
+    with ``class`` and ``href`` attributes and text, and five devices of all
+    three classes wanting overlapping text and attribute components."""
+    rng = random.Random(4100)
+    parts: list[str] = []
+    texts: list[str] = []
+    attributes: list[str] = []
+    numbers = itertools.count(1)  # node 0 is the document root
+
+    def node(label: str) -> str:
+        return f"{next(numbers)}:{label}"
+
+    def leaf(tag: str, attribute: tuple[str, str] | None = None) -> None:
+        node(tag)
+        if attribute is None:
+            parts.append(f"<{tag}>")
+        else:
+            attributes.append(node("@" + attribute[0]))
+            parts.append(f'<{tag} {attribute[0]}="{attribute[1]}">')
+        texts.append(node("#text"))
+        parts.append(" ".join(rng.choices(_SHOP_WORDS, k=rng.randint(1, 4))) + f"</{tag}>")
+
+    node("html")
+    node("head")
+    parts.append("<html><head>")
+    leaf("title")
+    node("body")
+    node("nav")
+    parts.append("</head><body><nav>")
+    for n in range(6):
+        leaf("a", ("href", f"/c/{n}"))
+    parts.append("</nav>")
+    for n in range(sections):
+        box = rng.choice(("section", "article", "div"))
+        node(box)
+        attributes.append(node("@class"))
+        parts.append(f'<{box} class="c{n % 4}">')
+        leaf(rng.choice(("h2", "h3")))
+        leaf("p")
+        node("ul")
+        parts.append("<ul>")
+        for _ in range(3):
+            leaf("li")
+        parts.append("</ul>")
+        leaf("a", ("href", f"/p/{rng.randrange(10_000)}"))
+        parts.append(f"</{box}>")
+    node("footer")
+    parts.append("<footer>")
+    leaf("p")
+    parts.append("</footer></body></html>")
+
+    def wants(k: int) -> list[str]:
+        return sorted(rng.sample(texts, k) + rng.sample(attributes, 2),
+                      key=lambda node_id: int(node_id.split(":")[0]))
+
+    return {
+        "format_version": 1,
+        "delta": 0.25,
+        "document": "".join(parts),
+        "devices": [
+            {"id": "desk", "class": "pc", "required_components": wants(6)},
+            {"id": "tab", "class": "tablet", "orientation": "portrait",
+             "required_components": wants(5)},
+            {"id": "phone", "class": "mobile", "orientation": "portrait",
+             "required_components": wants(4)},
+            {"id": "tv", "class": "pc", "cost_factor": 0.8, "required_components": wants(3)},
+            {"id": "mini", "class": "mobile", "cost_factor": 1.3,
+             "required_components": wants(4)},
+        ],
+    }
+
+
 def ties_instance(diamonds: int = 5) -> dict:
     """Equal-cost parallel pairs in a chain: every path ties for cheapest."""
     nodes = [{"id": f"v{i}", "kind": "abstract"} for i in range(diamonds + 1)]
@@ -158,7 +237,7 @@ def write_instances() -> None:
     from gamegen import DELTAS, instance_to_json, random_instance
 
     GOLDEN.mkdir(exist_ok=True)
-    generated = {"doc3": doc3_instance(), "ties": ties_instance()}
+    generated = {"doc3": doc3_instance(), "shop": shop_instance(), "ties": ties_instance()}
     for i in range(RANDOM_GAMES):
         generated[f"gen-{i:02d}"] = instance_to_json(
             random_instance(30_000 + i, delta=DELTAS[i % len(DELTAS)])

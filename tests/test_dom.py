@@ -81,6 +81,8 @@ def test_stray_closing_tag_is_malformed():
         "<br/>",
         "<p>caf&eacute;</p>",
         "<p>&#233;</p>",
+        "<p>x &#x41; y</p>",
+        '<p title="a &amp; b">x</p>',
         '<a href="x" rel="y"></a>',
         "<?xml version=\"1.0\"?><p></p>",
     ],
@@ -146,19 +148,15 @@ def test_round_trip_is_isomorphic():
         assert set(again.nodes) == set(forest.nodes)
 
 
-def test_round_trip_property():
-    # Documents in the README's subset: nested tags with at most one
-    # attribute, and text runs. Re-parsing the serialized forest gives the
-    # same shape and the same node ids, in document order.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
+def _documents(st):
+    """Documents in the README's subset: nested tags with at most one
+    attribute, and text runs, none holding a character entity."""
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
     names = st.builds(operator.add, st.sampled_from(letters),
                       st.text(letters + "0123456789-", max_size=4))
     texts = st.text(st.characters(codec="utf-8", exclude_characters="<&"),
                     min_size=1, max_size=6)
-    values = st.text(st.characters(codec="utf-8", exclude_characters='">'), max_size=6)
+    values = st.text(st.characters(codec="utf-8", exclude_characters='">&'), max_size=6)
     attributes = st.one_of(st.just(""), st.builds(' {}="{}"'.format, names, values))
 
     def elements(children):
@@ -166,17 +164,107 @@ def test_round_trip_property():
             lambda tag, attribute, inner: f"<{tag}{attribute}>{''.join(inner)}</{tag}>",
             names, attributes, st.lists(children, max_size=4))
 
-    documents = st.lists(st.recursive(texts, elements, max_leaves=16), max_size=4).map("".join)
+    return st.lists(st.recursive(texts, elements, max_leaves=16), max_size=4).map("".join)
+
+
+def test_round_trip_property():
+    # Re-parsing the serialized forest gives the same shape and the same
+    # node ids, in document order.
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None,
                          suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(documents)
+    @hypothesis.given(_documents(hypothesis.strategies))
     def check(text):
         forest = parse_document(text)
         again = parse_document(serialize_document(forest))
         assert _shape(again.document_root) == _shape(forest.document_root)
         assert list(again.nodes) == list(forest.nodes)
         assert list(forest.edges()) == _preorder_edges(forest)
+
+    check()
+
+
+# ---------------------------------------------------------------- reference parser
+
+def _outcome(parse, text):
+    """A parse's forest as its nodes in order and its edges, or its error as
+    type, message and position."""
+    try:
+        forest = parse(text)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return list(forest.nodes.items()), list(forest.edges())
+
+
+#: One document per way the parser can refuse markup, in its order of checks.
+_REFUSED = [
+    ("<p>x</p><b", MalformedMarkup),        # a '<' that no '>' follows
+    ("<p><!x></p>", UnsupportedConstruct),  # comment or doctype
+    ("<p>x<?y?></p>", UnsupportedConstruct),
+    ("<p><br/></p>", UnsupportedConstruct),  # self-closing
+    ("<p>< ></p>", UnsupportedConstruct),    # blank tag
+    ("x</p>", MalformedMarkup),              # closing with nothing open
+    ("<p><b>x</p></b>", MalformedMarkup),    # closing the wrong element
+    ("<p><1a></1a></p>", MalformedMarkup),   # invalid tag name
+    ('<a href="x" b="y">', UnsupportedConstruct),  # several attributes
+    ("<a href=x></a>", MalformedMarkup),     # unparsable attribute
+    ('<a href="&#x41;"></a>', UnsupportedConstruct),  # entity in a value
+    ("<p>a &b; c</p>", UnsupportedConstruct),  # entity in text
+    ("<p><b>x</b>", MalformedMarkup),        # element never closed
+]
+
+
+@pytest.mark.parametrize("text, error", _REFUSED)
+def test_refusals_match_the_reference_parser(text, error):
+    import reference_dom
+
+    outcome = _outcome(parse_document, text)
+    assert outcome[0] is error
+    assert outcome == _outcome(reference_dom.parse_document, text)
+
+
+def test_mutated_documents_match_the_reference_parser():
+    # Documents from the round-trip strategy, then up to four insertions,
+    # deletions or swaps of markup characters, letters and spaces. An
+    # insertion may also be a whole entity or tag opening, and may go just
+    # after a '<' or a '"', so into a tag; a deletion may cut the document
+    # short. The engine and the character-scan reference must build the
+    # same forest or refuse with the same error at the same position. The
+    # 500 examples nearly always reach every refusal in ``_REFUSED``.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import reference_dom
+
+    marks = st.one_of(st.sampled_from('<>/="&!?;# abx1'),
+                      st.sampled_from(("&a;", "&#1;", "&#xA;", "<!", "<?", "/>", "</")))
+    kinds = ("insert", "anchored", "anchored", "delete", "cut", "swap")
+    edits = st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 1 << 16),
+                               st.integers(0, 1 << 16), marks),
+                     min_size=1, max_size=4)
+
+    def mutate(text, steps):
+        chars = list(text)
+        for kind, at, other, mark in steps:
+            anchors = [i + 1 for i, char in enumerate(chars) if char in '<"']
+            if kind == "anchored" and anchors:
+                chars.insert(anchors[at % len(anchors)], mark)
+            elif kind in ("insert", "anchored") or not chars:
+                chars.insert(at % (len(chars) + 1), mark)
+            elif kind == "delete":
+                del chars[at % len(chars)]
+            elif kind == "cut":
+                del chars[at % len(chars):]
+            else:
+                at, other = at % len(chars), other % len(chars)
+                chars[at], chars[other] = chars[other], chars[at]
+        return "".join(chars)
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.builds(mutate, _documents(st), edits))
+    def check(text):
+        assert _outcome(parse_document, text) == _outcome(reference_dom.parse_document, text)
 
     check()
 
