@@ -10,8 +10,11 @@ does not depend on the directory the corpus runs in.
 The games are the two shipped instances plus the files in ``golden/``:
 a document game with four devices sharing components, a storefront page
 of a few hundred nodes with five devices, 20 seeded random
-DAG games across every delta and both schedules, and a chain of equal-cost
-diamonds whose best responses are all ties. To rebuild the instances and
+DAG games across every delta and both schedules, a chain of equal-cost
+diamonds whose best responses are all ties, two grids whose costs differ
+by less than the tie tolerance (near ties: tied prefixes reach a node with
+many different accumulated weights), and a small game that mixes players
+with one path and players with several. To rebuild the instances and
 the digests after a deliberate change of output, run
 
     PYTHONPATH=src python tests/golden_corpus.py
@@ -233,11 +236,67 @@ def ties_instance(diamonds: int = 5) -> dict:
             "players": players}
 
 
+def grid_instance(size: int, epsilon: float, delta: float, routes, seed: int) -> dict:
+    """A ``size`` x ``size`` grid whose edges run right and down and cost
+    ``1 + U[0, epsilon)``: with ``epsilon`` below the tie tolerance every
+    corner-to-corner path nearly ties. ``routes`` are (row, column) pairs of
+    each player's root and leaf."""
+    rng = random.Random(seed)
+    name = lambda r, c: f"g{r}.{c}"
+    nodes = [{"id": name(r, c), "kind": "abstract"} for r in range(size) for c in range(size)]
+    edges = []
+    for r in range(size):
+        for c in range(size):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < size and c + dc < size:
+                    edges.append({"id": f"e{len(edges):03d}", "src": name(r, c),
+                                  "dst": name(r + dr, c + dc),
+                                  "cost": 1.0 + rng.random() * epsilon})
+    players = [{"id": i + 1, "root": name(*root), "leaf": name(*leaf)}
+               for i, (root, leaf) in enumerate(routes)]
+    return {"format_version": 1, "delta": delta, "nodes": nodes, "edges": edges,
+            "players": players}
+
+
+def mixed_instance() -> dict:
+    """Players with one path beside players with several. ``r`` branches
+    into two subtrees that meet again at ``m``, and ``m`` reaches ``q`` over
+    two parallel edges. Players 1, 3, 5 and 6 have one path each, and
+    player 1's last edge is its own, so taking it off empties that edge.
+    Players 2 and 4, placed before the load on ``rb``, then move onto it."""
+    nodes = [{"id": node, "kind": "abstract"}
+             for node in ("r", "a", "b", "l1", "l2", "l3", "m", "q")]
+    edges = [("ra", "r", "a", 2.5), ("rb", "r", "b", 1.25), ("a1", "a", "l1", 1.5),
+             ("am", "a", "m", 0.25), ("b2", "b", "l2", 0.75), ("b3", "b", "l3", 1.125),
+             ("bm", "b", "m", 0.25), ("mq1", "m", "q", 1.0), ("mq2", "m", "q", 1.5)]
+    routes = [("r", "l1"), ("r", "q"), ("b", "l3"), ("r", "m"), ("r", "l2"), ("r", "l2"),
+              ("m", "q")]
+    return {
+        "format_version": 1,
+        "delta": 0.5,
+        "nodes": nodes,
+        "edges": [{"id": e, "src": src, "dst": dst, "cost": cost}
+                  for e, src, dst, cost in edges],
+        "players": [{"id": i + 1, "root": root, "leaf": leaf}
+                    for i, (root, leaf) in enumerate(routes)],
+    }
+
+
 def write_instances() -> None:
     from gamegen import DELTAS, instance_to_json, random_instance
 
     GOLDEN.mkdir(exist_ok=True)
-    generated = {"doc3": doc3_instance(), "shop": shop_instance(), "ties": ties_instance()}
+    generated = {
+        "doc3": doc3_instance(),
+        "shop": shop_instance(),
+        "ties": ties_instance(),
+        "mixed": mixed_instance(),
+        # One player corner to corner: all C(14, 7) = 3,432 paths nearly tie.
+        "near-grid1": grid_instance(8, 1e-12, 0.0, [((0, 0), (7, 7))], 8100),
+        # Three players on overlapping corners: 70 x 35 x 35 profiles.
+        "near-grid3": grid_instance(8, 1e-10, 0.5, [((0, 0), (4, 4)), ((1, 2), (5, 5)),
+                                                    ((3, 1), (7, 4))], 8300),
+    }
     for i in range(RANDOM_GAMES):
         generated[f"gen-{i:02d}"] = instance_to_json(
             random_instance(30_000 + i, delta=DELTAS[i % len(DELTAS)])
