@@ -36,6 +36,15 @@ one private state for all its best responses; only the graph's memos outlive it:
   order, into fresh ones, infinite off the plan, and returns a path of edge
   positions.
 
+A pair with one path (``GameGraph.only_path``), such as every player of a
+document game, skips the relaxation and the tie walk below. Every other
+out-edge of a node on the path leads off the plan, to an infinite distance,
+so it never wins ``<`` and never stays within the tie bound. A fold back from
+the leaf therefore gives the relaxation's distances, and a fold forward from
+the root applies the tie walk's test to each edge; the answer is that path,
+or ``NoPath`` where an edge fails the test. Floats, answers, draws (none)
+and traces are those of the full relaxation and walk.
+
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
 accumulated from the root along it, plus the distance left, stays within the
@@ -73,7 +82,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import NoPath, UnknownPlayer
+from .errors import InvalidProfile, NoPath, UnknownPlayer
 from .game import (
     TOLERANCE,
     GameGraph,
@@ -177,6 +186,34 @@ class _State(Tally):
             dist[node] = best
         return dist
 
+    def _fold(self, line: tuple[int, ...]) -> list[float]:
+        """``_relax`` for a pair whose plan is the one path ``line``: the
+        cheapest weight to its end from each of its nodes, root first and
+        the end's 0 last. Every other out-edge of these nodes has its head
+        off the plan, at an infinite distance, so it never wins ``<``."""
+        weights = self.weights
+        dist = [0.0]
+        for e in reversed(line):
+            through = weights[e] + dist[-1]
+            dist.append(through if through < math.inf else math.inf)
+        dist.reverse()
+        return dist
+
+    def _follow(
+        self, line: tuple[int, ...], bound: float, dist: list
+    ) -> tuple[tuple[int, ...], float, bool] | None:
+        """``_ties`` for the one path ``line``, with the distances of
+        ``_fold``: ``line``, its accumulated weight and ``False``, if every
+        edge stays within ``bound``; ``None`` if one does not. Off the plan
+        no edge ever stays within it, so nothing is counted or drawn."""
+        weights = self.weights
+        acc = 0.0
+        for e, rest in zip(line, dist[1:]):
+            if not acc + weights[e] + rest <= bound:
+                return None
+            acc += weights[e]
+        return line, acc, False
+
     def _count(self, start: int, start_acc: float, target: int, bound: float, dist, memo) -> int:
         """Number of ``start``-target paths that stay within ``bound`` after
         ``start_acc`` has been accumulated to ``start``: 1 at the target, else
@@ -271,16 +308,24 @@ class _State(Tally):
         plan = self.graph.between(root, leaf)
         if not plan:
             raise NoPath(player_id, root, leaf)
+        line = self.graph.only_path(root, leaf)
         page = self._page
         if own:
             self._shift(player_id, ())
-        position = self.graph.node_position
-        start, target = position[root], position[leaf]
-        dist = self._relax(plan, target)
+        if line is None:
+            position = self.graph.node_position
+            start, target = position[root], position[leaf]
+            dist = self._relax(plan, target)
+        else:
+            start, dist = 0, self._fold(line)
         best = dist[start]
         chosen = None
         if rng is not None and not math.isinf(best):
-            chosen = self._ties(start, target, best + slack(best, len(plan)), dist, rng)
+            bound = best + slack(best, len(plan))
+            if line is None:
+                chosen = self._ties(start, target, bound, dist, rng)
+            else:
+                chosen = self._follow(line, bound, dist)
         others = self.delta * self.page() if self.delta else 0.0
         if own:
             self._shift(player_id, own)
@@ -318,10 +363,17 @@ def best_response(
     The player's root and leaf are read off its current path. Tied paths
     are drawn uniformly from the seeded generator.
     """
-    current = profile.path(player_id)
-    root, leaf = graph.edge(current[0]).src, graph.edge(current[-1]).dst
+    root, leaf = _ends(graph, player_id, profile.path(player_id))
     path = _State(graph, profile, delta).respond(player_id, root, leaf, SplitMix64(seed))[0]
     return tuple([graph.edge_ids[e] for e in path])
+
+
+def _ends(graph: GameGraph, player_id: int, path: tuple[str, ...]) -> tuple[str, str]:
+    """The root and leaf of a profile's path, read off its first and last
+    edges; ``InvalidProfile`` for an empty path."""
+    if not path:
+        raise InvalidProfile(player_id, "path is empty")
+    return graph.edge(path[0]).src, graph.edge(path[-1]).dst
 
 
 def improving_move(
@@ -331,9 +383,9 @@ def improving_move(
     lets improve, with the path ``best_response(..., seed=0)`` gives it;
     ``None`` when no player can improve."""
     state = _State(graph, profile, delta)
-    graph.root_masks([graph.edge(path[0]).src for _, path in profile.items()])
-    for pid, path in profile.items():
-        root, leaf = graph.edge(path[0]).src, graph.edge(path[-1]).dst
+    ends = {pid: _ends(graph, pid, path) for pid, path in profile.items()}
+    graph.root_masks([root for root, _ in ends.values()])
+    for pid, (root, leaf) in ends.items():
         if state.improves(root, leaf, state.respond(pid, root, leaf)[2], state.cost(pid)):
             chosen = state.respond(pid, root, leaf, SplitMix64(0))[0]
             return pid, tuple([graph.edge_ids[e] for e in chosen])

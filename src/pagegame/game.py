@@ -12,8 +12,8 @@ a ``Tally`` of a profile's edge loads, the only type here that changes after
 construction (``move`` moves a player). A graph builds its integer view
 (nodes by topological position, edges by declaration position) once, when
 constructed, and only fills its root masks (which registered roots reach
-each node, from one pass in topological order) and root-leaf plans,
-idempotently, on first use.
+each node, from one pass in topological order), root-leaf plans and the
+paths of pairs that have only one, idempotently, on first use.
 Floating-point sums always run left to right (``ordered_sum``) in a
 canonical order (edge declaration order, player id order), so results are
 reproducible across processes and Python versions.
@@ -168,6 +168,7 @@ class GameGraph:
         self.ins = tuple(map(tuple, ins))
         self._masks: _Masks = ({}, [])
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
+        self._lines: dict[tuple[str, str], tuple[int, ...]] = {}  # () for none or several
 
     def _toposort(self, outs: list[list[int]], heads: list[int]) -> list[int]:
         """Declaration positions in Kahn's order: the sources stacked in
@@ -269,6 +270,33 @@ class GameGraph:
             live.discard(target)
             self._plans[key] = tuple(sorted(live, reverse=True))
         return self._plans.get(key, ())
+
+    def only_path(self, root: str, leaf: str) -> tuple[int, ...] | None:
+        """Edge positions, root first, of the one ``root``-``leaf`` path
+        when the pair has exactly one; ``None`` otherwise. Found once per
+        pair, on the first call: a walk from the root along the out-edges
+        into the plan (``between``) or to the leaf, which stops at the first
+        node with none or with two or more, parallel edges included."""
+        key = (root, leaf)
+        line = self._lines.get(key)
+        if line is None:
+            line = ()
+            plan = self.between(root, leaf)
+            if plan:
+                position, heads, outs = self.node_position, self.heads, self.outs
+                node, target = position[root], position[leaf]
+                live = {*plan, target}
+                walked = []
+                while node != target:
+                    out = [e for e in outs[node] if heads[e] in live]
+                    if len(out) != 1:
+                        break
+                    walked.append(out[0])
+                    node = heads[out[0]]
+                else:
+                    line = tuple(walked)
+            self._lines[key] = line
+        return line or None
 
     def edge(self, edge_id: str) -> Edge:
         try:

@@ -25,7 +25,7 @@ from pagegame import (
 )
 from pagegame import SplitMix64, dynamics, game
 from pagegame.cli import main
-from pagegame.errors import GraphError, UnknownPlayer
+from pagegame.errors import GraphError, InvalidProfile, UnknownPlayer
 from pagegame.instance import parse_instance
 
 import reference_dynamics as reference
@@ -126,6 +126,20 @@ def test_best_response_attains_brute_force_minimum():
                 for alt in enumerate_paths(inst.graph, p.root, p.leaf)
             )
             assert chosen_cost <= best + TOL
+
+
+@pytest.mark.parametrize("call", [
+    lambda graph, profile: best_response(graph, profile, 2),
+    lambda graph, profile: dynamics.improving_move(graph, profile),
+    lambda graph, profile: is_nash(graph, profile),
+], ids=["best_response", "improving_move", "is_nash"])
+def test_an_empty_path_is_an_invalid_profile(d1, call):
+    # The root and leaf are read off the path, so an empty one has neither:
+    # the same error validate_profile gives, not an IndexError.
+    profile = StrategyProfile({1: ("a",), 2: ()})
+    with pytest.raises(InvalidProfile) as raised:
+        call(d1.graph, profile)
+    assert (raised.value.player_id, raised.value.reason) == (2, "path is empty")
 
 
 def test_reweight_exactness_identity():
@@ -717,20 +731,62 @@ def _count_relaxations(monkeypatch) -> list:
     return plans
 
 
+def _count_folds(monkeypatch) -> list:
+    lines = []
+    original = dynamics._State._fold
+
+    def counted(self, line):
+        lines.append(line)
+        return original(self, line)
+
+    monkeypatch.setattr(dynamics._State, "_fold", counted)
+    return lines
+
+
 def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
     # The benchmark's layered game at seed 1: of its 900 best responses (300
     # placements, then a moving pass and a quiet pass of 300 activations
     # each) 411 repeat one answered since the last move, for a player with
-    # the same root, leaf and path.
+    # the same root, leaf and path. Of the 489 left, the 150 of the 100
+    # forced players (50 root-leaf pairs with one path each) fold along
+    # that path; the other 339 relax their plans.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     inst = parse_instance(workloads.dag_dynamics_instance(1))
     relaxed = _count_relaxations(monkeypatch)
+    folded = _count_folds(monkeypatch)
     trace = run_dynamics(inst.graph, inst.players, inst.delta, Schedule("round-robin", 1))
     assert (len(inst.players), len(trace.steps), trace.passes) == (300, 600, 2)
     assert sum(step.path_changed for step in trace.steps) == 50
-    assert len(relaxed) == 489
+    assert (len(relaxed), len(folded)) == (339, 150)
+    assert len(set(folded)) == 50
+
+
+def test_one_path_pairs_fold_instead_of_relaxing(monkeypatch):
+    # Every player of a document game has one path: no best response,
+    # is_nash or best_response relaxes a plan, and each folds along its
+    # pair's path. d1's players are joined by two parallel edges, so they
+    # still relax.
+    from golden_corpus import games
+    from pagegame.instance import load_instance
+
+    relaxed = _count_relaxations(monkeypatch)
+    folded = _count_folds(monkeypatch)
+    inst = load_instance(str(games()["doc3"]))
+    graph = inst.graph
+    trace = run_dynamics(graph, inst.players, inst.delta, Schedule("random", 3))
+    assert is_nash(graph, trace.final_profile, inst.delta)
+    for player in inst.players:
+        best_response(graph, trace.final_profile, player.player_id, inst.delta)
+    assert relaxed == []
+    assert {graph.only_path(p.root, p.leaf) for p in inst.players} == set(folded)
+
+    d1 = build_d1(0.5)
+    folded.clear()
+    run_dynamics(d1.graph, d1.players, d1.delta)
+    assert d1.graph.only_path("r", "l") is None
+    assert relaxed and folded == []
 
 
 def test_answers_are_keyed_by_the_players_path(monkeypatch):

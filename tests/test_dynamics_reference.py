@@ -242,3 +242,93 @@ def test_random_dags_match_reference_property():
                 reference.best_response(graph, profile, pid, delta, seed))
 
     check()
+
+
+# ---------------------------------------------------------------- one-path pairs
+
+def test_one_path_games_match_reference_property():
+    # Games where most root-leaf pairs have one path, which best responses
+    # fold along instead of relaxing: trees under device-like roots, chains,
+    # chains with one parallel pair (whose pairs across it still relax), and
+    # document games whose devices want some of the same components.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from pagegame.dom import DeviceProfile, build_game, parse_document
+
+    from gamegen import SAMPLE_DOCUMENT
+    from golden_corpus import DOC3_DOCUMENT
+
+    costs = st.sampled_from((0.0, 0.1, 0.3, 0.5, 1.0, 1.0, 1.5, 2.0, 3.7))
+
+    @st.composite
+    def trees(draw):
+        n = draw(st.integers(1, 8))
+        parents = [None] + [draw(st.none() | st.integers(0, i - 1)) for i in range(1, n)]
+        tops = [f"t{i}" for i, parent in enumerate(parents) if parent is None]
+        roots = [f"d{k}" for k in range(draw(st.integers(1, 4)))]
+        edges = [(f"{root}>{top}", root, top, draw(costs)) for root in roots for top in tops]
+        edges += [(f"t{parent}>t{i}", f"t{parent}", f"t{i}", draw(costs))
+                  for i, parent in enumerate(parents) if parent is not None]
+        nodes = [(node, "abstract") for node in roots + [f"t{i}" for i in range(n)]]
+        return build_graph(nodes, edges)
+
+    @st.composite
+    def chains(draw):
+        n = draw(st.integers(2, 8))
+        edges = [(f"c{i}", f"v{i}", f"v{i + 1}", draw(costs)) for i in range(n - 1)]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 2))
+            edges.append((f"c{i}x", f"v{i}", f"v{i + 1}", draw(costs)))
+        return build_graph([(f"v{i}", "abstract") for i in range(n)], edges)
+
+    @st.composite
+    def documents(draw):
+        forest = parse_document(draw(st.sampled_from((SAMPLE_DOCUMENT, DOC3_DOCUMENT))))
+        wanted = st.sampled_from([node for node in forest.nodes
+                                  if node != forest.document_root.node_id])
+        devices = [
+            DeviceProfile(f"dev{k}", draw(st.sampled_from(("pc", "tablet", "mobile"))),
+                          draw(st.sampled_from((0.8, 1.0, 1.3))),
+                          draw(st.lists(wanted, min_size=1, max_size=4, unique=True)))
+            for k in range(draw(st.integers(1, 4)))
+        ]
+        inst = build_game(forest, devices)
+        return inst.graph, inst.players
+
+    @st.composite
+    def games(draw):
+        kind = draw(st.sampled_from(("tree", "chain", "document")))
+        if kind == "document":
+            graph, players = draw(documents())
+        else:
+            graph = draw(trees() if kind == "tree" else chains())
+            pairs = [(u, v) for u in graph.topo_order
+                     for v in sorted(reachable_from(graph, u) - {u})]
+            chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+            players = tuple(Player(i + 1, r, l) for i, (r, l) in enumerate(chosen))
+        start = draw(st.none() | st.tuples(*[
+            st.sampled_from(enumerate_paths(graph, p.root, p.leaf)) for p in players]))
+        initial = None if start is None else StrategyProfile(
+            {p.player_id: path for p, path in zip(players, start)})
+        return graph, players, draw(st.sampled_from(DELTAS)), initial
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(games(), st.sampled_from(SCHEDULES), st.integers(0, 2**32))
+    def check(game, kind, seed):
+        graph, players, delta, initial = game
+        schedule = Schedule(kind, seed)
+        expected = reference.run_dynamics(graph, players, delta, schedule, max_iters=50,
+                                          initial=initial)
+        actual = dynamics.run_dynamics(graph, players, delta, schedule, max_iters=50,
+                                       initial=initial)
+        assert _trace_bits(actual) == _trace_bits(expected)
+        for profile in (expected.initial_profile, expected.final_profile):
+            assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(
+                graph, profile, delta)
+            for player in players:
+                pid = player.player_id
+                assert dynamics.best_response(graph, profile, pid, delta, seed) == (
+                    reference.best_response(graph, profile, pid, delta, seed))
+
+    check()

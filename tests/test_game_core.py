@@ -287,6 +287,37 @@ def test_plan_is_the_nodes_on_some_root_leaf_path():
         assert graph.between("no-such-node", order[-1]) == ()
 
 
+def _path_counts_to(graph, leaf):
+    """Each node's number of paths to ``leaf``, capped at 2, from a plain
+    pass over ``out_edges`` in reversed topological order."""
+    counts = {leaf: 1}
+    for node in reversed(graph.topo_order):
+        if node != leaf:
+            counts[node] = min(2, sum(counts[e.dst] for e in graph.out_edges(node)))
+    return counts
+
+
+def test_only_path_is_the_pairs_one_path():
+    # Only a pair with exactly one path has one: parallel edges are two
+    # paths, and a node is no path to itself.
+    for name, graph in _index_graphs():
+        order = graph.topo_order
+        for leaf in order:
+            counts = _path_counts_to(graph, leaf)
+            for root in order:
+                expected = None
+                if root != leaf and counts[root] == 1:
+                    path, node = [], root
+                    while node != leaf:
+                        edge = next(e for e in graph.out_edges(node) if counts[e.dst])
+                        path.append(edge.edge_id)
+                        node = edge.dst
+                    expected = graph.positions(path)
+                assert graph.only_path(root, leaf) == expected, (name, root, leaf)
+    assert graph.only_path(order[0], "no-such-node") is None
+    assert graph.only_path("no-such-node", order[-1]) is None
+
+
 # ---------------------------------------------------------------- records
 
 # The records built once per graph element or activation, with sample fields.
