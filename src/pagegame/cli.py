@@ -195,7 +195,7 @@ def _cmd_check(args) -> int:
     _require_positive_cap(args)
     instance, profile = _report_profile(args)
     graph, delta = instance.graph, instance.delta
-    deviations = sum(n - 1 for n in oracle.path_counts(graph, instance.players))
+    deviations = sum(graph.path_count(p.root, p.leaf) - 1 for p in instance.players)
     if deviations > args.cap:
         raise SearchSpaceTooLarge(deviations, args.cap, "potential-identity sweep")
 
@@ -234,12 +234,10 @@ def _cmd_check(args) -> int:
 
     # Each deviation moves the one tally; the own path goes back after them.
     identity_detail = ""
-    for player in instance.players:
+    for player, paths in zip(instance.players, oracle.pair_paths(graph, instance.players)):
         pid = player.player_id
         own = tally.paths[pid]
-        paths = oracle.enumerate_paths(graph, player.root, player.leaf)
-        for alt in paths:
-            deviation = graph.positions(alt)
+        for deviation in paths:
             if deviation == own:
                 continue
             tally.move(pid, deviation)
@@ -248,9 +246,10 @@ def _cmd_check(args) -> int:
             d_cost = player_costs[pid] - tally.cost(pid)
             gap = abs(d_phi - d_cost)
             # slack() is never below TOLERANCE; most deviations stop here.
-            if gap > TOLERANCE and gap > slack(max(phi, moved), 2 * (terms + len(alt) + 2)):
+            if gap > TOLERANCE and gap > slack(max(phi, moved), 2 * (terms + len(deviation) + 2)):
+                alt = ", ".join(graph.edge_ids[e] for e in deviation)
                 identity_detail = (
-                    f"player {pid} via [{', '.join(alt)}]: "
+                    f"player {pid} via [{alt}]: "
                     f"potential moved {d_phi}, cost moved {d_cost}"
                 )
                 break

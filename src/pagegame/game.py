@@ -271,6 +271,26 @@ class GameGraph:
             self._plans[key] = tuple(sorted(live, reverse=True))
         return self._plans.get(key, ())
 
+    def path_count(self, root: str, leaf: str) -> int:
+        """The exact number of ``root``-``leaf`` paths: 1 when they coincide,
+        0 when there is none or an endpoint is not in the graph. Pushed back
+        from the leaf along ``ins`` over the pair's plan (``between``): the
+        leaf counts 1, and each node adds its count to its in-plan tails."""
+        if root == leaf:
+            return int(root in self)
+        plan = self.between(root, leaf)
+        if not plan:
+            return 0
+        target, ins = self.node_position[leaf], self.ins
+        counts = dict.fromkeys(plan, 0)
+        counts[target] = 1
+        for node in (target, *plan):
+            count = counts[node]
+            for tail in ins[node]:
+                if tail in counts:
+                    counts[tail] += count
+        return counts[plan[-1]]
+
     def only_path(self, root: str, leaf: str) -> tuple[int, ...] | None:
         """Edge positions, root first, of the one ``root``-``leaf`` path
         when the pair has exactly one; ``None`` otherwise. Found once per

@@ -76,16 +76,16 @@ sorted profile comes no later in product order. The first cheapest
 profile is therefore sorted already.
 
 The product enumeration is capped (default one million profiles). Each
-player's paths are counted first (:func:`path_counts`), without listing
-them, so a larger space is refused with :class:`SearchSpaceTooLarge`
-before any path is listed.
+player's paths are counted first (``GameGraph.path_count``, the counter
+behind ``check``'s cap too), without listing them, so a larger space is
+refused with :class:`SearchSpaceTooLarge` before any path is listed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NoEquilibria, NoPath, SearchSpaceTooLarge
@@ -161,51 +161,33 @@ def enumerate_paths(graph: GameGraph, root: str, leaf: str) -> list[tuple[str, .
     return paths
 
 
-def path_counts(graph: GameGraph, players: Sequence[Player]) -> list[int]:
-    """Each player's number of root-leaf paths, without listing them.
-
-    An exact integer count over the pair's plan (``GameGraph.between``) in
-    topological order: the paths from the root into a node are the sum of
-    those into the tails of its in-edges. It equals
-    ``len(enumerate_paths(...))``: 1 when root and leaf coincide, 0 when
-    the leaf is unreachable or an endpoint is not in the graph.
-    """
-    graph.root_masks([player.root for player in players])
-    position, ins = graph.node_position, graph.ins
-    counts = []
-    for player in players:
-        plan = graph.between(player.root, player.leaf)
-        if not plan:
-            counts.append(int(player.root == player.leaf and player.root in graph))
-            continue
-        leaf = position[player.leaf]
-        into = {plan[-1]: 1}
-        for node in (*plan[-2::-1], leaf):
-            into[node] = sum(into.get(u, 0) for u in ins[node])
-        counts.append(into[leaf])
-    return counts
+def pair_paths(graph: GameGraph, players: Sequence[Player]) -> list[list[tuple[int, ...]]]:
+    """Each player's root-leaf paths as tuples of edge positions, in
+    :func:`enumerate_paths` order, listed once per root-leaf pair: its
+    players share one list object, which is how the sweep and the optimum
+    walk tell interchangeable players."""
+    pairs: dict[tuple[str, str], list] = dict.fromkeys((p.root, p.leaf) for p in players)
+    for root, leaf in pairs:
+        pairs[root, leaf] = list(map(graph.positions, enumerate_paths(graph, root, leaf)))
+    return [pairs[p.root, p.leaf] for p in players]
 
 
 def _candidate_paths(
     graph: GameGraph, players: Sequence[Player], cap: int
 ) -> list[list[tuple[int, ...]]]:
-    """Each player's root-leaf paths as tuples of edge positions, in
-    :func:`enumerate_paths` order, listed once per root-leaf pair: its
-    players share one list object, which is how the sweep and the optimum
-    walk tell interchangeable players. Before any path is listed, the first
-    player without one raises :class:`NoPath`, and a product of the path
-    counts above ``cap`` raises :class:`SearchSpaceTooLarge`."""
+    """:func:`pair_paths`, after the counts: before any path is listed, the
+    first player without one raises :class:`NoPath`, and a product of the
+    path counts above ``cap`` raises :class:`SearchSpaceTooLarge`."""
+    graph.root_masks([player.root for player in players])
     size = 1
-    for player, count in zip(players, path_counts(graph, players)):
+    for player in players:
+        count = graph.path_count(player.root, player.leaf)
         if not count:
             raise NoPath(player.player_id, player.root, player.leaf)
         size *= count
     if size > cap:
         raise SearchSpaceTooLarge(size, cap)
-    pairs: dict[tuple[str, str], list] = dict.fromkeys((p.root, p.leaf) for p in players)
-    for root, leaf in pairs:
-        pairs[root, leaf] = list(map(graph.positions, enumerate_paths(graph, root, leaf)))
-    return [pairs[p.root, p.leaf] for p in players]
+    return pair_paths(graph, players)
 
 
 def _profile(graph: GameGraph, players: Sequence[Player], paths: Sequence) -> StrategyProfile:
@@ -487,22 +469,25 @@ def _optimum(
     return _profile(graph, players, [paths[k] for paths, k in zip(path_sets, best)])
 
 
-def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:
-    """Price of anarchy and price of stability from a populated catalog.
-
-    A zero-cost optimum yields ratio 1 when the equilibrium is also free,
-    and infinity otherwise.
-    """
-    if not catalog.equilibria:
+def _prices(equilibria: Sequence[EquilibriumEntry], optimum_cost: float) -> tuple[float, float]:
+    """Price of anarchy and price of stability: the dearest and the cheapest
+    equilibrium's page cost over the optimum's. A zero-cost optimum yields
+    ratio 1 when the equilibrium is also free, and infinity otherwise."""
+    if not equilibria:
         raise NoEquilibria()
 
     def ratio(cost: float) -> float:
-        if catalog.optimum_cost > 0.0:
-            return cost / catalog.optimum_cost
+        if optimum_cost > 0.0:
+            return cost / optimum_cost
         return 1.0 if cost == 0.0 else math.inf
 
-    costs = [entry.report.page_cost for entry in catalog.equilibria]
+    costs = [entry.report.page_cost for entry in equilibria]
     return ratio(max(costs)), ratio(min(costs))
+
+
+def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:
+    """Price of anarchy and price of stability from a populated catalog."""
+    return _prices(catalog.equilibria, catalog.optimum_cost)
 
 
 def analyze(
@@ -516,12 +501,5 @@ def analyze(
     path_sets = _candidate_paths(graph, players, cap)
     entries = _equilibria(graph, players, path_sets, delta)
     optimum = _optimum(graph, players, path_sets)
-    catalog = EquilibriumCatalog(
-        equilibria=entries,
-        optimum=optimum,
-        optimum_cost=page_cost(graph, optimum),
-        poa=math.nan,
-        pos=math.nan,
-    )
-    poa, pos = efficiency_metrics(catalog)
-    return replace(catalog, poa=poa, pos=pos)
+    optimum_cost = page_cost(graph, optimum)
+    return EquilibriumCatalog(entries, optimum, optimum_cost, *_prices(entries, optimum_cost))

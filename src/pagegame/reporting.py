@@ -140,7 +140,8 @@ def load_report(path: str) -> dict[str, Any]:
         raise MalformedInstance(f"report is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("kind") != "run-report":
         raise MalformedInstance("file is not a run report")
-    if obj.get("format_version") != FORMAT_VERSION:
+    version = obj.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise MalformedInstance("unsupported report format_version")
     return obj
 

@@ -101,13 +101,17 @@ def working_dir(path: Path):
         os.chdir(previous)
 
 
-def run_in_process(name: str, instance: Path, workdir: Path) -> dict[str, object]:
-    """Exit codes and output digests of one game, via ``cli.main``."""
+def run_in_process(name: str, instance: Path, workdir: Path,
+                   subcommands=("solve", "check", "report", "enumerate")) -> dict[str, object]:
+    """Exit codes and output digests of one game's commands whose
+    subcommand is in ``subcommands``, via ``cli.main``."""
     from pagegame.cli import main
 
     results: dict[str, object] = {}
     with working_dir(workdir):
         for step, argv, written in commands(name, instance):
+            if argv[0] not in subcommands:
+                continue
             results[f"{step}:exit"] = main(argv)
             for filename in written:
                 results[filename] = sha256(workdir / filename)

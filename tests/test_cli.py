@@ -497,6 +497,39 @@ def test_check_plans_each_root_leaf_pair_once(tmp_path, monkeypatch):
     assert sorted(planned) == sorted(set(pairs))
 
 
+def test_check_lists_each_root_leaf_pair_once(tmp_path, monkeypatch):
+    # Players on one pair share one listing of edge positions; the sweep
+    # converts no deviation itself.
+    from gamegen import instance_to_json, random_instance
+    from pagegame import cli, game, oracle
+
+    instance = random_instance(2004)
+    pairs = [(p.root, p.leaf) for p in instance.players]
+    assert len(set(pairs)) < len(pairs)
+    inst = _write(tmp_path, "inst.json", instance_to_json(instance))
+    report = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(inst), "--output", str(report)]) == 0
+    listed, converted = [], []
+    enumerate_paths, positions = oracle.enumerate_paths, game.GameGraph.positions
+
+    def listing(graph, root, leaf):
+        listed.append((root, leaf))
+        return enumerate_paths(graph, root, leaf)
+
+    def converting(graph, path):
+        converted.append(path)
+        return positions(graph, path)
+
+    monkeypatch.setattr(oracle, "enumerate_paths", listing)
+    monkeypatch.setattr(game.GameGraph, "positions", converting)
+    assert main(["check", "--instance", str(inst), "--report", str(report)]) == 0
+    assert sorted(listed) == sorted(set(pairs))
+    # Each own path is converted twice (check's tally and is_nash's), and
+    # each path of a pair once.
+    paths = sum(instance.graph.path_count(root, leaf) for root, leaf in set(pairs))
+    assert len(converted) == 2 * len(pairs) + paths
+
+
 def test_commands_construct_one_graph(d1_file, tmp_path, monkeypatch):
     # Loading builds the integer view with the graph; no command builds a
     # second graph, also where --delta or a report's delta replaces the
@@ -918,12 +951,17 @@ _REPORT = {"format_version": 1, "kind": "run-report", "delta": 0.0,
          "profile must be an object of player -> edge list"),
         (_edited(_REPORT, lambda o: o.update(format_version=2)), 1,
          "unsupported report format_version"),
+        (_edited(_REPORT, lambda o: o.update(format_version=True)), 1,
+         "unsupported report format_version"),
+        (_edited(_REPORT, lambda o: o.update(format_version=1.0)), 1,
+         "unsupported report format_version"),
         (_edited(_REPORT, lambda o: o["final_profile"].update({"1": []})), 2,
          "invalid path for player 1: path is empty"),
         ([_REPORT], 1, "file is not a run report"),
         (D1_INSTANCE, 1, "file is not a run report"),  # the instance file, byte for byte
     ],
-    ids=["profile-list", "format-version-2", "empty-path", "json-array", "instance-file"],
+    ids=["profile-list", "format-version-2", "format-version-true", "format-version-float",
+         "empty-path", "json-array", "instance-file"],
 )
 @pytest.mark.parametrize(
     "command", [["check"], ["report", "--format", "dot"]], ids=["check", "report"]

@@ -318,6 +318,20 @@ def test_only_path_is_the_pairs_one_path():
     assert graph.only_path("no-such-node", order[-1]) is None
 
 
+def test_path_count_equals_the_listing():
+    # Every ordered pair of each gamegen graph, a node with itself and
+    # unreachable leaves included.
+    for inst in corpus(40, base_seed=2500):
+        graph, order = inst.graph, inst.graph.topo_order
+        for root in order:
+            for leaf in order:
+                listed = enumerate_paths(graph, root, leaf)
+                assert graph.path_count(root, leaf) == len(listed), (root, leaf)
+    assert graph.path_count(order[0], "no-such-node") == 0
+    assert graph.path_count("no-such-node", order[-1]) == 0
+    assert graph.path_count("no-such-node", "no-such-node") == 0
+
+
 # ---------------------------------------------------------------- records
 
 # The records built once per graph element or activation, with sample fields.

@@ -13,7 +13,8 @@ GOLDEN = json.loads(DIGESTS.read_text(encoding="utf-8"))
 GAMES = games()
 
 # Games rerun in fresh interpreters under different hash seeds.
-HASH_SEED_GAMES = ("d1", "webpage", "doc3", "shop", "ties", "gen-01", "gen-06")
+HASH_SEED_GAMES = ("d1", "webpage", "doc3", "shop", "ties", "near-grid1", "near-grid3",
+                   "gen-01", "gen-06")
 
 
 def test_corpus_lists_every_game():

@@ -22,7 +22,6 @@ from pagegame import (
 from pagegame.errors import NoEquilibria, NoPath, SearchSpaceTooLarge
 from pagegame.game import ordered_sum
 from pagegame.instance import load_instance
-from pagegame.oracle import path_counts
 
 import golden_corpus
 from gamegen import (
@@ -68,8 +67,8 @@ def _count_paths_memoized(graph, root, leaf):
 def test_enumerate_count_matches_memoized_oracle():
     for seed in range(15):
         inst = random_instance(2100 + seed)
-        counts = path_counts(inst.graph, inst.players)
-        for p, count in zip(inst.players, counts):
+        for p in inst.players:
+            count = inst.graph.path_count(p.root, p.leaf)
             listed = enumerate_paths(inst.graph, p.root, p.leaf)
             assert len(listed) == _count_paths_memoized(inst.graph, p.root, p.leaf) == count
             assert listed == sorted(listed), "lexicographic order"
@@ -147,7 +146,7 @@ def test_dynamics_results_appear_in_catalog_at_large_costs():
     for seed in range(300):
         delta = DELTAS[seed % len(DELTAS)]
         inst = large_cost_game(random_instance(2400 + seed, delta=delta, max_profiles=100), seed)
-        if math.prod(path_counts(inst.graph, inst.players)) > 2000:
+        if math.prod(inst.graph.path_count(p.root, p.leaf) for p in inst.players) > 2000:
             continue
         entries = brute_force_equilibria(inst.graph, inst.players, delta)
         catalogued = [e.profile.paths for e in entries]

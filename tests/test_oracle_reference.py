@@ -49,8 +49,12 @@ def _assert_same_catalog(graph, players, delta):
     return actual
 
 
+def _counts(graph, players):
+    return [graph.path_count(p.root, p.leaf) for p in players]
+
+
 def _profile_space(graph, players):
-    return math.prod(oracle.path_counts(graph, players))
+    return math.prod(_counts(graph, players))
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -87,7 +91,7 @@ def _with_twins(graph, players, copies, at=None):
     """``players`` with ``copies`` more on the root and leaf of the first
     player with a choice of path, inserted at index ``at`` (default: the
     end), or ``None`` when no player has a choice."""
-    counts = oracle.path_counts(graph, players)
+    counts = _counts(graph, players)
     chooser = next((p for p, count in zip(players, counts) if count > 1), None)
     if chooser is None:
         return None
@@ -255,7 +259,7 @@ def _layer_game():
 @pytest.mark.parametrize("delta", DELTAS)
 def test_sweep_scores_each_candidate_once_per_combination(monkeypatch, delta):
     graph, players = _layer_game()
-    assert oracle.path_counts(graph, players) == [9, 9, 9]
+    assert _counts(graph, players) == [9, 9, 9]
     scored = []
     real = oracle._deviation_costs
 
@@ -326,7 +330,7 @@ def _fan_game(counts):
               for p, n in enumerate(counts) for j in range(n)]
     graph = build_graph([(n, "abstract") for n in nodes], edges)
     players = tuple(Player(p + 1, f"s{p}", "t") for p in range(len(counts)))
-    assert oracle.path_counts(graph, players) == list(counts)
+    assert _counts(graph, players) == list(counts)
     return graph, players
 
 
@@ -344,7 +348,7 @@ def test_sweep_matches_reference_on_uneven_widths(counts, delta):
 def _flags_by_choice(graph, players, order, delta):
     """The flags with ``players`` declared in ``order``, each profile keyed
     by every player's path index in the original declaration order."""
-    sizes = oracle.path_counts(graph, players)
+    sizes = _counts(graph, players)
     ordered = [players[p] for p in order]
     path_sets = oracle._candidate_paths(graph, ordered, oracle.DEFAULT_CAP)
     flags = oracle._stability_flags(graph, path_sets, delta)
@@ -565,7 +569,7 @@ def _interleaved_groups_game():
     nodes = ["s", "u", "v", "m0", "m1", "m2", "t"]
     graph = build_graph([(n, "abstract") for n in nodes], edges)
     players = tuple(Player(i + 1, root, "t") for i, root in enumerate("svusu"))
-    assert oracle.path_counts(graph, players) == [3, 3, 2, 3, 2]
+    assert _counts(graph, players) == [3, 3, 2, 3, 2]
     return graph, players
 
 
@@ -737,7 +741,8 @@ def test_path_counts_match_listing_on_edge_cases():
     graph = build_graph([("r", "abstract"), ("l", "abstract"), ("x", "abstract")],
                         [("a", "r", "l", 1.0), ("b", "r", "l", 1.0)])
     players = [Player(1, "r", "l"), Player(2, "l", "r"), Player(3, "r", "r"),
-               Player(4, "ghost", "l"), Player(5, "r", "x"), Player(6, "ghost", "ghost")]
-    assert oracle.path_counts(graph, players) == [
+               Player(4, "ghost", "l"), Player(5, "r", "x"), Player(6, "ghost", "ghost"),
+               Player(7, "r", "l")]
+    assert _counts(graph, players) == [
         len(oracle.enumerate_paths(graph, p.root, p.leaf)) for p in players
-    ] == [2, 0, 1, 0, 0, 0]
+    ] == [2, 0, 1, 0, 0, 0, 2]
