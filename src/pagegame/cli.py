@@ -270,8 +270,7 @@ def _cmd_report(args) -> int:
     if args.format == "dot":
         _emit(render_dot(graph, profile), args.output)
     else:
-        summary = profile_summary(graph, profile, cost_report(graph, profile, instance.delta))
-        _emit(canonical_json(summary), args.output)
+        _emit(canonical_json(profile_summary(graph, profile, instance.delta)), args.output)
     return EXIT_OK
 
 

@@ -530,7 +530,8 @@ def validate_players(graph: GameGraph, players: Sequence[Player]) -> None:
 def validate_profile(
     graph: GameGraph, players: Sequence[Player], profile: StrategyProfile
 ) -> None:
-    """Check that a profile assigns each player one simple root-leaf path."""
+    """Check that a profile assigns each player one root-leaf path; the graph
+    is acyclic, so a connected path never revisits a node."""
     expected = {p.player_id: p for p in players}
     if set(profile.paths) != set(expected):
         missing = sorted(set(expected) - set(profile.paths))
@@ -553,6 +554,3 @@ def validate_profile(
         for prev, nxt in zip(edges, edges[1:]):
             if prev.dst != nxt.src:
                 raise InvalidProfile(pid, "consecutive edges do not connect")
-        visited = [edges[0].src] + [edge.dst for edge in edges]
-        if len(set(visited)) != len(visited):
-            raise InvalidProfile(pid, "path revisits a node")

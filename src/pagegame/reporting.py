@@ -1,10 +1,12 @@
 """Run report and trace serialization plus the DOT rendering of a profile.
 
-Reports and traces are plain JSON with sorted keys and a fixed layout, so
-identical inputs produce byte-identical files. Output is standard JSON: an
-unbounded price ratio (a zero-cost optimum) is written as ``null``. Player
-ids become string keys in JSON; on load only the spelling ``str(id)``
-parses back.
+Reports and traces are plain JSON with a fixed layout; the encoder alone
+orders keys, and a trace record is its ``Step``'s fields, so identical
+inputs produce byte-identical files. Output is standard JSON: an unbounded
+price ratio (a zero-cost optimum) is written as ``null``. Player ids become
+string keys in JSON; on load only the spelling ``str(id)`` parses back. The
+JSON profile summary reads one ``Tally`` and sums no potential. DOT quotes
+every node and edge id, escaping ``\\`` and ``"`` with a backslash.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 from typing import Any
 
-from .dynamics import DynamicsTrace, Step
+from .dynamics import DynamicsTrace
 from .errors import MalformedInstance
 from .game import CostReport, GameGraph, StrategyProfile, Tally
 from .oracle import EquilibriumCatalog
@@ -25,8 +27,8 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def profile_to_json(profile: StrategyProfile) -> dict[str, list[str]]:
-    return {str(pid): list(path) for pid, path in profile.items()}
+def profile_to_json(profile: StrategyProfile) -> dict[str, tuple[str, ...]]:
+    return {str(pid): path for pid, path in profile.paths.items()}
 
 
 def profile_from_json(obj: Any) -> StrategyProfile:
@@ -49,8 +51,8 @@ def profile_from_json(obj: Any) -> StrategyProfile:
 def cost_report_to_json(report: CostReport) -> dict[str, Any]:
     return {
         "page_cost": report.page_cost,
-        "player_costs": {str(pid): cost for pid, cost in sorted(report.player_costs.items())},
-        "shares": dict(sorted(report.shares.items())),
+        "player_costs": {str(pid): cost for pid, cost in report.player_costs.items()},
+        "shares": report.shares,
         "potential": report.potential,
         "delta": report.delta,
     }
@@ -80,25 +82,13 @@ def _ratio(value: float) -> float | None:
     return None if value == math.inf else value
 
 
-def step_to_json(step: Step) -> dict[str, Any]:
-    return {
-        "iteration": step.iteration,
-        "player_id": step.player_id,
-        "previous_cost": step.previous_cost,
-        "new_cost": step.new_cost,
-        "potential_after": step.potential_after,
-        "path_changed": step.path_changed,
-        "path": list(step.path) if step.path is not None else None,
-    }
-
-
 #: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
 _STEP_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def trace_to_lines(trace: DynamicsTrace) -> str:
-    """One JSON record per step, newline-delimited."""
-    lines = [_STEP_ENCODER.encode(step_to_json(step)) for step in trace.steps]
+    """One JSON record per step, its ``Step`` fields, newline-delimited."""
+    lines = [_STEP_ENCODER.encode(step._asdict()) for step in trace.steps]
     return "".join(line + "\n" for line in lines)
 
 
@@ -146,24 +136,31 @@ def load_report(path: str) -> dict[str, Any]:
     return obj
 
 
-def _used_edges(graph: GameGraph, profile: StrategyProfile):
-    """``(edge, load, share)`` for each edge some player uses, by edge id;
-    an unknown edge id raises ``GraphError``."""
-    tally = Tally(graph, profile)
+def _used_edges(tally: Tally):
+    """``(edge, load, share)`` for each edge some player uses, by edge id."""
+    graph = tally.graph
     edges, costs, loads = graph.edges, graph.costs, tally.loads
     for e in sorted(tally.used, key=graph.edge_ids.__getitem__):
         yield edges[e], loads[e], costs[e] / loads[e]
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a DOT quoted string; distinct ids stay distinct."""
+    if '"' in text or "\\" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
+
+
 def render_dot(graph: GameGraph, profile: StrategyProfile) -> str:
-    """DOT rendering of the chosen tree, edges annotated with load and share."""
+    """DOT rendering of the chosen tree, edges annotated with load and share;
+    an unknown edge id raises ``GraphError``."""
     used_nodes: set[str] = set()
     edge_lines: list[str] = []
-    for (edge_id, src, dst, cost), count, share in _used_edges(graph, profile):
+    for (edge_id, src, dst, cost), count, share in _used_edges(Tally(graph, profile)):
         used_nodes.update((src, dst))
-        label = f"{edge_id} c={cost:g} x={count} share={share:g}"
-        edge_lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-    node_lines = [f'  "{node_id}";' for node_id in sorted(used_nodes)]
+        label = _quoted(f"{edge_id} c={cost:g} x={count} share={share:g}")
+        edge_lines.append(f"  {_quoted(src)} -> {_quoted(dst)} [label={label}];")
+    node_lines = [f"  {_quoted(node_id)};" for node_id in sorted(used_nodes)]
     body = "\n".join(node_lines + edge_lines)
     if body:
         return "digraph chosen_tree {\n  rankdir=LR;\n" + body + "\n}\n"
@@ -171,18 +168,19 @@ def render_dot(graph: GameGraph, profile: StrategyProfile) -> str:
 
 
 def profile_summary(
-    graph: GameGraph, profile: StrategyProfile, report: CostReport
+    graph: GameGraph, profile: StrategyProfile, delta: float = 0.0
 ) -> dict[str, Any]:
-    """Machine-readable companion to the DOT rendering."""
+    """Machine-readable companion to the DOT rendering, read off one tally."""
+    tally = Tally(graph, profile, delta)
     edges = [
         {"id": edge_id, "src": src, "dst": dst, "cost": cost, "load": count, "share": share}
-        for (edge_id, src, dst, cost), count, share in _used_edges(graph, profile)
+        for (edge_id, src, dst, cost), count, share in _used_edges(tally)
     ]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "profile-summary",
-        "page_cost": report.page_cost,
-        "delta": report.delta,
+        "page_cost": tally.page(),
+        "delta": delta,
         "edges": edges,
-        "player_costs": {str(pid): c for pid, c in sorted(report.player_costs.items())},
+        "player_costs": {str(pid): tally.cost(pid) for pid in tally.paths},
     }

@@ -13,10 +13,11 @@ from pagegame import (
     Player,
     StrategyProfile,
     build_graph,
-    cost_report,
 )
+from pagegame import game
 from pagegame.cli import main
 from pagegame.errors import GraphError
+from pagegame.instance import load_instance
 from pagegame.reporting import profile_summary, render_dot
 
 from gamegen import build_d1, diamond_chain, instance_to_json
@@ -402,7 +403,7 @@ def test_report_lists_used_edges_by_id_with_their_loads():
     )
     profile = StrategyProfile({1: ("b", "a"), 2: ("b", "a"), 3: ("c",)})
     loads = load_map(profile)
-    summary = profile_summary(graph, profile, cost_report(graph, profile))
+    summary = profile_summary(graph, profile)
     assert [(edge["id"], edge["load"], edge["share"]) for edge in summary["edges"]] == [
         (edge_id, loads[edge_id], graph.edge(edge_id).cost / loads[edge_id])
         for edge_id in sorted(loads)
@@ -415,6 +416,88 @@ def test_render_dot_rejects_an_unknown_edge_id():
     graph = build_d1().graph
     with pytest.raises(GraphError, match="unknown edge id 'zz'"):
         render_dot(graph, StrategyProfile({1: ("a",), 2: ("zz",)}))
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+_DOT_NODE = re.compile(rf"  ({_DOT_STRING});")
+_DOT_EDGE = re.compile(rf"  ({_DOT_STRING}) -> ({_DOT_STRING}) \[label=({_DOT_STRING})\];")
+
+
+def _dot_unquoted(token):
+    return re.sub(r"\\(.)", r"\1", token[1:-1], flags=re.S)
+
+
+def _dot_tree(text):
+    """The node ids and ``(edge id, src, dst)`` triples a DOT rendering
+    names; every body line must be a node or an edge of quoted strings."""
+    lines = text.splitlines()
+    assert lines[:2] == ["digraph chosen_tree {", "  rankdir=LR;"] and lines[-1] == "}"
+    nodes, edges = [], []
+    for line in lines[2:-1]:
+        if match := _DOT_NODE.fullmatch(line):
+            nodes.append(_dot_unquoted(match[1]))
+        else:
+            match = _DOT_EDGE.fullmatch(line)
+            assert match, line
+            label = _dot_unquoted(match[3]).rsplit(" ", 3)[0]
+            edges.append((label, _dot_unquoted(match[1]), _dot_unquoted(match[2])))
+    return nodes, edges
+
+
+def _dot_of(tmp_path, instance):
+    inst_path = _write(tmp_path, "quoted.json", instance)
+    report, dot = tmp_path / "report.json", tmp_path / "tree.dot"
+    assert main(["solve", "--instance", str(inst_path), "--output", str(report)]) == 0
+    assert main(["report", "--instance", str(inst_path), "--report", str(report),
+                 "--format", "dot", "--output", str(dot)]) == 0
+    return load_instance(str(inst_path)).graph, dot.read_text(encoding="utf-8")
+
+
+def test_dot_quotes_ids_holding_quotes_and_backslashes(tmp_path):
+    # Written raw, the quotes in r"x and a"b would end their strings early,
+    # and the backslash ending l\ would escape its closing quote.
+    graph, text = _dot_of(tmp_path, {
+        "format_version": 1,
+        "nodes": [{"id": 'r"x', "kind": "abstract"}, {"id": "m", "kind": "abstract"},
+                  {"id": "l\\", "kind": "abstract"}],
+        "edges": [{"id": 'a"b', "src": 'r"x', "dst": "m", "cost": 1.0},
+                  {"id": 'c\\"', "src": "m", "dst": "l\\", "cost": 1.0}],
+        "players": [{"id": 1, "root": 'r"x', "leaf": "l\\"},
+                    {"id": 2, "root": 'r"x', "leaf": "m"}],
+    })
+    nodes, edges = _dot_tree(text)
+    assert nodes == ["l\\", "m", 'r"x']
+    assert edges == [('a"b', 'r"x', "m"), ('c\\"', "m", "l\\")]
+    assert all(graph.edge(edge_id)[1:3] == (src, dst) for edge_id, src, dst in edges)
+
+
+def test_dot_quotes_a_device_id_holding_a_quote(tmp_path):
+    graph, text = _dot_of(tmp_path, {
+        "format_version": 1,
+        "document": "<p>hi</p>",
+        "devices": [{"id": 'tab"let', "class": "pc", "required_components": ["2:#text"]}],
+    })
+    nodes, edges = _dot_tree(text)
+    assert 'dev:tab"let' in nodes and set(nodes) <= set(graph.node_position)
+    assert edges and all(graph.edge(edge_id)[1:3] == (src, dst) for edge_id, src, dst in edges)
+
+
+def test_report_json_computes_no_potential(tmp_path, monkeypatch):
+    instance = REPO_ROOT / "instances" / "webpage.json"
+    report, summary = tmp_path / "report.json", tmp_path / "summary.json"
+    argv = ["report", "--instance", str(instance), "--report", str(report),
+            "--format", "json", "--output", str(summary)]
+    assert main(["solve", "--instance", str(instance), "--output", str(report)]) == 0
+    assert main(argv) == 0
+    unpatched = summary.read_bytes()
+    summary.unlink()
+
+    def refuse(self):
+        raise AssertionError("report --format json summed a potential")
+
+    monkeypatch.setattr(game.Tally, "potential", refuse)
+    assert main(argv) == 0
+    assert summary.read_bytes() == unpatched
 
 
 # ---------------------------------------------------------------- determinism
@@ -474,7 +557,6 @@ def test_check_plans_each_root_leaf_pair_once(tmp_path, monkeypatch):
     # the graph's plans; an unstable report runs all of them.
     from gamegen import first_path_profile, instance_to_json, random_instance, search_log
     from pagegame import cli
-    from pagegame.instance import load_instance
 
     instance = random_instance(2004)
     inst = _write(tmp_path, "inst.json", instance_to_json(instance))
@@ -535,8 +617,6 @@ def test_commands_construct_one_graph(d1_file, tmp_path, monkeypatch):
     # second graph, also where --delta or a report's delta replaces the
     # instance (dataclasses.replace keeps its graph).
     from gamegen import instance_to_json, random_instance
-    from pagegame import game
-    from pagegame.instance import load_instance
 
     instance = random_instance(2001)
     assert instance.delta != 0.25

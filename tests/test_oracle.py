@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +312,36 @@ def test_forest_flag_on_tree_union():
     )
     profile = StrategyProfile({1: ("a", "b")})
     assert union_is_forest(graph, profile)
+
+
+# ---------------------------------------------------------------- independence
+
+def _package_imports(module):
+    """The ``pagegame`` modules that ``module``'s source imports, anywhere in it."""
+    package = Path(oracle.__file__).parent
+    tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pagegame" if node.level else "", node.module]))
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    parts = [name.split(".") for name in names]
+    return {p[1] for p in parts if p[0] == "pagegame" and (package / f"{p[1]}.py").is_file()}
+
+
+def test_oracle_dynamics_and_game_stay_independent():
+    # The oracle's agreement with the dynamics means something only while
+    # neither reads the other, directly or through a module in between.
+    def reach(module):
+        seen, todo = set(), [module]
+        while todo:
+            for name in _package_imports(todo.pop()) - seen:
+                seen.add(name)
+                todo.append(name)
+        return seen
+
+    assert "dynamics" not in reach("oracle")
+    assert "oracle" not in reach("dynamics")
+    assert not reach("game") & {"oracle", "dynamics"}
