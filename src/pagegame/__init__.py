@@ -51,7 +51,6 @@ from .oracle import (
     EquilibriumEntry,
     analyze,
     brute_force_equilibria,
-    efficiency_metrics,
     enumerate_paths,
     social_optimum,
     union_is_forest,
@@ -84,7 +83,6 @@ __all__ = [
     "build_graph",
     "cost_report",
     "default_cost_model",
-    "efficiency_metrics",
     "enumerate_paths",
     "is_nash",
     "page_cost",

@@ -24,7 +24,7 @@ import sys
 
 from . import oracle
 from .dynamics import Schedule, improving_move, is_nash, run_dynamics
-from .errors import EngineError, MalformedInstance, SearchSpaceTooLarge
+from .errors import EngineError, MalformedInstance, SearchSpaceTooLarge, printable
 from .game import (
     TOLERANCE,
     GameInstance,
@@ -211,7 +211,7 @@ def _cmd_check(args) -> int:
     detail = ""
     if not stable:
         pid, path = improving_move(graph, profile, delta)
-        detail = f"player {pid} can switch to [{', '.join(path)}]"
+        detail = f"player {pid} can switch to [{', '.join(map(printable, path))}]"
     results.append(("nash-stability", stable, detail))
 
     costs, loads = graph.costs, tally.loads
@@ -247,7 +247,7 @@ def _cmd_check(args) -> int:
             gap = abs(d_phi - d_cost)
             # slack() is never below TOLERANCE; most deviations stop here.
             if gap > TOLERANCE and gap > slack(max(phi, moved), 2 * (terms + len(deviation) + 2)):
-                alt = ", ".join(graph.edge_ids[e] for e in deviation)
+                alt = ", ".join(printable(graph.edge_ids[e]) for e in deviation)
                 identity_detail = (
                     f"player {pid} via [{alt}]: "
                     f"potential moved {d_phi}, cost moved {d_cost}"

@@ -26,6 +26,7 @@ from .errors import (
     MalformedMarkup,
     UnreachableComponent,
     UnsupportedConstruct,
+    printable,
 )
 from .game import Edge, GameInstance, Node, Player, build_graph
 
@@ -213,9 +214,11 @@ def parse_document(text: str) -> DomForest:
         closing, name, attribute = entry
         if closing:
             if not stack:
-                raise MalformedMarkup(offset(k), f"closing </{name}> with nothing open")
+                raise MalformedMarkup(offset(k),
+                                      f"closing {printable(f'</{name}>')} with nothing open")
             if name != tag:
-                raise MalformedMarkup(offset(k), f"closing </{name}> but <{tag}> is open")
+                raise MalformedMarkup(offset(k),
+                                      f"closing {printable(f'</{name}>')} but <{tag}> is open")
             node = nodes[node_id] = new(DomNode, (node_id, "element", tag, "", tuple(children)))
             node_id, tag, children = stack.pop()
             children.append(node)

@@ -5,6 +5,12 @@ class matters more than the message text.
 """
 
 
+def printable(text: str) -> str:
+    """``text`` as is when it is printable, else its ``repr``, so a message
+    that names an id stays on one line."""
+    return text if text.isprintable() else repr(text)
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -45,15 +51,16 @@ _CYCLE_NODES_NAMED = 10
 class CycleDetected(GraphError):
     """``nodes`` runs once round the cycle and repeats its first node last.
     A longer cycle's message names its first ``_CYCLE_NODES_NAMED`` nodes,
-    an ellipsis, the closing node and the cycle's length."""
+    an ellipsis, the closing node and the cycle's length; a node id that is
+    not printable is named by its ``repr``."""
 
     def __init__(self, nodes: list[str]):
         length = len(nodes) - 1
         if length > _CYCLE_NODES_NAMED:
-            named = " -> ".join([*nodes[:_CYCLE_NODES_NAMED], "...", nodes[-1]])
+            named = " -> ".join(map(printable, [*nodes[:_CYCLE_NODES_NAMED], "...", nodes[-1]]))
             named += f" ({length} nodes)"
         else:
-            named = " -> ".join(nodes)
+            named = " -> ".join(map(printable, nodes))
         super().__init__("directed cycle through nodes: " + named)
         self.nodes = list(nodes)
 

@@ -194,12 +194,33 @@ def collector_paused(function):
     return paused
 
 
+def _refuse_lone_surrogates(obj: Any) -> None:
+    """Raise ``MalformedInstance`` when a string of a decoded file, key or
+    value, holds a lone surrogate: ``"\\ud800"`` is valid JSON but no text."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                surrogate = exc.object[exc.start]
+                raise MalformedInstance(f"not valid text: lone surrogate {surrogate!r}") from None
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+
+
 @collector_paused
 def instance_from_text(text: str) -> GameInstance:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedInstance(f"not valid JSON: {exc}") from None
+    if "\\u" in text or not text.isascii():  # only these can decode to a surrogate
+        _refuse_lone_surrogates(obj)
     return parse_instance(obj)
 
 

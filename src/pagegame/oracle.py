@@ -97,7 +97,6 @@ from .game import (
     StrategyProfile,
     cost_report,
     ordered_sum,
-    page_cost,
     slack,
 )
 
@@ -415,15 +414,15 @@ def social_optimum(
 ) -> StrategyProfile:
     """The profile with minimum page cost; first in enumeration order wins ties."""
     players = tuple(players)
-    return _optimum(graph, players, _candidate_paths(graph, players, cap))
+    return _optimum(graph, players, _candidate_paths(graph, players, cap))[0]
 
 
 def _optimum(
     graph: GameGraph, players: tuple[Player, ...], path_sets: list[list[tuple[int, ...]]]
-) -> StrategyProfile:
-    """The first cheapest profile in product order, by the pruned walk the
-    module docstring describes, over interchangeable players' paths in
-    nondecreasing index order only."""
+) -> tuple[StrategyProfile, float]:
+    """The first cheapest profile in product order and its page cost, by the
+    pruned walk the module docstring describes, over interchangeable
+    players' paths in nondecreasing index order only."""
     costs = graph.costs
     margin = 2 * len(costs)
     loads = [0] * len(costs)
@@ -441,7 +440,7 @@ def _optimum(
     depth = 0
     while depth >= 0:
         if depth == len(path_sets):
-            cost = ordered_sum(itertools.compress(costs, loads))
+            cost = ordered_sum(itertools.compress(costs, loads), 0.0)
             if cost < best_cost:
                 best_cost, best = cost, list(chosen)
             depth -= 1
@@ -466,28 +465,7 @@ def _optimum(
         if total - slack(total, margin) < best_cost:
             totals[depth + 1] = total
             depth += 1
-    return _profile(graph, players, [paths[k] for paths, k in zip(path_sets, best)])
-
-
-def _prices(equilibria: Sequence[EquilibriumEntry], optimum_cost: float) -> tuple[float, float]:
-    """Price of anarchy and price of stability: the dearest and the cheapest
-    equilibrium's page cost over the optimum's. A zero-cost optimum yields
-    ratio 1 when the equilibrium is also free, and infinity otherwise."""
-    if not equilibria:
-        raise NoEquilibria()
-
-    def ratio(cost: float) -> float:
-        if optimum_cost > 0.0:
-            return cost / optimum_cost
-        return 1.0 if cost == 0.0 else math.inf
-
-    costs = [entry.report.page_cost for entry in equilibria]
-    return ratio(max(costs)), ratio(min(costs))
-
-
-def efficiency_metrics(catalog: EquilibriumCatalog) -> tuple[float, float]:
-    """Price of anarchy and price of stability from a populated catalog."""
-    return _prices(catalog.equilibria, catalog.optimum_cost)
+    return _profile(graph, players, [paths[k] for paths, k in zip(path_sets, best)]), best_cost
 
 
 def analyze(
@@ -496,10 +474,21 @@ def analyze(
     delta: float = 0.0,
     cap: int = DEFAULT_CAP,
 ) -> EquilibriumCatalog:
-    """Full catalog: equilibria, social optimum, and efficiency ratios."""
+    """Full catalog: equilibria, social optimum, and the prices of anarchy
+    and stability, the dearest and the cheapest equilibrium's page cost over
+    the optimum's. A zero-cost optimum yields ratio 1 when the equilibrium
+    is also free, and infinity otherwise."""
     players = tuple(players)
     path_sets = _candidate_paths(graph, players, cap)
     entries = _equilibria(graph, players, path_sets, delta)
-    optimum = _optimum(graph, players, path_sets)
-    optimum_cost = page_cost(graph, optimum)
-    return EquilibriumCatalog(entries, optimum, optimum_cost, *_prices(entries, optimum_cost))
+    if not entries:
+        raise NoEquilibria()
+    optimum, optimum_cost = _optimum(graph, players, path_sets)
+
+    def ratio(cost: float) -> float:
+        if optimum_cost > 0.0:
+            return cost / optimum_cost
+        return 1.0 if cost == 0.0 else math.inf
+
+    costs = [entry.report.page_cost for entry in entries]
+    return EquilibriumCatalog(entries, optimum, optimum_cost, ratio(max(costs)), ratio(min(costs)))

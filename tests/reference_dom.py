@@ -91,11 +91,15 @@ def parse_document(text: str) -> ReferenceForest:
                 raise UnsupportedConstruct(f"<{token}>")
             if token.startswith("/"):
                 name = token[1:].strip()
+                # A closing token that is not printable is named by its repr.
+                closing = f"</{name}>"
+                if not closing.isprintable():
+                    closing = repr(closing)
                 if len(stack) == 1:
-                    raise MalformedMarkup(i, f"closing </{name}> with nothing open")
+                    raise MalformedMarkup(i, f"closing {closing} with nothing open")
                 if stack[-1][1] != name:
                     raise MalformedMarkup(
-                        i, f"closing </{name}> but <{stack[-1][1]}> is open"
+                        i, f"closing {closing} but <{stack[-1][1]}> is open"
                     )
                 node_id, tag, children = stack.pop()
                 stack[-1][2].append(

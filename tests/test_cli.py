@@ -16,8 +16,8 @@ from pagegame import (
 )
 from pagegame import game
 from pagegame.cli import main
-from pagegame.errors import GraphError
-from pagegame.instance import load_instance
+from pagegame.errors import GraphError, MalformedInstance
+from pagegame.instance import instance_from_text, load_instance
 from pagegame.reporting import profile_summary, render_dot
 
 from gamegen import build_d1, diamond_chain, instance_to_json
@@ -303,6 +303,37 @@ def test_check_names_a_potential_identity_mismatch(d1_file, tmp_path, capsys, mo
         "PASS cost-aggregation\n"
         "FAIL potential-identity: player 1 via [b]: potential moved -3.5, cost moved -2.5\n"
     )
+
+
+def test_check_names_unprintable_edge_ids_by_their_repr(tmp_path, capsys, monkeypatch):
+    # d1 with its edges renamed a\nb (cost 1) and b\t (cost 3).
+    from pagegame import cli
+
+    path = _write(tmp_path, "d1.json", _d1(lambda o: (o["edges"][0].update(id="a\nb"),
+                                                     o["edges"][1].update(id="b\t"))))
+
+    def check(on):
+        report = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+                  "final_profile": {"1": [on], "2": [on]}}
+        assert main(["check", "--instance", str(path),
+                     "--report", str(_write(tmp_path, "report.json", report))]) == 5
+        return capsys.readouterr().out.splitlines()
+
+    assert check("b\t")[0] == "FAIL nash-stability: player 1 can switch to ['a\\nb']"
+
+    class Skewed(cli.Tally):
+        skew = 0.0
+
+        def move(self, player_id, new):
+            super().move(player_id, new)
+            self.skew = 1.0
+
+        def potential(self):
+            return super().potential() + self.skew
+
+    monkeypatch.setattr(cli, "Tally", Skewed)
+    assert check("a\nb")[3] == (
+        "FAIL potential-identity: player 1 via ['b\\t']: potential moved -3.5, cost moved -2.5")
 
 
 def test_check_unknown_edge_fails_validation(d1_file, tmp_path):
@@ -1003,6 +1034,14 @@ INSTANCE_REJECTIONS = [
      _d1(lambda o: (o["edges"].append({"id": "c", "src": "l", "dst": "r", "cost": 1}),
                     o["players"][1].update(root=5))), 1,
      "players[1]: 'root' has wrong type"),
+    # An id that is not printable is named by its repr, so the line stays one.
+    ("cycle-through-unprintable-id",
+     _d1(lambda o: (o["nodes"].append({"id": "a\nb", "kind": "abstract"}),
+                    o["edges"].extend([{"id": "c", "src": "l", "dst": "a\nb", "cost": 1},
+                                       {"id": "d", "src": "a\nb", "dst": "l", "cost": 1}]))),
+     2, "directed cycle through nodes: 'a\\nb' -> l -> 'a\\nb'"),
+    ("markup-unprintable-closing-tag", _doc(lambda o: o.update(document="<p>hi</a\nb></p>")),
+     1, "malformed markup at offset 5: closing '</a\\nb>' but <p> is open"),
     ("device-class-before-next-device",
      _doc(lambda o: (o["devices"][0].update({"class": "watch"}), o["devices"].append("m"))), 2,
      "unknown device class 'watch'"),
@@ -1193,6 +1232,51 @@ def test_file_not_utf8_is_malformed(d1_file, tmp_path, capsys, command):
         argv = ["check", "--instance", str(d1_file), "--report", str(path)]
     assert main(argv) == 1
     assert "utf-8" in _single_error_line(capsys)
+
+
+# d1 with the root r and the edge a renamed with a lone surrogate: a valid
+# JSON escape that decodes to no text, so no UTF-8 output could name them.
+LONE_SURROGATE = (json.dumps(D1_INSTANCE)
+                  .replace('"r"', '"r\\ud800"').replace('"a"', '"a\\ud800"'))
+
+
+@pytest.mark.parametrize("command", [["solve"], ["check"], ["report", "--format", "dot"]],
+                         ids=["solve", "check", "report"])
+def test_lone_surrogate_in_an_id_is_malformed(tmp_path, capsys, command):
+    # The report moves both players off a\ud800, so check's FAIL line names it.
+    path = tmp_path / "lone.json"
+    path.write_text(LONE_SURROGATE, encoding="utf-8")
+    report = {"format_version": 1, "kind": "run-report", "delta": 0.0,
+              "final_profile": {"1": ["b"], "2": ["b"]}}
+    out = tmp_path / "out.txt"
+    argv = [*command, "--instance", str(path), "--output", str(out)]
+    if command[0] != "solve":
+        argv += ["--report", str(_write(tmp_path, "report.json", report))]
+    assert main(argv) == 1
+    assert _single_error_line(capsys).endswith(" not valid text: lone surrogate '\\ud800'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["id", "unknown-key", "document"])
+def test_lone_surrogate_in_a_text_is_malformed(where):
+    # A raw str may hold the surrogate itself, where a file holds its escape.
+    obj = {"id": json.loads(LONE_SURROGATE),
+           "unknown-key": _d1(lambda o: o.update({"x\udfff": 1})),
+           "document": _doc(lambda o: o.update(document="<p>\udc80</p>"))}[where]
+    for text in (json.dumps(obj), json.dumps(obj, ensure_ascii=False)):
+        with pytest.raises(MalformedInstance, match="^not valid text: lone surrogate"):
+            instance_from_text(text)
+
+
+def test_surrogate_pair_loads_and_renders(tmp_path, capsys):
+    text = json.dumps(D1_INSTANCE).replace('"r"', '"r\\ud83d\\ude00"')
+    path, report = tmp_path / "pair.json", tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", "--instance", str(path), "--output", str(report)]) == 0
+    assert main(["report", "--instance", str(path), "--report", str(report)]) == 0
+    assert '  "r\U0001f600" -> "l" [label="a c=1 x=2 share=0.5"];\n' in capsys.readouterr().out
+    raw = instance_from_text(json.dumps(json.loads(text), ensure_ascii=False))
+    assert "r\U0001f600" in raw.graph.node_position
 
 
 @pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])

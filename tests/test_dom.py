@@ -224,6 +224,21 @@ def test_refusals_match_the_reference_parser(text, error):
     assert outcome == _outcome(reference_dom.parse_document, text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("</a\nb>", "closing '</a\\nb>' with nothing open"),
+    ("<p>hi</a\nb></p>", "closing '</a\\nb>' but <p> is open"),
+    ("<p>hi</a ></p>", "closing </a> but <p> is open"),
+])
+def test_closing_tag_message_is_one_line(text, message):
+    # A closing token that is not printable is named by its repr.
+    import reference_dom
+
+    for parse in (parse_document, reference_dom.parse_document):
+        with pytest.raises(MalformedMarkup) as err:
+            parse(text)
+        assert err.value.detail == message
+
+
 def test_mutated_documents_match_the_reference_parser():
     # Documents from the round-trip strategy, then up to four insertions,
     # deletions or swaps of markup characters, letters and spaces. An

@@ -44,3 +44,14 @@ def test_solve_and_enumerate_ignore_hash_seed(hash_seed, tmp_path):
             assert done.returncode == GOLDEN[name][f"{step}:exit"], done.stderr
             for filename in written:
                 assert sha256(workdir / filename) == GOLDEN[name][filename], (name, filename)
+
+
+def test_workload_games_match_the_pinned_identity_sweep():
+    # The corpus's commands on every workload game of seeds 1-3, one digest
+    # per game; identity_sweep.py's docstring says how to re-pin them.
+    import identity_sweep
+
+    pinned = json.loads(identity_sweep.PINNED.read_text(encoding="utf-8"))
+    swept = identity_sweep.digests(identity_sweep.sweep(identity_sweep.PINNED_SEEDS))
+    assert sorted(key for key in pinned.keys() | swept.keys()
+                  if pinned.get(key) != swept.get(key)) == []

@@ -5,14 +5,12 @@ from pathlib import Path
 import pytest
 
 from pagegame import (
-    EquilibriumCatalog,
     Player,
     Schedule,
     StrategyProfile,
     analyze,
     brute_force_equilibria,
     build_graph,
-    efficiency_metrics,
     enumerate_paths,
     is_nash,
     oracle,
@@ -265,18 +263,26 @@ def test_stability_price_bounded_by_harmonic_number():
         assert catalog.pos <= harmonic + TOL
 
 
-def test_no_equilibria_error():
+def test_optimum_cost_is_the_optimums_page_cost_bit_for_bit():
+    # The optimum walk's leaf sum is the catalog's optimum cost; page_cost
+    # re-sums the optimum's union from a tally.
+    games = [load_instance(str(path)) for path in golden_corpus.games().values()]
+    games += [random_instance(6100 + seed, delta=DELTAS[seed % len(DELTAS)]) for seed in range(60)]
+    for inst in games:
+        catalog = analyze(inst.graph, inst.players, inst.delta)
+        assert catalog.optimum_cost.hex() == page_cost(inst.graph, catalog.optimum).hex()
+    empty = analyze(build_graph([("r", "abstract")], []), ())
+    assert type(empty.optimum_cost) is float and empty.optimum_cost.hex() == (0.0).hex()
+
+
+def test_no_equilibria_error(monkeypatch):
+    # Every finite game has a pure equilibrium, so only a sweep that clears
+    # every flag leaves analyze none.
     d1 = build_d1()
-    optimum = social_optimum(d1.graph, d1.players)
-    empty = EquilibriumCatalog(
-        equilibria=(),
-        optimum=optimum,
-        optimum_cost=page_cost(d1.graph, optimum),
-        poa=math.nan,
-        pos=math.nan,
-    )
+    monkeypatch.setattr(oracle, "_stability_flags",
+                        lambda graph, path_sets, delta: bytearray(math.prod(map(len, path_sets))))
     with pytest.raises(NoEquilibria):
-        efficiency_metrics(empty)
+        analyze(d1.graph, d1.players)
 
 
 def test_zero_cost_optimum_ratio_needs_an_exactly_free_equilibrium():
