@@ -9,11 +9,16 @@ copy of the whole page cost as a cooperative term.
 
 Outside the oracle's sweeps, costs, potentials and page costs are read from
 a ``Tally`` of a profile's edge loads, the only type here that changes after
-construction (``move`` moves a player). A graph builds its integer view
-(nodes by topological position, edges by declaration position) once, when
-constructed, and only fills its root masks (which registered roots reach
-each node, from one pass in topological order), root-leaf plans and the
-paths of pairs that have only one, idempotently, on first use.
+construction (``move`` moves a player). A tally keeps its loaded edges'
+costs beside the edges, so the page cost is one sum over a ready list. A
+graph builds its integer view (nodes by topological position, edges by
+declaration position) once, when constructed, and only fills its root masks
+(which registered roots reach each node, from one pass in topological
+order), root-leaf plans, the paths of pairs that have only one, and the
+potential terms ``cost / x`` of each edge at each load a potential sums,
+idempotently, on first use. The terms take one tuple per ``(edge, load)``
+summed, at most E x P for E edges and P players, and live as long as the
+graph.
 Floating-point sums always run left to right (``ordered_sum``) in a
 canonical order (edge declaration order, player id order), so results are
 reproducible across processes and Python versions.
@@ -93,6 +98,23 @@ class Player(NamedTuple):
 _Masks = tuple[dict[str, int], list[int]]
 
 
+class _Harmonic(dict):
+    """A graph's potential terms of an edge at a load, ``(e, k)`` to
+    ``(cost / 1, ..., cost / k)``: each stored on first use, as one
+    assignment of an immutable value, so a racing store only stores it
+    again."""
+
+    def __init__(self, costs: tuple[float, ...]):
+        super().__init__()
+        self.costs = costs
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[float, ...]:
+        e, k = key
+        cost = self.costs[e]
+        terms = self[key] = tuple([cost / x for x in range(1, k + 1)])
+        return terms
+
+
 class GameGraph:
     """Validated directed acyclic multigraph with finite non-negative edge
     costs whose total is finite.
@@ -169,6 +191,7 @@ class GameGraph:
         self._masks: _Masks = ({}, [])
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
         self._lines: dict[tuple[str, str], tuple[int, ...]] = {}  # () for none or several
+        self._harmonic = _Harmonic(self.costs)
 
     def _toposort(self, outs: list[list[int]], heads: list[int]) -> list[int]:
         """Declaration positions in Kahn's order: the sources stacked in
@@ -404,10 +427,13 @@ class GameInstance:
 
 class Tally:
     """A profile's edge loads and page cost, all by declaration position:
-    ``loads[e]``, each player's path in ``paths`` and the loaded edges in
-    ``used``, in order; only ``move`` changes them. The page cost is summed
-    on first use after a change. With ``delta == 0`` the social terms are
-    skipped, so player costs equal the pure shared-path costs bit for bit.
+    ``loads[e]``, each player's path in ``paths``, the loaded edges in
+    ``used``, in order, and their costs in the same order in
+    ``used_costs``; only ``move`` changes them. The page cost is summed
+    from ``used_costs`` on first use after a change, and the potential from
+    the graph's cached terms of each loaded edge at its load. With
+    ``delta == 0`` the social terms are skipped, so player costs equal the
+    pure shared-path costs bit for bit.
     """
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float = 0.0):
@@ -419,20 +445,24 @@ class Tally:
             for e in path:
                 loads[e] += 1
         self.used = list(itertools.compress(range(len(loads)), loads))
+        self.used_costs = list(itertools.compress(graph.costs, loads))
         self._page: float | None = None
 
     def move(self, player_id: int, new: tuple[int, ...]) -> None:
         """Move a player from its current path (if any) onto the edges at
         positions ``new``; ``()`` takes the player off. The only mutation."""
-        loads, used = self.loads, self.used
+        loads, used, used_costs = self.loads, self.used, self.used_costs
         for e in self.paths.get(player_id, ()):
             loads[e] -= 1
             if not loads[e]:
-                del used[bisect.bisect_left(used, e)]
+                i = bisect.bisect_left(used, e)
+                del used[i], used_costs[i]
                 self._page = None
         for e in new:
             if not loads[e]:
-                bisect.insort(used, e)
+                i = bisect.bisect_left(used, e)
+                used.insert(i, e)
+                used_costs.insert(i, self.graph.costs[e])
                 self._page = None
             loads[e] += 1
         self.paths[player_id] = new
@@ -444,8 +474,7 @@ class Tally:
     def page(self) -> float:
         """Total cost of the loaded edges, each counted once."""
         if self._page is None:
-            costs = self.graph.costs
-            self._page = ordered_sum([costs[e] for e in self.used], 0.0)
+            self._page = ordered_sum(self.used_costs, 0.0)
         return self._page
 
     def cost(self, player_id: int) -> float:
@@ -456,14 +485,13 @@ class Tally:
 
     def potential(self) -> float:
         """Exact potential: each ``cost / x`` for ``x`` up to an edge's load,
-        added into one running total, plus ``delta`` times the page cost. A
-        unilateral path change moves it by exactly the mover's cost change."""
-        costs, loads = self.graph.costs, self.loads
-        total = 0.0
-        for e in self.used:
-            cost = costs[e]
-            for x in range(1, loads[e] + 1):
-                total += cost / x
+        summed left to right in ``used`` order, plus ``delta`` times the page
+        cost. A unilateral path change moves it by exactly the mover's cost
+        change."""
+        used = self.used
+        keys = zip(used, map(self.loads.__getitem__, used))
+        terms = itertools.chain.from_iterable(map(self.graph._harmonic.__getitem__, keys))
+        total = ordered_sum(terms, 0.0)
         return total + self.delta * self.page() if self.delta else total
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -26,6 +27,7 @@ from pagegame import (
 from pagegame import SplitMix64, dynamics, game
 from pagegame.cli import main
 from pagegame.errors import GraphError, InvalidProfile, UnknownPlayer
+from pagegame.game import ordered_sum
 from pagegame.instance import parse_instance
 
 import reference_dynamics as reference
@@ -504,17 +506,82 @@ def test_tally_moved_in_place_reads_what_a_fresh_tally_reads():
     assert moves == {False, True}
 
 
+def _parallel_and_free_edges(delta):
+    # Three players from r to l over two parallel pairs, one of them free,
+    # and a free direct edge; two more players each on one pair.
+    graph = build_graph(
+        [("r", "abstract"), ("m", "abstract"), ("l", "abstract")],
+        [("a", "r", "m", 0.0), ("b", "r", "m", 1.5), ("c", "m", "l", 0.1),
+         ("d", "m", "l", 0.0), ("e", "r", "l", 0.3), ("f", "r", "l", 0.0)],
+    )
+    players = [Player(1, "r", "l"), Player(2, "r", "l"), Player(3, "r", "l"),
+               Player(4, "r", "m"), Player(5, "m", "l")]
+    return GameInstance(graph, players, delta)
+
+
+def _reference_sums(tally):
+    # The page cost as ordered_sum of the loaded edges' costs, and the
+    # potential as one running total of each cost / x, from loads counted
+    # afresh off the tally's paths.
+    costs = tally.graph.costs
+    loads = collections.Counter(e for path in tally.paths.values() for e in path)
+    used = sorted(loads)
+    page = ordered_sum([costs[e] for e in used], 0.0)
+    total = 0.0
+    for e in used:
+        cost = costs[e]
+        for x in range(1, loads[e] + 1):
+            total += cost / x
+    return page.hex(), (total + tally.delta * page if tally.delta else total).hex()
+
+
+def test_tally_sums_match_the_reference_bit_for_bit():
+    # Page cost and potential at first-path, greedy and final profiles and
+    # after every in-place deviation, taking a player off included, read the
+    # reference's bits; the loaded edges' costs stay beside them in order.
+    seen = set()
+    extra = [(f"parallel-{delta}", _parallel_and_free_edges(delta)) for delta in (0.0, 0.5)]
+    for name, inst in itertools.chain(_golden_and_gamegen_games(), extra):
+        graph, delta = inst.graph, inst.delta
+        costs, edges = graph.costs, graph.edges
+        trace = run_dynamics(graph, inst.players, delta)
+        for profile in (first_path_profile(inst), trace.initial_profile, trace.final_profile):
+            tally = game.Tally(graph, profile, delta)
+
+            def read():
+                assert tally.used_costs == [costs[e] for e in tally.used], name
+                assert (tally.page().hex(), tally.potential().hex()) == _reference_sums(tally), name
+                ends = [edges[e][1:3] for e in tally.used]
+                seen.add((delta > 0, 0.0 in tally.used_costs, len(set(ends)) < len(ends)))
+
+            read()
+            for player in inst.players:
+                pid = player.player_id
+                own = tally.paths[pid]
+                for alt in enumerate_paths(graph, player.root, player.leaf):
+                    tally.move(pid, graph.positions(alt))
+                    read()
+                tally.move(pid, ())
+                read()
+                tally.move(pid, own)
+                read()
+    # Both kinds of delta, each with free edges and with parallel loaded edges.
+    assert {(d, True, True) for d in (False, True)} <= seen
+
+
 def _snapshot(state):
     page = state._page
     return (state.loads[:], state.used[:], dict(state.paths),
-            None if page is None else page.hex(), [w.hex() for w in state.weights])
+            None if page is None else page.hex(), [w.hex() for w in state.weights],
+            state.used_costs[:])
 
 
 def test_respond_puts_the_player_back_and_reads_the_reference_cost(monkeypatch):
     # respond takes the player off the tally and moves the same path back:
-    # loads, loaded edges, paths and the cached page sum end as they began.
-    # Without a generator it draws nothing and finds the least attainable
-    # cost that a drawing respond and the reference find, bit for bit.
+    # loads, loaded edges and their costs, paths and the cached page sum end
+    # as they began. Without a generator it draws nothing and finds the least
+    # attainable cost that a drawing respond and the reference find, bit for
+    # bit.
     draws = []
     next_u64 = SplitMix64.next_u64
 

@@ -549,6 +549,66 @@ def test_potential_identity_over_all_deviations():
                         assert abs(d_phi - d_z) <= TOL
 
 
+class _LoggedTerms(game._Harmonic):
+    def __init__(self, costs, log):
+        super().__init__(costs)
+        self.log = log
+
+    def __missing__(self, key):
+        self.log.append(key)
+        return super().__missing__(key)
+
+
+def _cold_copy(graph):
+    return build_graph(graph.nodes.values(), graph.edges)
+
+
+def test_potential_terms_are_the_divisions_cached_per_graph():
+    # Each stored entry is the tuple of an edge's divisions at one load.
+    # Tallies of one graph share them: a second tally of a summed profile
+    # divides nothing. A graph warmed by every other profile sums each
+    # profile to the bits a cold copy of the graph sums.
+    for seed in range(12):
+        inst = random_instance(1200 + seed, delta=DELTAS[seed % len(DELTAS)], max_profiles=60)
+        graph, delta = inst.graph, inst.delta
+        log = []
+        graph._harmonic = _LoggedTerms(graph.costs, log)
+        for profile in all_profiles(inst):
+            tally = game.Tally(graph, profile, delta)
+            log.clear()
+            warm = tally.potential()
+            assert sorted(log) == sorted(set(log))
+            assert all(tally.loads[e] == k for e, k in log)
+            log.clear()
+            assert game.Tally(graph, profile, delta).potential().hex() == warm.hex()
+            assert log == []
+            cold = game.Tally(_cold_copy(graph), profile, delta).potential()
+            assert cold.hex() == warm.hex(), seed
+        assert graph._harmonic
+        for (e, k), terms in graph._harmonic.items():
+            assert type(terms) is tuple
+            assert [t.hex() for t in terms] == [
+                (graph.costs[e] / x).hex() for x in range(1, k + 1)]
+
+
+def test_potential_terms_survive_a_racing_store():
+    # Two tallies miss the same edge and load together: each divides and
+    # stores its own tuple, and the later store replaces the earlier one.
+    # The tuples are equal, so a sum over either gives the same bits, and a
+    # sum after the race divides nothing again.
+    graph = build_d1(delta=0.5).graph
+    profile = StrategyProfile({1: ("a",), 2: ("a",)})
+    cold = game.Tally(_cold_copy(graph), profile, 0.5).potential()
+    cache, key = graph._harmonic, (graph.edge_position["a"], 2)
+    stale = game._Harmonic.__missing__(cache, key)
+    stored = game._Harmonic.__missing__(cache, key)
+    assert stale == stored and stale is not stored and cache[key] is stored
+    for terms in (stale, stored):
+        cache[key] = terms
+        assert game.Tally(graph, profile, 0.5).potential().hex() == cold.hex()
+        assert list(cache) == [key] and cache[key] is terms
+
+
 # ---------------------------------------------------------------- reports
 
 def test_cost_report_is_consistent(d1):
