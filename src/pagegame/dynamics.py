@@ -37,13 +37,13 @@ one private state for all its best responses; only the graph's memos outlive it:
   positions.
 
 A pair with one path (``GameGraph.only_path``), such as every player of a
-document game, skips the relaxation and the tie walk below. Every other
-out-edge of a node on the path leads off the plan, to an infinite distance,
-so it never wins ``<`` and never stays within the tie bound. A fold back from
-the leaf therefore gives the relaxation's distances, and a fold forward from
-the root applies the tie walk's test to each edge; the answer is that path,
-or ``NoPath`` where an edge fails the test. Floats, answers, draws (none)
-and traces are those of the full relaxation and walk.
+document game, is a plan whose out-edges are its path: each path node maps
+to its one edge there, and its distances are a dict over the path's nodes.
+The relaxation and the tie walk below take the out-edges to follow, so such
+a pair goes through them with its mapping instead of the graph's out-edges.
+Every other out-edge of a node on the path leads off the plan, to an
+infinite distance, so it never wins ``<`` and never stays within the tie
+bound; leaving it out changes no float, answer or draw (there is none).
 
 The relaxation does the same float operations and ``<`` comparisons as one
 over the whole graph with freshly tallied loads. A path ties when the weight
@@ -172,10 +172,11 @@ class _State(Tally):
         self._weigh(old)
         self._weigh(new)
 
-    def _relax(self, plan: tuple[int, ...], target: int) -> list[float]:
-        """Cheapest weight to ``target`` from each node of ``plan``; infinite off it."""
-        weights, heads, outs = self.weights, self.graph.heads, self.graph.outs
-        dist = [math.inf] * len(outs)
+    def _relax(self, plan: tuple[int, ...], target: int, outs, dist):
+        """``dist`` with the cheapest weight to ``target`` over ``outs`` from
+        each node of ``plan``; the heads of ``outs`` off the plan must read
+        infinite in it, or be absent when ``outs`` holds only the plan."""
+        weights, heads = self.weights, self.graph.heads
         dist[target] = 0.0
         for node in plan:
             best = math.inf
@@ -185,34 +186,6 @@ class _State(Tally):
                     best = through
             dist[node] = best
         return dist
-
-    def _fold(self, line: tuple[int, ...]) -> list[float]:
-        """``_relax`` for a pair whose plan is the one path ``line``: the
-        cheapest weight to its end from each of its nodes, root first and
-        the end's 0 last. Every other out-edge of these nodes has its head
-        off the plan, at an infinite distance, so it never wins ``<``."""
-        weights = self.weights
-        dist = [0.0]
-        for e in reversed(line):
-            through = weights[e] + dist[-1]
-            dist.append(through if through < math.inf else math.inf)
-        dist.reverse()
-        return dist
-
-    def _follow(
-        self, line: tuple[int, ...], bound: float, dist: list
-    ) -> tuple[tuple[int, ...], float, bool] | None:
-        """``_ties`` for the one path ``line``, with the distances of
-        ``_fold``: ``line``, its accumulated weight and ``False``, if every
-        edge stays within ``bound``; ``None`` if one does not. Off the plan
-        no edge ever stays within it, so nothing is counted or drawn."""
-        weights = self.weights
-        acc = 0.0
-        for e, rest in zip(line, dist[1:]):
-            if not acc + weights[e] + rest <= bound:
-                return None
-            acc += weights[e]
-        return line, acc, False
 
     def _count(self, start: int, start_acc: float, target: int, bound: float, dist, memo) -> int:
         """Number of ``start``-target paths that stay within ``bound`` after
@@ -256,18 +229,25 @@ class _State(Tally):
                 total += above
 
     def _ties(
-        self, root: int, target: int, bound: float, dist: list, rng: SplitMix64
+        self, root: int, target: int, bound: float, outs, dist, rng: SplitMix64
     ) -> tuple[tuple[int, ...], float, bool] | None:
-        """One root-target path of edge positions within ``bound``, drawn
+        """One root-target path of edge positions within ``bound``, following
+        ``outs`` with the distances ``_relax`` gave over them, drawn
         uniformly by its lexicographic rank, with its accumulated weight and
         whether the RNG was consulted, which it is only when two or more tie;
-        ``None`` if there is none."""
-        heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
+        ``None`` if there is none. Counts below a tie read ``graph.outs``:
+        only a plan with two or more paths has one."""
+        heads, weights = self.graph.heads, self.weights
         memo: dict = {}
         path: list[int] = []
         node, acc, rank, drew = root, 0.0, None, False
         while node != target:
-            tied = [e for e in outs[node] if acc + weights[e] + dist[heads[e]] <= bound]
+            out = outs[node]
+            if len(out) == 1:
+                e = out[0]
+                tied = out if acc + weights[e] + dist[heads[e]] <= bound else ()
+            else:
+                tied = [e for e in out if acc + weights[e] + dist[heads[e]] <= bound]
             if not tied:
                 return None
             e = tied[0]
@@ -305,27 +285,20 @@ class _State(Tally):
         answer = self._answers.get(key)
         if answer is not None:
             return answer
-        plan = self.graph.between(root, leaf)
+        graph = self.graph
+        plan = graph.between(root, leaf)
         if not plan:
             raise NoPath(player_id, root, leaf)
-        line = self.graph.only_path(root, leaf)
+        line = graph.only_path(root, leaf)
+        outs, dist = (graph.outs, [math.inf] * len(graph.outs)) if line is None else (line, {})
+        start, target = graph.node_position[root], graph.node_position[leaf]
         page = self._page
         if own:
             self._shift(player_id, ())
-        if line is None:
-            position = self.graph.node_position
-            start, target = position[root], position[leaf]
-            dist = self._relax(plan, target)
-        else:
-            start, dist = 0, self._fold(line)
-        best = dist[start]
+        best = self._relax(plan, target, outs, dist)[start]
         chosen = None
         if rng is not None and not math.isinf(best):
-            bound = best + slack(best, len(plan))
-            if line is None:
-                chosen = self._ties(start, target, bound, dist, rng)
-            else:
-                chosen = self._follow(line, bound, dist)
+            chosen = self._ties(start, target, best + slack(best, len(plan)), outs, dist, rng)
         others = self.delta * self.page() if self.delta else 0.0
         if own:
             self._shift(player_id, own)

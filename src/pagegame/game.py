@@ -190,7 +190,7 @@ class GameGraph:
         self.ins = tuple(map(tuple, ins))
         self._masks: _Masks = ({}, [])
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
-        self._lines: dict[tuple[str, str], tuple[int, ...]] = {}  # () for none or several
+        self._lines: dict[tuple[str, str], dict[int, tuple[int]]] = {}  # {} for none or several
         self._harmonic = _Harmonic(self.costs)
 
     def _toposort(self, outs: list[list[int]], heads: list[int]) -> list[int]:
@@ -314,30 +314,33 @@ class GameGraph:
                     counts[tail] += count
         return counts[plan[-1]]
 
-    def only_path(self, root: str, leaf: str) -> tuple[int, ...] | None:
-        """Edge positions, root first, of the one ``root``-``leaf`` path
-        when the pair has exactly one; ``None`` otherwise. Found once per
-        pair, on the first call: a walk from the root along the out-edges
-        into the plan (``between``) or to the leaf, which stops at the first
-        node with none or with two or more, parallel edges included."""
+    def only_path(self, root: str, leaf: str) -> dict[int, tuple[int]] | None:
+        """The one ``root``-``leaf`` path as out-edges, when the pair has
+        exactly one: each node position on it, leaf excluded, mapped to a
+        1-tuple of its edge position on the path; ``None`` otherwise. Found
+        once per pair, on the first call: a walk from the root along the
+        out-edges into the plan (``between``) or to the leaf, which stops at
+        the first node with none or with two or more, parallel edges
+        included. The mapping is stored whole and shared: callers must not
+        change it."""
         key = (root, leaf)
         line = self._lines.get(key)
         if line is None:
-            line = ()
+            line = {}
             plan = self.between(root, leaf)
             if plan:
                 position, heads, outs = self.node_position, self.heads, self.outs
                 node, target = position[root], position[leaf]
                 live = {*plan, target}
-                walked = []
+                walked = {}
                 while node != target:
-                    out = [e for e in outs[node] if heads[e] in live]
+                    out = tuple([e for e in outs[node] if heads[e] in live])
                     if len(out) != 1:
                         break
-                    walked.append(out[0])
+                    walked[node] = out
                     node = heads[out[0]]
                 else:
-                    line = tuple(walked)
+                    line = walked
             self._lines[key] = line
         return line or None
 

@@ -194,9 +194,13 @@ def collector_paused(function):
     return paused
 
 
-def _refuse_lone_surrogates(obj: Any) -> None:
-    """Raise ``MalformedInstance`` when a string of a decoded file, key or
-    value, holds a lone surrogate: ``"\\ud800"`` is valid JSON but no text."""
+def refuse_lone_surrogates(text: str, obj: Any) -> None:
+    """Raise ``MalformedInstance`` when a string of ``obj``, key or value,
+    decoded from the JSON ``text``, holds a lone surrogate: ``"\\ud800"`` is
+    valid JSON but no text. Only a ``\\u`` escape or a non-ASCII character
+    can decode to one, so a ``text`` with neither is not scanned."""
+    if "\\u" not in text and text.isascii():
+        return
     stack = [obj]
     while stack:
         item = stack.pop()
@@ -219,8 +223,7 @@ def instance_from_text(text: str) -> GameInstance:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedInstance(f"not valid JSON: {exc}") from None
-    if "\\u" in text or not text.isascii():  # only these can decode to a surrogate
-        _refuse_lone_surrogates(obj)
+    refuse_lone_surrogates(text, obj)
     return parse_instance(obj)
 
 

@@ -18,6 +18,7 @@ from typing import Any
 from .dynamics import DynamicsTrace
 from .errors import MalformedInstance
 from .game import CostReport, GameGraph, StrategyProfile, Tally
+from .instance import refuse_lone_surrogates
 from .oracle import EquilibriumCatalog
 
 FORMAT_VERSION = 1
@@ -123,11 +124,13 @@ def run_report(
 def load_report(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            text = handle.read()
+        obj = json.loads(text)
     except OSError as exc:
         raise MalformedInstance(f"cannot read report file: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise MalformedInstance(f"report is not valid JSON: {exc}") from None
+    refuse_lone_surrogates(text, obj)
     if not isinstance(obj, dict) or obj.get("kind") != "run-report":
         raise MalformedInstance("file is not a run report")
     version = obj.get("format_version")

@@ -1076,11 +1076,17 @@ _REPORT = {"format_version": 1, "kind": "run-report", "delta": 0.0,
          "unsupported report format_version"),
         (_edited(_REPORT, lambda o: o["final_profile"].update({"1": []})), 2,
          "invalid path for player 1: path is empty"),
+        # From the root r to the leaf l, but a ends at l and b starts at r.
+        (_edited(_REPORT, lambda o: o["final_profile"].update({"1": ["a", "b"]})), 2,
+         "invalid path for player 1: consecutive edges do not connect"),
+        # Any string of the file, even one no command reads, is scanned.
+        (_edited(_REPORT, lambda o: o.update(schedule="\ud800")), 1,
+         "not valid text: lone surrogate '\\ud800'"),
         ([_REPORT], 1, "file is not a run report"),
         (D1_INSTANCE, 1, "file is not a run report"),  # the instance file, byte for byte
     ],
     ids=["profile-list", "format-version-2", "format-version-true", "format-version-float",
-         "empty-path", "json-array", "instance-file"],
+         "empty-path", "path-breaks", "lone-surrogate", "json-array", "instance-file"],
 )
 @pytest.mark.parametrize(
     "command", [["check"], ["report", "--format", "dot"]], ids=["check", "report"]
@@ -1089,6 +1095,17 @@ def test_report_file_rejections(d1_file, tmp_path, capsys, command, report, code
     path = _write(tmp_path, "report.json", report)
     assert main([*command, "--instance", str(d1_file), "--report", str(path)]) == code
     assert capsys.readouterr() == ("", f"pagegame: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["report", "--format", "dot"]], ids=["check", "report"]
+)
+def test_catalog_as_report_holds_no_final_profile(d1_file, tmp_path, capsys, command):
+    catalog = tmp_path / "catalog.json"
+    assert main(["enumerate", "--instance", str(d1_file), "--output", str(catalog)]) == 0
+    assert json.loads(catalog.read_text())["final_profile"] is None
+    assert main([*command, "--instance", str(d1_file), "--report", str(catalog)]) == 1
+    assert capsys.readouterr() == ("", "pagegame: error: report holds no final profile\n")
 
 
 def test_negative_seed_is_usage_error(d1_file, capsys):

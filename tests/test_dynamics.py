@@ -787,27 +787,22 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _count_relaxations(monkeypatch) -> list:
-    plans = []
+    """Each relaxation's out-edges: ``None`` for the graph's, else the
+    mapping of a pair with one path (``GameGraph.only_path``)."""
+    relaxed = []
     original = dynamics._State._relax
 
-    def counted(self, plan, target):
-        plans.append(plan)
-        return original(self, plan, target)
+    def counted(self, plan, target, outs, dist):
+        relaxed.append(None if outs is self.graph.outs else outs)
+        return original(self, plan, target, outs, dist)
 
     monkeypatch.setattr(dynamics._State, "_relax", counted)
-    return plans
+    return relaxed
 
 
-def _count_folds(monkeypatch) -> list:
-    lines = []
-    original = dynamics._State._fold
-
-    def counted(self, line):
-        lines.append(line)
-        return original(self, line)
-
-    monkeypatch.setattr(dynamics._State, "_fold", counted)
-    return lines
+def _lines(relaxed) -> list:
+    """The one-path mappings among ``relaxed``, each as its sorted items."""
+    return [tuple(sorted(outs.items())) for outs in relaxed if outs is not None]
 
 
 def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
@@ -815,45 +810,105 @@ def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
     # placements, then a moving pass and a quiet pass of 300 activations
     # each) 411 repeat one answered since the last move, for a player with
     # the same root, leaf and path. Of the 489 left, the 150 of the 100
-    # forced players (50 root-leaf pairs with one path each) fold along
-    # that path; the other 339 relax their plans.
+    # forced players (50 root-leaf pairs with one path each) relax over
+    # that path alone; the other 339 relax their plans over the graph.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     inst = parse_instance(workloads.dag_dynamics_instance(1))
     relaxed = _count_relaxations(monkeypatch)
-    folded = _count_folds(monkeypatch)
     trace = run_dynamics(inst.graph, inst.players, inst.delta, Schedule("round-robin", 1))
     assert (len(inst.players), len(trace.steps), trace.passes) == (300, 600, 2)
     assert sum(step.path_changed for step in trace.steps) == 50
-    assert (len(relaxed), len(folded)) == (339, 150)
-    assert len(set(folded)) == 50
+    lines = _lines(relaxed)
+    assert (len(relaxed), len(lines)) == (489, 150)
+    assert len(set(lines)) == 50
 
 
-def test_one_path_pairs_fold_instead_of_relaxing(monkeypatch):
-    # Every player of a document game has one path: no best response,
-    # is_nash or best_response relaxes a plan, and each folds along its
-    # pair's path. d1's players are joined by two parallel edges, so they
-    # still relax.
+def test_one_path_pairs_relax_only_their_path(monkeypatch):
+    # Every player of a document game has one path: every best response,
+    # is_nash and best_response relaxes over its pair's path alone, never
+    # over the graph's out-edges. d1's players are joined by two parallel
+    # edges, so they relax over the graph's.
     from golden_corpus import games
     from pagegame.instance import load_instance
 
     relaxed = _count_relaxations(monkeypatch)
-    folded = _count_folds(monkeypatch)
     inst = load_instance(str(games()["doc3"]))
     graph = inst.graph
     trace = run_dynamics(graph, inst.players, inst.delta, Schedule("random", 3))
     assert is_nash(graph, trace.final_profile, inst.delta)
     for player in inst.players:
         best_response(graph, trace.final_profile, player.player_id, inst.delta)
-    assert relaxed == []
-    assert {graph.only_path(p.root, p.leaf) for p in inst.players} == set(folded)
+    assert relaxed and None not in relaxed
+    pairs = [graph.only_path(p.root, p.leaf) for p in inst.players]
+    assert set(_lines(pairs)) == set(_lines(relaxed))
 
     d1 = build_d1(0.5)
-    folded.clear()
+    relaxed.clear()
     run_dynamics(d1.graph, d1.players, d1.delta)
     assert d1.graph.only_path("r", "l") is None
-    assert relaxed and folded == []
+    assert relaxed and set(relaxed) == {None}
+
+
+def _one_path_rich_games():
+    """Golden ``doc3`` and ``mixed``, and the seeded ``gamegen`` games whose
+    players mix pairs with one path and pairs with several."""
+    from golden_corpus import games
+    from gamegen import corpus
+    from pagegame.instance import load_instance
+
+    found = [(name, load_instance(str(games()[name]))) for name in ("doc3", "mixed")]
+    for i, inst in enumerate(corpus(200)):
+        one = sum(inst.graph.only_path(p.root, p.leaf) is not None for p in inst.players)
+        if 0 < one < len(inst.players):
+            found.append((f"gamegen-{i}", inst))
+    return found
+
+
+def _answers(monkeypatch, inst, seed) -> list:
+    """Every ``respond`` answer, floats by ``.hex()``, and every draw, of a
+    random-schedule run, ``is_nash`` and each player's ``best_response``."""
+    log = []
+    respond, randrange = dynamics._State.respond, SplitMix64.randrange
+
+    def logged(self, player_id, root, leaf, rng=None):
+        path, cost, attainable = respond(self, player_id, root, leaf, rng)
+        log.append((player_id, path, None if cost is None else cost.hex(), attainable.hex()))
+        return path, cost, attainable
+
+    def drawn(self, n):
+        log.append(("draw", n, randrange(self, n)))
+        return log[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics._State, "respond", logged)
+        patch.setattr(SplitMix64, "randrange", drawn)
+        trace = run_dynamics(inst.graph, inst.players, inst.delta, Schedule("random", seed))
+        is_nash(inst.graph, trace.final_profile, inst.delta)
+        for player in inst.players:
+            best_response(inst.graph, trace.final_profile, player.player_id, inst.delta, seed)
+    return log
+
+
+def test_one_path_mappings_answer_as_the_full_relaxation(monkeypatch):
+    # A pair's one-path mapping reads only its own nodes; the graph's
+    # out-edges give every answer the same floats, bit for bit, and the
+    # same draws.
+    relaxed = _count_relaxations(monkeypatch)
+    games = _one_path_rich_games()
+    assert len(games) > 20
+    for name, inst in games:
+        for seed in (0, 3):
+            relaxed.clear()
+            mapped = _answers(monkeypatch, inst, seed)
+            assert _lines(relaxed), name
+            with monkeypatch.context() as patch:
+                patch.setattr(game.GameGraph, "only_path", lambda self, root, leaf: None)
+                relaxed.clear()
+                full = _answers(monkeypatch, inst, seed)
+                assert set(relaxed) == {None}, name
+            assert mapped == full, (name, seed)
 
 
 def test_answers_are_keyed_by_the_players_path(monkeypatch):

@@ -247,10 +247,11 @@ def test_random_dags_match_reference_property():
 # ---------------------------------------------------------------- one-path pairs
 
 def test_one_path_games_match_reference_property():
-    # Games where most root-leaf pairs have one path, which best responses
-    # fold along instead of relaxing: trees under device-like roots, chains,
-    # chains with one parallel pair (whose pairs across it still relax), and
-    # document games whose devices want some of the same components.
+    # Games where most root-leaf pairs have one path, whose best responses
+    # relax over that path alone: trees under device-like roots, chains,
+    # chains with one parallel pair (whose pairs across it relax over the
+    # graph's out-edges), and document games whose devices want some of
+    # the same components.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from pagegame.dom import DeviceProfile, build_game, parse_document
