@@ -19,7 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EngineError,
@@ -68,18 +68,6 @@ class DomForest:
     document_root: DomNode
     nodes: dict[str, DomNode]
     pairs: tuple[tuple[str, str], ...]
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Parent-child pairs in document order: each child follows its parent."""
-        return iter(self.pairs)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ one private state for all its best responses; only the graph's memos outlive it:
 A pair with one path (``GameGraph.only_path``), such as every player of a
 document game, is a plan whose out-edges are its path: each path node maps
 to its one edge there, and its distances are a dict over the path's nodes.
-The relaxation and the tie walk below take the out-edges to follow, so such
-a pair goes through them with its mapping instead of the graph's out-edges.
+The relaxation, the tie walk and its counts below take the out-edges to
+follow, so such a pair goes through them with its mapping instead of the
+graph's out-edges.
 Every other out-edge of a node on the path leads off the plan, to an
 infinite distance, so it never wins ``<`` and never stays within the tie
 bound; leaving it out changes no float, answer or draw (there is none).
@@ -187,19 +188,21 @@ class _State(Tally):
             dist[node] = best
         return dist
 
-    def _count(self, start: int, start_acc: float, target: int, bound: float, dist, memo) -> int:
-        """Number of ``start``-target paths that stay within ``bound`` after
-        ``start_acc`` has been accumulated to ``start``: 1 at the target, else
-        read from ``memo`` under ``(start, start_acc)`` or, past its cap,
-        counted again. Each subtree a count finishes goes into ``memo`` while
-        the memo is below its cap."""
+    def _count(
+        self, start: int, start_acc: float, target: int, bound: float, outs, dist, memo
+    ) -> int:
+        """Number of ``start``-target paths over ``outs`` that stay within
+        ``bound`` after ``start_acc`` has been accumulated to ``start``: 1 at
+        the target, else read from ``memo`` under ``(start, start_acc)`` or,
+        past its cap, counted again. Each subtree a count finishes goes into
+        ``memo`` while the memo is below its cap."""
         if start == target:
             return 1
         total = memo.get((start, start_acc))
         if total is not None:
             return total
-        heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
-        cap = _MEMO_PER_NODE * len(outs)
+        heads, weights = self.graph.heads, self.weights
+        cap = _MEMO_PER_NODE * len(self.graph.outs)
         # One entry per node above the current one: its out-edge iterator,
         # accumulated weight and count so far, and the memo key of the node
         # its edge down reaches.
@@ -235,8 +238,7 @@ class _State(Tally):
         ``outs`` with the distances ``_relax`` gave over them, drawn
         uniformly by its lexicographic rank, with its accumulated weight and
         whether the RNG was consulted, which it is only when two or more tie;
-        ``None`` if there is none. Counts below a tie read ``graph.outs``:
-        only a plan with two or more paths has one."""
+        ``None`` if there is none."""
         heads, weights = self.graph.heads, self.weights
         memo: dict = {}
         path: list[int] = []
@@ -252,7 +254,7 @@ class _State(Tally):
                 return None
             e = tied[0]
             if len(tied) > 1:
-                counts = (self._count(heads[e], acc + weights[e], target, bound, dist, memo)
+                counts = (self._count(heads[e], acc + weights[e], target, bound, outs, dist, memo)
                           for e in tied)
                 if rank is None:
                     counts = list(counts)

@@ -157,6 +157,9 @@ class GameGraph:
                 raise DanglingEndpoint(edge_id, dst)
             if not (0.0 <= cost < math.inf):
                 raise NegativeCost(edge_id, cost)
+            # -0.0 passes the check above; +0.0 keeps its sign out of every output.
+            if not cost and math.copysign(1.0, cost) < 0.0:
+                cost, edge = 0.0, Edge(edge_id, src, dst, 0.0)
             edge_position[edge_id] = len(edge_list)
             edge_list.append(edge)
             costs.append(cost)
@@ -420,6 +423,8 @@ class GameInstance:
         object.__setattr__(self, "players", tuple(self.players))
         if not (0.0 <= self.delta < math.inf):
             raise NegativeDelta(self.delta)
+        if math.copysign(1.0, self.delta) < 0.0:  # -0.0, as for an edge cost
+            object.__setattr__(self, "delta", 0.0)
         # Every cost, potential and sum that check forms stays below this bound.
         total = ordered_sum(self.graph.costs)
         if math.isinf(total * (1.0 + self.delta) * (len(self.players) + 1)):

@@ -10,7 +10,6 @@ runs and in attribute values alike.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from pagegame.dom import DomNode
 from pagegame.errors import MalformedMarkup, UnsupportedConstruct
@@ -27,15 +26,18 @@ class ReferenceForest:
         self.document_root = document_root
         self.nodes = nodes
 
-    def edges(self) -> Iterator[tuple[str, str]]:
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
         """Parent-child pairs in document order: ``nodes`` holds the ids in
         the pre-order they were reserved in, so each child follows its parent."""
         parents: dict[str, str] = {}
+        pairs = []
         for node_id, node in self.nodes.items():
             if node_id in parents:
-                yield parents[node_id], node_id
+                pairs.append((parents[node_id], node_id))
             for child in node.children:
                 parents[child.node_id] = node_id
+        return tuple(pairs)
 
 
 def _parse_open_tag(token: str, position: int) -> tuple[str, tuple[str, str] | None]:

@@ -961,6 +961,32 @@ def _doc(edit):
     return _edited(_DOC_INSTANCE, edit)
 
 
+#: A printed negative zero: ``-0`` or ``-0.0`` that no other digit follows.
+_NEGATIVE_ZERO = re.compile(r"-0(\.0+)?(?![\d.eE])")
+
+
+@pytest.mark.parametrize("instance, delta", [
+    (_d1(lambda o: (o.update(delta=-0.0), o["edges"][0].update(cost=-0.0))), []),
+    (_doc(lambda o: o.update(
+        cost_model={"base_costs": {"element": -0.0, "text": -0.0, "document-root": -0.0}})),
+     ["--delta", "-0"]),
+], ids=["explicit", "document"])
+def test_negative_zero_costs_and_delta_print_as_zero(tmp_path, capsys, instance, delta):
+    # -0.0 passes the non-negative checks; every output reads it as 0.
+    path = str(_write(tmp_path, "zero.json", instance))
+    report, catalog, summary = (str(tmp_path / name) for name in ("r.json", "c.json", "s.json"))
+    assert main(["solve", "--instance", path, *delta, "--output", report]) == 0
+    assert main(["enumerate", "--instance", path, *delta, "--output", catalog]) == 0
+    assert main(["check", "--instance", path, *delta, "--report", report]) == 0
+    assert main(["report", "--instance", path, "--report", report, "--format", "dot"]) == 0
+    assert main(["report", "--instance", path, "--report", report, "--format", "json",
+                 "--output", summary]) == 0
+    texts = [capsys.readouterr().out] + [Path(f).read_text() for f in (report, catalog, summary)]
+    assert "c=0 " in texts[0] and '"delta": 0.0' in texts[1]
+    for text in texts:
+        assert not _NEGATIVE_ZERO.search(text), text
+
+
 # Each way an instance file is refused: (id, file, exit code, stderr line).
 # A file with several defects is refused for the first one read: sections
 # in file order (nodes, edges, players; devices), records in order, fields

@@ -29,8 +29,8 @@ from gamegen import SAMPLE_DOCUMENT
 
 def test_full_document_node_counts():
     forest = parse_document(SAMPLE_DOCUMENT)
-    assert forest.node_count == 11
-    assert forest.edge_count == 10
+    assert len(forest.nodes) == 11
+    assert len(forest.pairs) == 10
     kinds = {}
     for node in forest.nodes.values():
         kinds[node.kind] = kinds.get(node.kind, 0) + 1
@@ -43,8 +43,8 @@ def test_full_document_node_counts():
 
 def test_minimal_document():
     forest = parse_document("<html></html>")
-    assert forest.node_count == 2
-    assert forest.edge_count == 1
+    assert len(forest.nodes) == 2
+    assert len(forest.pairs) == 1
 
 
 def test_multiple_top_level_elements_form_a_forest():
@@ -109,8 +109,8 @@ def test_deeply_nested_document_loads():
     forest = parse_document(text)
     assert serialize_document(forest) == text
     text_id = f"{depth + 1}:#text"
-    assert forest.node_count == depth + 2
-    assert list(forest.edges())[-1] == (f"{depth}:div", text_id)
+    assert len(forest.nodes) == depth + 2
+    assert forest.pairs[-1] == (f"{depth}:div", text_id)
     instance = build_game(forest, [DeviceProfile("d", "pc", 1.0, (text_id,))])
     assert len(instance.graph.edges) == depth + 1
     assert [p.leaf for p in instance.players] == [text_id]
@@ -123,7 +123,7 @@ def _shape(node):
 
 
 def _preorder_edges(forest):
-    """Reference for ``DomForest.edges``: parent-child pairs from a stack
+    """Reference for ``DomForest.pairs``: parent-child pairs from a stack
     walk of the tree from the document root."""
     root = forest.document_root
     stack = [(root.node_id, child) for child in reversed(root.children)]
@@ -180,7 +180,7 @@ def test_round_trip_property():
         again = parse_document(serialize_document(forest))
         assert _shape(again.document_root) == _shape(forest.document_root)
         assert list(again.nodes) == list(forest.nodes)
-        assert list(forest.edges()) == _preorder_edges(forest)
+        assert list(forest.pairs) == _preorder_edges(forest)
 
     check()
 
@@ -194,7 +194,7 @@ def _outcome(parse, text):
         forest = parse(text)
     except EngineError as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
-    return list(forest.nodes.items()), list(forest.edges())
+    return list(forest.nodes.items()), list(forest.pairs)
 
 
 #: One document per way the parser can refuse markup, in its order of checks.

@@ -98,9 +98,9 @@ def test_traces_match_reference_with_a_tiny_tie_memo(monkeypatch, per_node):
     hits = []
     original = dynamics._State._count
 
-    def counted(self, start, start_acc, target, bound, dist, memo):
+    def counted(self, start, start_acc, target, bound, outs, dist, memo):
         hits.append((start, start_acc) in memo)
-        return original(self, start, start_acc, target, bound, dist, memo)
+        return original(self, start, start_acc, target, bound, outs, dist, memo)
 
     monkeypatch.setattr(dynamics._State, "_count", counted)
     for seed, delta in zip(range(6), itertools.cycle(DELTAS)):
