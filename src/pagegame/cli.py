@@ -126,8 +126,8 @@ def _load(args) -> GameInstance:
 def _cmd_solve(args) -> int:
     if args.max_iters < 1:
         raise _UsageError("--max-iters must be >= 1")
-    if args.seed < 0:
-        raise _UsageError("--seed must be >= 0")
+    if not 0 <= args.seed < 2**64:  # the generator keeps a seed mod 2**64
+        raise _UsageError("--seed must be in [0, 2**64)")
     instance = _load(args)
     schedule = Schedule(kind=args.schedule, seed=args.seed)
     trace = run_dynamics(
@@ -207,13 +207,6 @@ def _cmd_check(args) -> int:
     # rounding of sums of about this many terms (see game.slack).
     terms = sum(len(path) for _, path in profile.items())
 
-    stable = is_nash(graph, profile, delta)
-    detail = ""
-    if not stable:
-        pid, path = improving_move(graph, profile, delta)
-        detail = f"player {pid} can switch to [{', '.join(map(printable, path))}]"
-    results.append(("nash-stability", stable, detail))
-
     costs, loads = graph.costs, tally.loads
     total_shares = ordered_sum(
         [costs[e] / loads[e] for path in tally.paths.values() for e in path])
@@ -233,17 +226,28 @@ def _cmd_check(args) -> int:
     )
 
     # Each deviation moves the one tally; the own path goes back after them.
-    identity_detail = ""
+    # Every deviation is scored against the player's cost, as the move test
+    # would (``improves``), even after the identity's first FAIL.
+    identity_detail, undercut = "", None
+    used = len(tally.used) if delta else 0
     for player, paths in zip(instance.players, oracle.pair_paths(graph, instance.players)):
+        if len(paths) == 1:
+            continue
         pid = player.player_id
-        own = tally.paths[pid]
+        own, current = tally.paths[pid], player_costs[pid]
+        cut = current - slack(current, len(graph.between(player.root, player.leaf)) + used)
         for deviation in paths:
             if deviation == own:
                 continue
             tally.move(pid, deviation)
+            cost = tally.cost(pid)
+            if undercut is None and cost < cut:
+                undercut = pid, [graph.edge_ids[e] for e in deviation]
+            if identity_detail:
+                continue
             moved = tally.potential()
             d_phi = phi - moved
-            d_cost = player_costs[pid] - tally.cost(pid)
+            d_cost = current - cost
             gap = abs(d_phi - d_cost)
             # slack() is never below TOLERANCE; most deviations stop here.
             if gap > TOLERANCE and gap > slack(max(phi, moved), 2 * (terms + len(deviation) + 2)):
@@ -252,11 +256,20 @@ def _cmd_check(args) -> int:
                     f"player {pid} via [{alt}]: "
                     f"potential moved {d_phi}, cost moved {d_cost}"
                 )
-                break
-        if identity_detail:
-            break
-        if len(paths) > 1:
-            tally.move(pid, own)
+        tally.move(pid, own)
+
+    # Stable only if the move test and the sweep, from the definition, agree.
+    stable = is_nash(graph, profile, delta)
+    move = None if stable else improving_move(graph, profile, delta)
+    detail = ""
+    if move or undercut:
+        pid, path = move or undercut
+        detail = f"player {pid} can switch to [{', '.join(map(printable, path))}]"
+        if not undercut:
+            detail += " by the move test, but no deviation undercuts its cost"
+        elif not move:
+            detail += ", which the move test misses"
+    results.insert(0, ("nash-stability", stable and not undercut, detail))
     results.append(("potential-identity", not identity_detail, identity_detail))
 
     lines = [f"PASS {name}\n" if ok else f"FAIL {name}: {info}\n" for name, ok, info in results]

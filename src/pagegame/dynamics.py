@@ -31,23 +31,53 @@ one private state for all its best responses; only the graph's memos outlive it:
   bit. Two rules keep it so: a move clears the table (``respond``'s own
   take-off and put-back do not), and an answer that drew from the RNG, or
   raised ``NoPath``, is never stored, so the stream advances as it would
-  without the table. No distances are kept: a best response not in the table
-  relaxes the plan of its root-leaf pair (``GameGraph.between``), in edge-id
-  order, into fresh ones, infinite off the plan, and returns a path of edge
-  positions.
+  without the table;
+* for each leaf of a pair with several paths, the distances last computed
+  toward it, from any root (see below).
+
+A best response not in the table relaxes the plan of its root-leaf pair
+(``GameGraph.between``) into distances toward the leaf and returns a path
+of edge positions. A pair with several paths first takes a known path: the
+player's own, or, when it has none, one walked from the root that takes at
+each node the out-edge of least weight plus the leaf's last distance. Its
+weights are folded from the leaf (``acc = weights[e] + acc``, the
+relaxation's own operations), and the reach is ``fold + slack(fold, n)``
+for the plan's ``n`` nodes. The relaxation then pushes along in-edges
+(``GameGraph.ins``) in the plan's reversed topological order, from the leaf
+and from every node whose distance is within the reach, and skips the
+others. With no known path the reach is infinite: the whole plan is
+relaxed. This is exact:
+
+* folding any root-leaf path gives a float at least the relaxation's
+  distance at the root, because it does the same additions and rounding is
+  monotone; so the reach is at least the tie bound ``best + slack(best,
+  n)``, and ``best`` is within it;
+* a node within reach gets the full relaxation's float: its cheapest head
+  is no farther away, so that head was processed and pushed to it. Every
+  other node reads above the reach, as a larger candidate or infinite;
+* so every ``<=`` test of the tie walk and its counts comes out the same
+  way. A push takes the minimum of the same candidate floats, and weights
+  are at least +0.0, so no NaN or -0.0 arises: floats, counts, draws and
+  traces are unchanged;
+* the walk only picks a path. Stale or partial distances can loosen the
+  reach, never make it wrong. A path that does not join the root to the
+  leaf, which only a caller's profile can hold, could fold below ``best``.
+  So when the root's distance exceeds the fold, the plan is relaxed again
+  in full; one at most the fold is within reach, hence exact, and the first
+  point holds.
 
 A pair with one path (``GameGraph.only_path``), such as every player of a
 document game, is a plan whose out-edges are its path: each path node maps
-to its one edge there, and its distances are a dict over the path's nodes.
-The relaxation, the tie walk and its counts below take the out-edges to
-follow, so such a pair goes through them with its mapping instead of the
-graph's out-edges.
+to its one edge there, and its distances are folded along the path into a
+dict over the path's nodes. The tie walk and its counts below take the
+out-edges to follow, so such a pair goes through them with its mapping
+instead of the graph's out-edges.
 Every other out-edge of a node on the path leads off the plan, to an
 infinite distance, so it never wins ``<`` and never stays within the tie
 bound; leaving it out changes no float, answer or draw (there is none).
 
-The relaxation does the same float operations and ``<`` comparisons as one
-over the whole graph with freshly tallied loads. A path ties when the weight
+The distances are those of a relaxation over the whole graph with freshly
+tallied loads, by the same float operations. A path ties when the weight
 accumulated from the root along it, plus the distance left, stays within the
 bound at every edge. Whether an edge is taken therefore depends only on the
 node and that accumulated float, so the number of tied completions is a
@@ -147,13 +177,15 @@ def reweight(
 class _State(Tally):
     """The per-call best-response state of the module docstring: a tally,
     ``weights``, each edge's weight at its load, which a move keeps in
-    O(path length), and the answers ``respond`` gave since the last move."""
+    O(path length), the answers ``respond`` gave since the last move, and
+    each leaf's last distances."""
 
     def __init__(self, graph: GameGraph, profile: StrategyProfile, delta: float):
         super().__init__(graph, profile, delta)
         self.weights = [0.0] * len(self.loads)
         self._weigh(range(len(self.loads)))
         self._answers: dict = {}
+        self._dists: dict[int, list[float]] = {}
 
     def _weigh(self, edges) -> None:
         loads, costs, weights, fresh = self.loads, self.graph.costs, self.weights, self.delta + 1.0
@@ -173,19 +205,68 @@ class _State(Tally):
         self._weigh(old)
         self._weigh(new)
 
-    def _relax(self, plan: tuple[int, ...], target: int, outs, dist):
-        """``dist`` with the cheapest weight to ``target`` over ``outs`` from
-        each node of ``plan``; the heads of ``outs`` off the plan must read
-        infinite in it, or be absent when ``outs`` holds only the plan."""
+    def _fold(self, plan: tuple[int, ...], target: int, line) -> dict[int, float]:
+        """The distance to ``target`` from each node of a one-path pair's
+        ``plan``, folded along its ``line`` (``GameGraph.only_path``)."""
         weights, heads = self.weights, self.graph.heads
-        dist[target] = 0.0
+        dist = {target: 0.0}
         for node in plan:
-            best = math.inf
+            e = line[node][0]
+            dist[node] = weights[e] + dist[heads[e]]
+        return dist
+
+    def _walk(self, start: int, target: int) -> list[int]:
+        """A ``start``-``target`` path that takes at each node the out-edge of
+        least weight plus the distance last computed toward ``target``, from
+        any root; empty when there is none or a node has no such finite sum."""
+        dist = self._dists.get(target)
+        if dist is None:
+            return []
+        heads, outs, weights = self.graph.heads, self.graph.outs, self.weights
+        path: list[int] = []
+        node = start
+        while node != target:
+            best, step = math.inf, None
             for e in outs[node]:
                 through = weights[e] + dist[heads[e]]
                 if through < best:
-                    best = through
-            dist[node] = best
+                    best, step = through, e
+            if step is None:
+                return []
+            path.append(step)
+            node = heads[step]
+        return path
+
+    def _push(self, plan: tuple[int, ...], target: int, reach: float) -> list[float]:
+        """Distances to ``target`` by position: pushed back along the in-edges
+        (``GameGraph.ins``) of the target and then of each node of ``plan``,
+        in its reversed topological order, skipping every node whose distance
+        exceeds ``reach``; infinite where nothing was pushed."""
+        weights, ins = self.weights, self.graph.ins
+        dist = [math.inf] * len(ins)
+        dist[target] = 0.0
+        for node in (target, *plan):
+            d = dist[node]
+            if d <= reach:
+                for e, tail in ins[node]:
+                    through = weights[e] + d
+                    if through < dist[tail]:
+                        dist[tail] = through
+        return dist
+
+    def _bounded(self, plan: tuple[int, ...], start: int, target: int, known) -> list[float]:
+        """``_push`` over a pair with several paths, within the reach of a
+        known path: ``known`` (the player's own), else ``_walk``'s, else
+        none, which relaxes the whole plan. Stored as the leaf's last
+        distances."""
+        known, weights = known or self._walk(start, target), self.weights
+        acc = 0.0 if known else math.inf
+        for e in reversed(known):
+            acc = weights[e] + acc
+        dist = self._push(plan, target, acc + slack(acc, len(plan)))
+        if dist[start] > acc:  # ``known`` is no start-target path
+            dist = self._push(plan, target, math.inf)
+        self._dists[target] = dist
         return dist
 
     def _count(
@@ -292,12 +373,15 @@ class _State(Tally):
         if not plan:
             raise NoPath(player_id, root, leaf)
         line = graph.only_path(root, leaf)
-        outs, dist = (graph.outs, [math.inf] * len(graph.outs)) if line is None else (line, {})
         start, target = graph.node_position[root], graph.node_position[leaf]
         page = self._page
         if own:
             self._shift(player_id, ())
-        best = self._relax(plan, target, outs, dist)[start]
+        if line is None:
+            outs, dist = graph.outs, self._bounded(plan, start, target, own)
+        else:
+            outs, dist = line, self._fold(plan, target, line)
+        best = dist[start]
         chosen = None
         if rng is not None and not math.isinf(best):
             chosen = self._ties(start, target, best + slack(best, len(plan)), outs, dist, rng)

@@ -12,11 +12,11 @@ a ``Tally`` of a profile's edge loads, the only type here that changes after
 construction (``move`` moves a player). A tally keeps its loaded edges'
 costs beside the edges, so the page cost is one sum over a ready list. A
 graph builds its integer view (nodes by topological position, edges by
-declaration position) once, when constructed, and only fills its root masks
-(which registered roots reach each node, from one pass in topological
-order), root-leaf plans, the paths of pairs that have only one, and the
-potential terms ``cost / x`` of each edge at each load a potential sums,
-idempotently, on first use. The terms take one tuple per ``(edge, load)``
+declaration position) once, when constructed, and only fills its in-edge
+index, root masks (which registered roots reach each node, from one pass
+in topological order), root-leaf plans, the paths of pairs that have only
+one, and the potential terms ``cost / x`` of each edge at each load a
+potential sums, idempotently, on first use. The terms take one tuple per ``(edge, load)``
 summed, at most E x P for E edges and P players, and live as long as the
 graph.
 Floating-point sums always run left to right (``ordered_sum``) in a
@@ -125,9 +125,14 @@ class GameGraph:
     Construction numbers the nodes by topological position (``topo_order``,
     ``node_position``) and the edges by declaration position (``edges``,
     ``edge_position``, ``edge_ids``, ``costs``): ``heads[e]`` is edge ``e``'s
-    head, ``outs[v]`` node ``v``'s out-edges in edge-id order, which fixes
-    the traversal order everywhere, and ``ins[v]`` the tails of its in-edges
-    in declaration order.
+    head, and ``outs[v]`` node ``v``'s out-edges in edge-id order, which
+    fixes the traversal order everywhere. The in-edge index ``ins[v]``
+    holds an ``(edge position, tail position)`` pair for each in-edge of
+    ``v``, in declaration order; plans (``between``), path counts and best
+    responses read it, and like the plans it is built on first use. A
+    best-response state (``dynamics._State``) keeps beside it one distance
+    list for each leaf of a pair with several paths, of the same order as
+    the plan cache.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
@@ -187,10 +192,6 @@ class GameGraph:
         self.node_position = {nid: p for p, nid in enumerate(self.topo_order)}
         self.heads = tuple([position[v] for v in heads])
         self.outs = tuple([tuple(outs[v]) for v in order])
-        ins: list[list[int]] = [[] for _ in order]
-        for tail, head in zip(tails, self.heads):
-            ins[head].append(position[tail])
-        self.ins = tuple(map(tuple, ins))
         self._masks: _Masks = ({}, [])
         self._plans: dict[tuple[str, str], tuple[int, ...]] = {}
         self._lines: dict[tuple[str, str], dict[int, tuple[int]]] = {}  # {} for none or several
@@ -274,6 +275,20 @@ class GameGraph:
                     masks[heads[e]] |= mask
         return bits, masks
 
+    @functools.cached_property
+    def ins(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The in-edge index: each node position's in-edges as ``(edge
+        position, tail position)`` pairs, in declaration order. Built on
+        first use and stored as one immutable value."""
+        tails = [0] * len(self.heads)
+        for v, out in enumerate(self.outs):
+            for e in out:
+                tails[e] = v
+        ins: list[list[tuple[int, int]]] = [[] for _ in self.outs]
+        for e, head in enumerate(self.heads):
+            ins[head].append((e, tails[e]))
+        return tuple(map(tuple, ins))
+
     def between(self, root: str, leaf: str) -> tuple[int, ...]:
         """Positions of the nodes on some ``root``-``leaf`` path, leaf
         excluded, in reversed topological order; empty when there is no path
@@ -289,7 +304,7 @@ class GameGraph:
             live = {target}
             stack = [target] if masks[target] & bit else []
             while stack:
-                for node in ins[stack.pop()]:
+                for _, node in ins[stack.pop()]:
                     if node not in live and masks[node] & bit:
                         live.add(node)
                         stack.append(node)
@@ -300,8 +315,9 @@ class GameGraph:
     def path_count(self, root: str, leaf: str) -> int:
         """The exact number of ``root``-``leaf`` paths: 1 when they coincide,
         0 when there is none or an endpoint is not in the graph. Pushed back
-        from the leaf along ``ins`` over the pair's plan (``between``): the
-        leaf counts 1, and each node adds its count to its in-plan tails."""
+        from the leaf along the in-edge index (``ins``) over the pair's plan
+        (``between``): the leaf counts 1, and each node adds its count to its
+        in-plan tails."""
         if root == leaf:
             return int(root in self)
         plan = self.between(root, leaf)
@@ -312,7 +328,7 @@ class GameGraph:
         counts[target] = 1
         for node in (target, *plan):
             count = counts[node]
-            for tail in ins[node]:
+            for _, tail in ins[node]:
                 if tail in counts:
                     counts[tail] += count
         return counts[plan[-1]]

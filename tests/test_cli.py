@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import io
+import itertools
 import json
 import math
 import operator
@@ -13,6 +16,7 @@ from pagegame import (
     Player,
     StrategyProfile,
     build_graph,
+    run_dynamics,
 )
 from pagegame import game
 from pagegame.cli import main
@@ -334,6 +338,94 @@ def test_check_names_unprintable_edge_ids_by_their_repr(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "Tally", Skewed)
     assert check("a\nb")[3] == (
         "FAIL potential-identity: player 1 via ['b\\t']: potential moved -3.5, cost moved -2.5")
+
+
+def _stability(tmp_path, instance, profile) -> tuple[int, str]:
+    """``check``'s exit code and ``nash-stability`` line for ``profile``."""
+    report = {"format_version": 1, "kind": "run-report", "delta": instance.delta,
+              "final_profile": {str(pid): list(path) for pid, path in profile.items()}}
+    argv = ["check", "--instance", str(_write(tmp_path, "inst.json", instance_to_json(instance))),
+            "--report", str(_write(tmp_path, "report.json", report))]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue().splitlines()[0]
+
+
+# The gamegen corpus games whose greedy start is no equilibrium, and the
+# deviation the sweep finds first in each.
+_GREEDY_UNSTABLE = {17: "player 1 can switch to [e06, e02]",
+                    64: "player 1 can switch to [e07, e03]",
+                    81: "player 2 can switch to [e04, e00]",
+                    173: "player 1 can switch to [e02, e00]",
+                    188: "player 1 can switch to [e01, e08]"}
+
+
+def test_check_fails_a_move_test_that_never_moves(tmp_path, monkeypatch):
+    # With the move test patched to find no move, solve stops on its greedy
+    # start and is_nash agrees; the deviation sweep, scored from the
+    # definitions, still finds the move on every corpus game where one exists.
+    from gamegen import corpus
+    from pagegame import dynamics
+
+    import reference_dynamics
+
+    monkeypatch.setattr(dynamics._State, "improves", lambda self, *args: False)
+    for index, inst in enumerate(corpus()):
+        report = tmp_path / "report.json"
+        inst_file = _write(tmp_path, "inst.json", instance_to_json(inst))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "--instance", str(inst_file), "--output", str(report)]) == 0
+            code = main(["check", "--instance", str(inst_file), "--report", str(report)])
+        profile = StrategyProfile(json.loads(report.read_text())["final_profile"])
+        stable = reference_dynamics.is_nash(inst.graph, profile, inst.delta)
+        assert stable == (index not in _GREEDY_UNSTABLE), index
+        assert code == (0 if stable else 5), index
+        if not stable:
+            assert _stability(tmp_path, inst, profile) == (5, (
+                f"FAIL nash-stability: {_GREEDY_UNSTABLE[index]}, which the move test misses"))
+
+
+def test_check_fails_where_the_move_test_lies(tmp_path, monkeypatch):
+    # d1 with both players on b is no equilibrium, and both verdicts say so;
+    # an is_nash that calls it stable fails all the same. A move test that
+    # always moves fails on the equilibrium with both on a.
+    from pagegame import cli, dynamics
+
+    inst = build_d1()
+    shared, apart = StrategyProfile({1: ("a",), 2: ("a",)}), StrategyProfile({1: ("b",), 2: ("b",)})
+    assert _stability(tmp_path, inst, shared) == (0, "PASS nash-stability")
+    assert _stability(tmp_path, inst, apart) == (
+        5, "FAIL nash-stability: player 1 can switch to [a]")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "is_nash", lambda graph, profile, delta: True)
+        assert _stability(tmp_path, inst, apart) == (
+            5, "FAIL nash-stability: player 1 can switch to [a], which the move test misses")
+    monkeypatch.setattr(dynamics._State, "improves", lambda self, *args: True)
+    assert _stability(tmp_path, inst, shared) == (
+        5, "FAIL nash-stability: player 1 can switch to [a] by the move test, "
+           "but no deviation undercuts its cost")
+
+
+def test_check_verdicts_agree_past_the_tolerance(tmp_path):
+    # Large costs round sums from the root and from the leaf more than 1e-9
+    # apart, and near-grid1's paths tie within a few ulps; the move test and
+    # the sweep still reach the same verdict on the profiles solve stops on
+    # and on others.
+    from gamegen import all_profiles, large_cost_game, random_instance
+    from golden_corpus import games
+
+    instances = [load_instance(str(games()["near-grid1"]))]
+    instances += [large_cost_game(random_instance(4200 + seed, delta=(0.0, 0.5)[seed % 2],
+                                                  max_profiles=100), seed) for seed in range(12)]
+    verdicts = set()
+    for inst in instances:
+        solved = run_dynamics(inst.graph, inst.players, inst.delta).final_profile
+        for profile in (solved, *itertools.islice(all_profiles(inst), 6)):
+            code, line = _stability(tmp_path, inst, profile)
+            verdicts.add(line == "PASS nash-stability")
+            assert "move test" not in line, line
+        assert _stability(tmp_path, inst, solved) == (0, "PASS nash-stability")
+    assert verdicts == {True, False}
 
 
 def test_check_unknown_edge_fails_validation(d1_file, tmp_path):
@@ -1136,7 +1228,22 @@ def test_catalog_as_report_holds_no_final_profile(d1_file, tmp_path, capsys, com
 
 def test_negative_seed_is_usage_error(d1_file, capsys):
     assert main(["solve", "--instance", str(d1_file), "--seed", "-1"]) == 1
-    assert capsys.readouterr() == ("", "pagegame: error: --seed must be >= 0\n")
+    assert capsys.readouterr() == ("", "pagegame: error: --seed must be in [0, 2**64)\n")
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1])
+def test_seed_past_the_generators_range_is_usage_error(d1_file, capsys, seed):
+    # The generator keeps a seed mod 2**64, so 2**64 + 1 would replay seed 1.
+    assert main(["solve", "--instance", str(d1_file), "--seed", str(seed)]) == 1
+    assert capsys.readouterr() == ("", "pagegame: error: --seed must be in [0, 2**64)\n")
+
+
+def test_largest_seed_solves(d1_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["solve", "--instance", str(d1_file), "--schedule", "random", "--output", str(out)]
+    assert main([*argv, "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(out.read_text())["seed"] == 2**64 - 1
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

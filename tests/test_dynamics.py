@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -786,23 +787,34 @@ def test_unique_best_responses_are_neither_counted_nor_drawn(tmp_path, monkeypat
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _count_relaxations(monkeypatch) -> list:
-    """Each relaxation's out-edges: ``None`` for the graph's, else the
-    mapping of a pair with one path (``GameGraph.only_path``)."""
+def _count_relaxations(monkeypatch, visits=None) -> list:
+    """Each relaxation by its kind: the mapping of a pair with one path
+    (``GameGraph.only_path``) that ``_fold`` follows, else ``"bounded"`` or
+    ``"full"`` for a ``_push`` within a known path's reach or without one.
+    Each push also appends to ``visits``, when given, its plan's size and
+    how many of the plan's nodes fell within its reach."""
     relaxed = []
-    original = dynamics._State._relax
+    fold, push = dynamics._State._fold, dynamics._State._push
 
-    def counted(self, plan, target, outs, dist):
-        relaxed.append(None if outs is self.graph.outs else outs)
-        return original(self, plan, target, outs, dist)
+    def folded(self, plan, target, line):
+        relaxed.append(line)
+        return fold(self, plan, target, line)
 
-    monkeypatch.setattr(dynamics._State, "_relax", counted)
+    def pushed(self, plan, target, reach):
+        relaxed.append("full" if math.isinf(reach) else "bounded")
+        dist = push(self, plan, target, reach)
+        if visits is not None:
+            visits.append((len(plan), sum(dist[node] <= reach for node in plan)))
+        return dist
+
+    monkeypatch.setattr(dynamics._State, "_fold", folded)
+    monkeypatch.setattr(dynamics._State, "_push", pushed)
     return relaxed
 
 
 def _lines(relaxed) -> list:
     """The one-path mappings among ``relaxed``, each as its sorted items."""
-    return [tuple(sorted(outs.items())) for outs in relaxed if outs is not None]
+    return [tuple(sorted(outs.items())) for outs in relaxed if isinstance(outs, dict)]
 
 
 def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
@@ -825,6 +837,23 @@ def test_dag_dynamics_reuses_answers_until_a_move(monkeypatch):
     assert len(set(lines)) == 50
 
 
+def test_dag_dynamics_bounds_most_relaxations(monkeypatch):
+    # The same run's 339 relaxations over pairs with several paths: the 40
+    # placements that know no path toward their leaf relax their whole
+    # plans; the other 299, with the player's own path or a walked one,
+    # stop at its reach. Together they visit 6,668 of 43,014 plan nodes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inst = parse_instance(workloads.dag_dynamics_instance(1))
+    visits = []
+    relaxed = _count_relaxations(monkeypatch, visits)
+    run_dynamics(inst.graph, inst.players, inst.delta, Schedule("round-robin", 1))
+    assert collections.Counter(kind for kind in relaxed if isinstance(kind, str)) == {
+        "full": 40, "bounded": 299}
+    assert [sum(column) for column in zip(*visits)] == [43014, 6668]
+
+
 def test_one_path_pairs_relax_only_their_path(monkeypatch):
     # Every player of a document game has one path: every best response,
     # is_nash and best_response relaxes over its pair's path alone, never
@@ -840,7 +869,7 @@ def test_one_path_pairs_relax_only_their_path(monkeypatch):
     assert is_nash(graph, trace.final_profile, inst.delta)
     for player in inst.players:
         best_response(graph, trace.final_profile, player.player_id, inst.delta)
-    assert relaxed and None not in relaxed
+    assert relaxed and all(isinstance(outs, dict) for outs in relaxed)
     pairs = [graph.only_path(p.root, p.leaf) for p in inst.players]
     assert set(_lines(pairs)) == set(_lines(relaxed))
 
@@ -848,7 +877,7 @@ def test_one_path_pairs_relax_only_their_path(monkeypatch):
     relaxed.clear()
     run_dynamics(d1.graph, d1.players, d1.delta)
     assert d1.graph.only_path("r", "l") is None
-    assert relaxed and set(relaxed) == {None}
+    assert relaxed and all(kind in ("bounded", "full") for kind in relaxed)
 
 
 def _one_path_rich_games():
@@ -907,7 +936,7 @@ def test_one_path_mappings_answer_as_the_full_relaxation(monkeypatch):
                 patch.setattr(game.GameGraph, "only_path", lambda self, root, leaf: None)
                 relaxed.clear()
                 full = _answers(monkeypatch, inst, seed)
-                assert set(relaxed) == {None}, name
+                assert all(kind in ("bounded", "full") for kind in relaxed), name
             assert mapped == full, (name, seed)
 
 

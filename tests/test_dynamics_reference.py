@@ -2,6 +2,7 @@
 ``reference_dynamics``: same traces, same answers, floats bit for bit."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,8 +22,10 @@ import reference_dynamics as reference
 from gamegen import (
     DELTAS,
     all_profiles,
+    corpus,
     diamond_chain,
     first_path_profile,
+    large_cost_game,
     layered_game,
     random_instance,
     reachable_from,
@@ -333,3 +336,141 @@ def test_one_path_games_match_reference_property():
                     reference.best_response(graph, profile, pid, delta, seed))
 
     check()
+
+
+# ---------------------------------------------------------------- bounded relaxation
+
+def _checked_pushes(monkeypatch) -> list:
+    """Patch ``_State._push`` so that each relaxation of a pair with several
+    paths is checked against the reference's full one at the state's
+    weights: the same float bits at every plan node whose exact distance is
+    within the reach, and above the reach at every other. Returns each
+    relaxation's kind, ``"bounded"`` or ``"full"`` (no known path), in order."""
+    kinds = []
+    push = dynamics._State._push
+
+    def checked(self, plan, target, reach):
+        dist = push(self, plan, target, reach)
+        graph, names = self.graph, self.graph.topo_order
+        weights = dict(zip(graph.edge_ids, self.weights))
+        exact = reference.distance_to(graph, weights, names[target])
+        for node in (target, *plan):
+            if exact[names[node]] <= reach:
+                assert dist[node].hex() == exact[names[node]].hex(), names[node]
+            else:
+                assert dist[node] > reach, names[node]
+        kinds.append("full" if math.isinf(reach) else "bounded")
+        return dist
+
+    monkeypatch.setattr(dynamics._State, "_push", checked)
+    return kinds
+
+
+def _assert_exact(graph, players, delta, seeds=(0, 7)):
+    """Traces equal to the reference's on both schedules, then ``is_nash``
+    and every ``best_response`` on the final profile."""
+    for kind, seed in itertools.product(SCHEDULES, seeds):
+        schedule = Schedule(kind, seed)
+        expected = reference.run_dynamics(graph, players, delta, schedule, max_iters=50)
+        actual = dynamics.run_dynamics(graph, players, delta, schedule, max_iters=50)
+        assert _trace_bits(actual) == _trace_bits(expected)
+    profile = expected.final_profile
+    assert dynamics.is_nash(graph, profile, delta) == reference.is_nash(graph, profile, delta)
+    for player in players:
+        pid = player.player_id
+        assert dynamics.best_response(graph, profile, pid, delta, 3) == (
+            reference.best_response(graph, profile, pid, delta, 3))
+
+
+def test_bounded_relaxation_is_exact_on_seeded_games(monkeypatch):
+    # Every relaxation of a pair with several paths reads, within its reach,
+    # the full relaxation's floats: on the gamegen corpus, on large-cost
+    # copies whose slack exceeds TOLERANCE, and on a game whose fresh
+    # weights overflow to infinity, so that a player's own path folds to an
+    # infinite reach.
+    kinds = _checked_pushes(monkeypatch)
+    games = [(inst.graph, inst.players, inst.delta) for inst in corpus()]
+    games += [(big.graph, big.players, big.delta)
+              for big in (large_cost_game(inst, seed) for seed, inst in enumerate(corpus(20)))]
+    for graph, players, delta in games:
+        _assert_exact(graph, players, delta, seeds=(5,))
+    assert {"bounded", "full"} <= set(kinds)
+
+    graph = build_graph([("r", "abstract"), ("l", "abstract")],
+                        [("a", "r", "l", 1e308), ("b", "r", "l", 5e307)])
+    players = (Player(1, "r", "l"), Player(2, "r", "l"))
+    assert math.isinf(graph.costs[0] * 2.0)
+    kinds.clear()
+    _assert_exact(graph, players, 1.0)
+    initial = StrategyProfile({1: ("a",), 2: ("b",)})
+    kinds.clear()
+    _assert_same_dynamics(graph, players, 1.0, initial)
+    assert kinds[0] == "full"  # player 1's own path weighs infinity once taken off
+
+
+def test_bounded_relaxation_is_exact_on_small_dags_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = _checked_pushes(monkeypatch)
+
+    @st.composite
+    def games(draw):
+        n = draw(st.integers(2, 7))
+        costs = st.sampled_from((0.0, 1.0, 2.0, 3.0))
+        edges = []
+        for j in range(draw(st.integers(n - 1, 3 * n))):
+            src = draw(st.integers(0, n - 2))
+            dst = draw(st.integers(src + 1, n - 1))
+            edges.append((f"e{j:02d}", f"n{src}", f"n{dst}", draw(costs)))
+        graph = build_graph([(f"n{i}", "abstract") for i in range(n)], edges)
+        pairs = [(u, v) for u, v in itertools.combinations(graph.topo_order, 2)
+                 if v in reachable_from(graph, u)]
+        hypothesis.assume(pairs)
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+        chosen += draw(st.lists(st.sampled_from(chosen), max_size=4 - len(chosen)))
+        players = tuple(Player(i + 1, root, leaf) for i, (root, leaf) in enumerate(chosen))
+        return graph, players, draw(st.sampled_from((0.0, 0.5, 1.0)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(games())
+    def check(game):
+        _assert_exact(*game)
+
+    check()
+    assert {"bounded", "full"} <= set(kinds)
+
+
+def test_a_walk_with_no_known_distance_relaxes_the_whole_plan(monkeypatch):
+    # Player 1 is placed first toward l, so with no distances known its
+    # relaxation is full. Player 2's walk from B then finds no out-edge to a
+    # node with a known distance (player 1's relaxation never reached y), so
+    # it relaxes in full too; player 3's walk follows player 2's distances
+    # and bounds its relaxation, as every player that has a path does.
+    kinds = _checked_pushes(monkeypatch)
+    graph = build_graph(
+        [(node, "abstract") for node in ("A", "B", "y", "z", "l")],
+        [("a1", "A", "l", 1.0), ("a2", "A", "l", 2.0), ("b1", "B", "y", 1.0),
+         ("b2", "B", "y", 1.0), ("c", "y", "z", 1.0), ("d", "z", "l", 1.0)],
+    )
+    players = (Player(1, "A", "l"), Player(2, "B", "l"), Player(3, "B", "l"))
+    trace = dynamics.run_dynamics(graph, players)
+    assert _trace_bits(trace) == _trace_bits(reference.run_dynamics(graph, players))
+    assert kinds[:3] == ["full", "full", "bounded"]
+    assert set(kinds[3:]) == {"bounded"}
+
+
+def test_a_path_that_is_no_root_leaf_path_relaxes_the_whole_plan(monkeypatch):
+    # best_response reads a player's root and leaf off its path's ends. A
+    # path that does not connect them folds below the cheapest path, so its
+    # reach would cut the relaxation short: the relaxation runs again in full.
+    kinds = _checked_pushes(monkeypatch)
+    graph = build_graph(
+        [(node, "abstract") for node in ("r", "x", "y", "m", "l")],
+        [("a", "r", "x", 0.0), ("c", "y", "l", 0.0), ("b1", "r", "m", 5.0),
+         ("b2", "m", "l", 5.0), ("d", "r", "l", 20.0)],
+    )
+    profile = StrategyProfile({1: ("a", "c")})
+    assert dynamics.best_response(graph, profile, 1) == ("b1", "b2") == (
+        reference.best_response(graph, profile, 1))
+    assert kinds == ["bounded", "full"]

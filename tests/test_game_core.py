@@ -257,8 +257,8 @@ def test_index_agrees_with_graph():
             scanned = sorted(e.edge_id for e in graph.edges if e.src == node)
             assert [graph.edge_ids[e] for e in graph.outs[v]] == scanned, name
             assert [e.edge_id for e in graph.out_edges(node)] == scanned, name
-            ins = [order[u] for u in graph.ins[v]]
-            assert ins == [e.src for e in graph.edges if e.dst == node], name
+            ins = [(graph.edge_ids[e], order[u]) for e, u in graph.ins[v]]
+            assert ins == [(e.edge_id, e.src) for e in graph.edges if e.dst == node], name
         for edge in graph.edges:
             assert graph.edge(edge.edge_id) is edge, name
             assert order.index(edge.src) < order.index(edge.dst), name
