@@ -132,7 +132,8 @@ class GameGraph:
     responses read it, and like the plans it is built on first use. A
     best-response state (``dynamics._State``) keeps beside it one distance
     list for each leaf of a pair with several paths, of the same order as
-    the plan cache.
+    the plan cache: at most V entries per leaf, as a plan holds at most V
+    nodes per pair.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
